@@ -8,7 +8,6 @@ from .costs import (
     get_cost,
     label_weights,
     register_cost,
-    weight_matrix,
 )
 from .evaluation import (
     CostTrace,
@@ -25,8 +24,10 @@ from .learners import (
     LearnerConfig,
     PredictionRecord,
     decode,
+    from_snapshot,
     make_learner,
     play,
+    to_snapshot,
 )
 from .linalg import TOL, project_capped_simplex, symmetric_eigen
 from .online_pca import CappedMsgState, default_eta_schedule
@@ -63,6 +64,7 @@ __all__ = [
     "decode",
     "default_eta_schedule",
     "expected_regret",
+    "from_snapshot",
     "get_cost",
     "inject_noise",
     "label_weights",
@@ -79,7 +81,7 @@ __all__ = [
     "substream",
     "symmetric_eigen",
     "theorem2_bound",
+    "to_snapshot",
     "trace_from_records",
-    "weight_matrix",
     "__version__",
 ]

@@ -9,6 +9,8 @@ group writes a JSON summary (mean and standard error of the final average
 cost).  Repeat r runs with seed base+r for both the stream shuffle/noise and
 the learner.  Cells are independent and may run in a worker pool (--workers or
 CSDPP_WORKERS).  Given the same spec and seed the outputs are byte-identical.
+A failed cell repeat (including a crashed pool worker) is named on stderr;
+the CSVs of finished repeats stay on disk and no summaries are written.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -159,7 +161,7 @@ def _run_repeat(payload: dict) -> dict:
     header = {
         "algorithm": spec["algo"],
         "cost": spec["cost"],
-        "m": getattr(learner, "m", k),
+        "m": learner.m,
         "m_frac": spec["m_frac"],
         "noise_p": spec["noise_p"],
         "repeat": spec["repeat"],
@@ -177,8 +179,33 @@ def _run_repeat(payload: dict) -> dict:
     return {"repeat": spec["repeat"], "final": trace.final_average, "csv": spec["csv_path"]}
 
 
+def _outcome(call, *args) -> tuple:
+    """(result, None) from call(*args), or (None, exc) for a failure that ends only its cell."""
+    try:
+        return call(*args), None
+    except (ValueError, RuntimeError) as exc:  # a crashed pool worker raises BrokenProcessPool, a RuntimeError
+        return None, exc
+
+
+def _execute(jobs: list[dict], workers: int) -> list[tuple]:
+    """Run every job, in a pool when workers > 1; one (result, error) pair per job, in order."""
+    if workers <= 1:
+        return [_outcome(_run_repeat, job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        submitted = [_outcome(pool.submit, _run_repeat, job) for job in jobs]
+        return [(None, exc) if exc is not None else _outcome(future.result) for future, exc in submitted]
+
+
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     merged = _merge_config(args, parser)
+    workers = merged["workers"]
+    if workers is None:
+        env_workers = os.environ.get("CSDPP_WORKERS", "1")
+        try:
+            workers = int(env_workers)
+        except ValueError:
+            print(f"error: CSDPP_WORKERS must be an integer, got {env_workers!r}", file=sys.stderr)
+            return 1
     try:
         with open(args.dataset, encoding="utf-8") as fh:
             text = fh.read()
@@ -203,9 +230,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     out_dir = merged["output"]
     os.makedirs(out_dir, exist_ok=True)
-    workers = merged["workers"]
-    if workers is None:
-        workers = int(os.environ.get("CSDPP_WORKERS", "1"))
     jobs = []
     for algo in merged["algo"]:
         for cost in merged["cost"]:
@@ -236,18 +260,16 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                                 },
                             }
                         )
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_repeat, jobs))
-        else:
-            results = [_run_repeat(job) for job in jobs]
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    outcomes = _execute(jobs, workers)
+    failed = [(job["spec"], exc) for job, (_, exc) in zip(jobs, outcomes) if exc is not None]
+    for spec, exc in failed:
+        print(f"error: cell {spec['stem']} repeat {spec['repeat']}: {exc}", file=sys.stderr)
+    if failed:
+        print(f"error: {len(failed)} of {len(jobs)} cell repeats failed", file=sys.stderr)
         return 1
 
     by_stem: dict[str, list] = {}
-    for job, result in zip(jobs, results):
+    for job, (result, _) in zip(jobs, outcomes):
         by_stem.setdefault(job["spec"]["stem"], []).append((result["repeat"], result["final"]))
     for stem, finals in by_stem.items():
         finals.sort()

@@ -45,7 +45,6 @@ __all__ = [
     "f1_loss",
     "accuracy_loss",
     "label_weights",
-    "weight_matrix",
     "check_condition",
     "native_order",
     "random_order",
@@ -167,13 +166,6 @@ class WeightDiagonal:
     deltas: np.ndarray
     sqrt_deltas: np.ndarray
 
-    @classmethod
-    def from_deltas(cls, deltas: np.ndarray) -> "WeightDiagonal":
-        deltas = np.asarray(deltas, dtype=np.float64)
-        if np.any(deltas < 0):
-            raise ValueError("weights must be non-negative")
-        return cls(deltas, np.sqrt(deltas))
-
 
 def label_weights(
     cost: CostFunction, y: np.ndarray, yhat: np.ndarray, order: np.ndarray | None = None
@@ -204,11 +196,6 @@ def label_weights(
         deltas[j] = float(abs(cost.raw(y, wrong) - cost.raw(y, right)))
         cur[j] = y[j]
     return WeightDiagonal(deltas, np.sqrt(deltas))
-
-
-def weight_matrix(weights: WeightDiagonal) -> np.ndarray:
-    """Diagonal of the weighting transform as a vector (sqrt of the deltas)."""
-    return weights.sqrt_deltas
 
 
 @dataclass

@@ -1,30 +1,35 @@
 """Streaming multi-label learners.
 
-Seven algorithms behind one factory:
+Every algorithm is the same loop: encode the labels, regress features onto
+the codes, decode by sign.  The seven algorithms differ in three choices:
 
-  dpp-pbc / dpp-pbt / dpp-naive
-      dimension-reduced learners driven by the capped spectral tracker with
-      uniform label scaling 1/sqrt(K); the suffix picks the regression head
-      (label-space head composed with the sampled basis, basis-transformed
-      code head, or uncorrected code head).
-  cs-dpp-pbc / cs-dpp-pbt
-      same machinery with per-instance, per-label cost weights extracted from
-      the configured cost around the current prediction.
-  o-br
-      online binary relevance: one ridge (or SGD) head on raw labels.
-  o-rand
-      fixed seeded Gaussian projection of the label space with a ridge head on
-      the projected targets, decoded through the pseudo-inverse.
+  algorithm    label encoder           label weighting        head
+  dpp-pbc      tracked sampler         uniform 1/sqrt(K)      width K
+  dpp-pbt      tracked sampler         uniform 1/sqrt(K)      width M, rotated
+  dpp-naive    tracked sampler         uniform 1/sqrt(K)      width M
+  cs-dpp-pbc   tracked sampler         exact cost weights     width K
+  cs-dpp-pbt   tracked sampler         exact cost weights     width M, rotated
+  o-br         identity                none                   width K
+  o-rand       fixed seeded Gaussian   none                   width M
 
-Every step runs: predict with the current sampled basis, decode, price the
-prediction, update the spectral state with the (weighted) label direction,
-sample the next basis, update the regression head.  All encoder variants
-consume identical randomness (one sampler draw per step plus one at
-construction), so seed-matched runs are paired comparisons.
+The tracked sampler draws an orthonormal basis P (M x K) from the capped
+spectral tracker each step and decodes by sign(P^T code); the Gaussian
+projection is fixed and decodes through its pseudo-inverse.  A width-K head
+regresses the (weighted) labels and predicts through the current basis; a
+width-M head regresses encoded targets, and a rotated one is turned onto each
+new basis before its update (see `regressor.Head`).  Cost weights are
+extracted per instance from the configured cost around the current prediction.
 
-The per-step audit (opt-in) checks the decoding cost bound
-cost <= ||code - P C y||^2 + ||(I - P^T P) C y||^2 with C the weight diagonal
-actually used, and counts violations beyond tolerance.
+Every step runs: predict with the current basis, decode, price the
+prediction, weight the labels, update the spectral state with the weighted
+label direction and sample the next basis (tracked encoder only), update the
+head.  All tracked variants consume identical randomness (one sampler draw
+per step plus one at construction), so seed-matched runs are paired
+comparisons.
+
+The per-step audit (opt-in, tracked encoder only) checks the decoding cost bound
+cost <= ||code - P C y||^2 + ||(I - P^T P) C y||^2 with C the weight
+diagonal actually used, and counts violations beyond tolerance.
 """
 
 from __future__ import annotations
@@ -37,14 +42,7 @@ import numpy as np
 from . import costs as costs_mod
 from .linalg import TOL
 from .online_pca import CappedMsgState, default_eta_schedule
-from .regressor import (
-    CodeRidge,
-    LabelSpaceRidge,
-    SgdHead,
-    SgdTransformedHead,
-    TransformedCodeRidge,
-    suggest_engine,
-)
+from .regressor import Head, RidgeAccumulator, suggest_engine
 from .stream import (
     PURPOSE_RANDOM_PROJECTION,
     PURPOSE_SAMPLER,
@@ -59,9 +57,9 @@ __all__ = [
     "decode",
     "make_learner",
     "play",
-    "DppLearner",
-    "BinaryRelevanceLearner",
-    "RandomProjectionLearner",
+    "Learner",
+    "to_snapshot",
+    "from_snapshot",
 ]
 
 ALGORITHMS = (
@@ -74,12 +72,16 @@ ALGORITHMS = (
     "o-rand",
 )
 
-_VARIANT = {  # algorithm -> (regression head variant, cost-weighted?)
-    "dpp-pbc": ("pbc", False),
-    "dpp-pbt": ("pbt", False),
-    "dpp-naive": ("naive", False),
-    "cs-dpp-pbc": ("pbc", True),
-    "cs-dpp-pbt": ("pbt", True),
+# algorithm -> (label encoder, label weighting, head), as tabled above; a "label"
+# head has width K, a "code" head width M, a "rotated" head is a rotated code head
+_PLANS = {
+    "dpp-pbc": ("tracked", "uniform", "label"),
+    "dpp-pbt": ("tracked", "uniform", "rotated"),
+    "dpp-naive": ("tracked", "uniform", "code"),
+    "cs-dpp-pbc": ("tracked", "cost", "label"),
+    "cs-dpp-pbt": ("tracked", "cost", "rotated"),
+    "o-br": ("identity", "none", "label"),
+    "o-rand": ("gaussian", "none", "code"),
 }
 
 
@@ -169,67 +171,86 @@ def _resolve_cost(config: LearnerConfig, k: int) -> costs_mod.CostFunction:
     return cost
 
 
-class DppLearner:
-    """Dimension-reduced learner over the capped spectral tracker."""
+class Learner:
+    """One streaming learner; `_PLANS` maps each algorithm to its three parts."""
 
     def __init__(self, config: LearnerConfig, d: int, k: int):
-        variant, weighted = _VARIANT[config.algorithm]
-        m = config.resolve_m(k)
-        if not 1 <= m < k:
+        try:
+            encoder, weighting, head = _PLANS[config.algorithm]
+        except KeyError:
+            raise ValueError(f"unknown algorithm {config.algorithm!r}; available: {ALGORITHMS}") from None
+        m = k if encoder == "identity" else config.resolve_m(k)
+        if encoder == "tracked" and not 1 <= m < k:
             raise ValueError(f"code dimension must satisfy 1 <= M < K, got M={m} K={k}")
-        engine = config.resolve_engine(d, k)
+        if encoder == "gaussian" and not 1 <= m <= k:
+            raise ValueError(f"code dimension must satisfy 1 <= M <= K, got M={m} K={k}")
         self.config = config
         self.d = d
         self.k = k
         self.m = m
-        self.variant = variant
-        self.engine = engine
         self.cost = _resolve_cost(config, k)
-        self.weighted = weighted
         self.order = _resolve_order(config, k)
-        self.msg = CappedMsgState.initialize(
-            k, m, config.seed, default_eta_schedule(m, k, config.eta_scale)
-        )
-        self.rng_sampler = substream(config.seed, PURPOSE_SAMPLER)
-        self.basis = self.msg.sample_projection(self.rng_sampler)
         self.t = 0
-        self.audit = AuditTrail() if config.audit else None
-        self._uniform_sqrt_w = np.sqrt(np.full(k, 1.0 / k))
-        if engine == "ridge":
-            if variant == "pbc":
-                self.head = LabelSpaceRidge(d, k, config.lam, config.refresh_every)
-            elif variant == "pbt":
-                self.head = TransformedCodeRidge(d, self.basis, config.lam, config.refresh_every)
-            else:
-                self.head = CodeRidge(d, m, config.lam, config.refresh_every)
-        else:
-            if variant == "pbt":
-                self.head = SgdTransformedHead(d, self.basis)
-            else:
-                self.head = SgdHead(d, k if variant == "pbc" else m)
 
-    def _sqrt_weights(self, y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
-        if not self.weighted:
-            return self._uniform_sqrt_w
-        return costs_mod.label_weights(self.cost, y, y_hat, self.order).sqrt_deltas
+        # label encoder: basis (M x K) encodes, decoder (K x M, Gaussian only) decodes
+        self.msg = None
+        self.basis = self.decoder = None
+        if encoder == "tracked":
+            self.msg = CappedMsgState.initialize(
+                k, m, config.seed, default_eta_schedule(m, k, config.eta_scale)
+            )
+            self.rng_sampler = substream(config.seed, PURPOSE_SAMPLER)
+            self.basis = self.msg.sample_projection(self.rng_sampler)
+        elif encoder == "gaussian":
+            self.basis = substream(config.seed, PURPOSE_RANDOM_PROJECTION).standard_normal((m, k))
+            self.decoder = np.linalg.pinv(self.basis)
+        self.audit = AuditTrail() if config.audit and self.msg is not None else None
+
+        # label weighting: the square roots of the per-label weights scale the labels
+        self.weighted = weighting == "cost"
+        self._sqrt_w = np.sqrt(np.full(k, 1.0 / k)) if weighting == "uniform" else np.ones(k)
+
+        self.label_head = head == "label"
+        self.head = Head(
+            d,
+            k if self.label_head else m,
+            rule=config.resolve_engine(d, k),
+            lam=config.lam,
+            refresh_every=config.refresh_every,
+            sgd_step_scale=config.sgd_step_scale,
+            basis=self.basis if head == "rotated" else None,
+        )
 
     def predict_code(self, x: np.ndarray) -> np.ndarray:
-        if self.variant == "pbc":
-            return self.head.predict_through(x, self.basis)
-        return self.head.predict(x)
+        code = self.head.predict(x)
+        if self.label_head and self.basis is not None:
+            return self.basis @ code
+        return code
+
+    def _decode(self, code: np.ndarray) -> np.ndarray:
+        # decode(B, code) is sign(B^T code): orthonormal tracked rows are their own
+        # pseudo-inverse's transpose, the Gaussian's pseudo-inverse goes in transposed
+        if self.msg is not None:
+            return decode(self.basis, code)
+        if self.decoder is not None:
+            return decode(self.decoder.T, code)
+        return np.where(code >= 0.0, 1, -1).astype(np.int8)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return decode(self.basis, self.predict_code(x))
+        return self._decode(self.predict_code(x))
 
     def step(self, x: np.ndarray, y: np.ndarray) -> PredictionRecord:
         start = time.perf_counter()
         self.t += 1
-        basis = self.basis
+        basis = new_basis = self.basis
         code = self.predict_code(x)
-        y_hat = decode(basis, code)
+        y_hat = self._decode(code)
         incurred = self.cost(y, y_hat)
 
-        sqrt_w = self._sqrt_weights(y, y_hat)
+        if self.weighted:
+            sqrt_w = costs_mod.label_weights(self.cost, y, y_hat, self.order).sqrt_deltas
+        else:
+            sqrt_w = self._sqrt_w
         target = sqrt_w * y
         if self.audit is not None:
             enc = basis @ target
@@ -238,165 +259,91 @@ class DppLearner:
             lhs = incurred if self.weighted else costs_mod.hamming_loss(y, y_hat)
             self.audit.observe(lhs - rhs)
 
-        direction = target
-        norm = float(np.linalg.norm(direction))
-        if norm > 1.0 + TOL.unit_norm_slack:  # weight mass can exceed 1 for some costs
-            direction = direction / norm
-        self.msg.update(direction, self.t)
-        new_basis = self.msg.sample_projection(self.rng_sampler)
+        if self.msg is not None:
+            direction = target
+            norm = float(np.linalg.norm(direction))
+            if norm > 1.0 + TOL.unit_norm_slack:  # weight mass can exceed 1 for some costs
+                direction = direction / norm
+            self.msg.update(direction, self.t)
+            new_basis = self.msg.sample_projection(self.rng_sampler)
 
-        if self.engine == "ridge":
-            if self.variant == "pbc":
-                self.head.update(x, target)
-            elif self.variant == "pbt":
-                self.head.update(x, target, new_basis)
-            else:
-                self.head.update(x, basis @ target)
-        else:
-            step_size = self.config.sgd_step_scale / np.sqrt(self.t)
-            if self.variant == "pbt":
-                self.head.update_transformed(x, target, new_basis, step_size)
-            elif self.variant == "pbc":
-                self.head.update(x, target, step_size)
-            else:
-                self.head.update(x, basis @ target, step_size)
+        if self.label_head:
+            self.head.update(x, target)
+        else:  # a rotated head encodes with the basis it is turned onto, a plain one with the old
+            self.head.update(x, target, new_basis if self.head.basis is not None else basis)
         self.basis = new_basis
         return PredictionRecord(self.t, y_hat, incurred, time.perf_counter() - start)
 
     def regret_snapshot(self) -> dict:
         """State entering the next step, for expected-regret accounting."""
-        if self.variant != "pbc" or self.engine != "ridge":
+        if self.msg is None or not self.label_head or self.head.acc is None:
             raise ValueError("regret accounting needs the ridge label-space head")
         return {
             "q": self.msg.q.copy(),
             "sigma": self.msg.sigma.copy(),
-            "h": self.head.h.copy(),
+            "h": self.head.w.copy(),
         }
 
-    def to_snapshot(self) -> dict:
-        return {
-            "kind": "dpp-learner",
-            "version": 1,
-            "algorithm": self.config.algorithm,
-            "t": self.t,
-            "msg": self.msg.to_snapshot(),
-            "head": self.head.to_snapshot(),
-            "basis": self.basis.tolist(),
-            "sampler_state": self.rng_sampler.bit_generator.state,
-        }
 
-    @classmethod
-    def from_snapshot(cls, config: LearnerConfig, d: int, k: int, snap: dict) -> "DppLearner":
-        if snap.get("kind") != "dpp-learner":
-            raise ValueError("unrecognized snapshot payload")
-        learner = cls(config, d, k)
-        learner.t = int(snap["t"])
-        learner.msg = CappedMsgState.from_snapshot(snap["msg"])
-        learner.basis = np.array(snap["basis"], dtype=np.float64)
-        learner.rng_sampler.bit_generator.state = snap["sampler_state"]
-        learner.head = type(learner.head).from_snapshot(snap["head"])
-        return learner
+_STATEFUL = (CappedMsgState, Head, RidgeAccumulator)
 
 
-class BinaryRelevanceLearner:
-    """One regression head straight on the +-1 labels; no reduction."""
+def _state(obj) -> dict:
+    """The attributes of obj that a snapshot carries."""
+    return {
+        name: value
+        for name, value in vars(obj).items()
+        if isinstance(value, (np.ndarray, np.random.Generator, _STATEFUL)) or type(value) is int
+    }
 
-    def __init__(self, config: LearnerConfig, d: int, k: int):
-        self.config = config
-        self.d = d
-        self.k = k
-        self.cost = _resolve_cost(config, k)
-        self.engine = config.resolve_engine(d, k)
-        if self.engine == "ridge":
-            self.head = LabelSpaceRidge(d, k, config.lam, config.refresh_every)
+
+def to_snapshot(obj) -> dict:
+    """JSON-ready state of a learner, or of its tracker, head or ridge accumulator.
+
+    Carries every integer and ndarray attribute, the state of every random
+    generator, and the same recursively for the tracker, head and accumulator.
+    """
+    snap = {}
+    for name, value in _state(obj).items():
+        if isinstance(value, np.ndarray):
+            snap[name] = value.tolist()
+        elif isinstance(value, np.random.Generator):
+            snap[name] = value.bit_generator.state
+        elif isinstance(value, _STATEFUL):
+            snap[name] = to_snapshot(value)
         else:
-            self.head = SgdHead(d, k)
-        self.t = 0
+            snap[name] = value
+    return snap
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        raw = self.head.predict_raw(x)
-        return np.where(raw >= 0.0, 1, -1).astype(np.int8)
 
-    def step(self, x: np.ndarray, y: np.ndarray) -> PredictionRecord:
-        start = time.perf_counter()
-        self.t += 1
-        y_hat = self.predict(x)
-        incurred = self.cost(y, y_hat)
-        target = y.astype(np.float64)
-        if self.engine == "ridge":
-            self.head.update(x, target)
+def from_snapshot(obj, snap: dict):
+    """Overwrite obj with the state in snap and return obj.
+
+    obj must be built with the construction arguments of the object the
+    snapshot was taken from, e.g. ``from_snapshot(make_learner(config, d, k), snap)``.
+    """
+    state = _state(obj)
+    if set(snap) != set(state):
+        raise ValueError(
+            f"snapshot fields {sorted(snap)} do not match {type(obj).__name__} fields {sorted(state)}"
+        )
+    for name, value in state.items():
+        if isinstance(value, np.ndarray):
+            array = np.array(snap[name], dtype=value.dtype)
+            if array.shape != value.shape:
+                raise ValueError(f"snapshot field {name!r} has shape {array.shape}, expected {value.shape}")
+            setattr(obj, name, array)
+        elif isinstance(value, np.random.Generator):
+            value.bit_generator.state = snap[name]
+        elif isinstance(value, _STATEFUL):
+            from_snapshot(value, snap[name])
         else:
-            self.head.update(x, target, self.config.sgd_step_scale / np.sqrt(self.t))
-        return PredictionRecord(self.t, y_hat, incurred, time.perf_counter() - start)
-
-    def to_snapshot(self) -> dict:
-        return {"kind": "obr-learner", "version": 1, "t": self.t, "head": self.head.to_snapshot()}
-
-    @classmethod
-    def from_snapshot(cls, config: LearnerConfig, d: int, k: int, snap: dict) -> "BinaryRelevanceLearner":
-        learner = cls(config, d, k)
-        learner.t = int(snap["t"])
-        learner.head = type(learner.head).from_snapshot(snap["head"])
-        return learner
+            setattr(obj, name, int(snap[name]))
+    return obj
 
 
-class RandomProjectionLearner:
-    """Fixed seeded Gaussian label projection with a code-space ridge head."""
-
-    def __init__(self, config: LearnerConfig, d: int, k: int):
-        m = config.resolve_m(k)
-        if not 1 <= m <= k:
-            raise ValueError(f"code dimension must satisfy 1 <= M <= K, got M={m} K={k}")
-        self.config = config
-        self.d = d
-        self.k = k
-        self.m = m
-        self.cost = _resolve_cost(config, k)
-        self.engine = config.resolve_engine(d, k)
-        rng = substream(config.seed, PURPOSE_RANDOM_PROJECTION)
-        self.projection = rng.standard_normal((m, k))
-        self.decoder = np.linalg.pinv(self.projection)  # K x M
-        if self.engine == "ridge":
-            self.head = CodeRidge(d, m, config.lam, config.refresh_every)
-        else:
-            self.head = SgdHead(d, m)
-        self.t = 0
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        code = self.head.predict(x)
-        return np.where(self.decoder @ code >= 0.0, 1, -1).astype(np.int8)
-
-    def step(self, x: np.ndarray, y: np.ndarray) -> PredictionRecord:
-        start = time.perf_counter()
-        self.t += 1
-        y_hat = self.predict(x)
-        incurred = self.cost(y, y_hat)
-        target = self.projection @ y.astype(np.float64)
-        if self.engine == "ridge":
-            self.head.update(x, target)
-        else:
-            self.head.update(x, target, self.config.sgd_step_scale / np.sqrt(self.t))
-        return PredictionRecord(self.t, y_hat, incurred, time.perf_counter() - start)
-
-    def to_snapshot(self) -> dict:
-        return {"kind": "orand-learner", "version": 1, "t": self.t, "head": self.head.to_snapshot()}
-
-    @classmethod
-    def from_snapshot(cls, config: LearnerConfig, d: int, k: int, snap: dict) -> "RandomProjectionLearner":
-        learner = cls(config, d, k)
-        learner.t = int(snap["t"])
-        learner.head = type(learner.head).from_snapshot(snap["head"])
-        return learner
-
-
-def make_learner(config: LearnerConfig, d: int, k: int):
-    if config.algorithm in _VARIANT:
-        return DppLearner(config, d, k)
-    if config.algorithm == "o-br":
-        return BinaryRelevanceLearner(config, d, k)
-    if config.algorithm == "o-rand":
-        return RandomProjectionLearner(config, d, k)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}; available: {ALGORITHMS}")
+def make_learner(config: LearnerConfig, d: int, k: int) -> Learner:
+    return Learner(config, d, k)
 
 
 def play(learner, instances: list[Instance]) -> list[PredictionRecord]:

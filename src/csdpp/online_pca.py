@@ -160,28 +160,3 @@ class CappedMsgState:
             raise ValueError("spectrum left the box [0, 1]")
         if abs(float(self.sigma.sum()) - self.m) > TOL.trace:
             raise ValueError("spectrum trace drifted from the budget")
-
-    def to_snapshot(self) -> dict:
-        snap = {
-            "kind": "capped-msg",
-            "version": 1,
-            "m": self.m,
-            "k": self.k,
-            "q": self.q.tolist(),
-            "sigma": self.sigma.tolist(),
-        }
-        if isinstance(self.schedule, EtaSchedule):
-            snap["eta_scale"] = self.schedule.scale
-        return snap
-
-    @classmethod
-    def from_snapshot(cls, snap: dict, schedule: Callable[[int], float] | None = None) -> "CappedMsgState":
-        if snap.get("kind") != "capped-msg" or snap.get("version") != 1:
-            raise ValueError("unrecognized snapshot payload")
-        m = int(snap["m"])
-        k = int(snap["k"])
-        if schedule is None:
-            if "eta_scale" not in snap:
-                raise ValueError("snapshot carries no schedule; pass one explicitly")
-            schedule = EtaSchedule(float(snap["eta_scale"]), m, k)
-        return cls(np.array(snap["q"]), np.array(snap["sigma"]), m, schedule)

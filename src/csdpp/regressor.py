@@ -1,10 +1,10 @@
-"""Online regressors mapping features to label-space or code-space targets.
+"""Online regressor mapping features to label-space or code-space targets.
 
-All ridge variants share one accumulator: the inverse of
+The ridge step rule keeps the inverse of
 A_t = lambda I + sum_{s<=t} x_s x_s^T, maintained by Sherman-Morrison rank-one
 downdates.  The per-step weight correction
 
-    H <- H - A_prev_inv x (prediction - target)^T / (1 + x^T A_prev_inv x)
+    W <- W - A_prev_inv x (prediction - target)^T / (1 + x^T A_prev_inv x)
 
 uses the inverse from *before* absorbing x; expanding the recursion shows the
 result equals the exact regularized least-squares solution that includes the
@@ -12,16 +12,11 @@ current pair, which is what the consistency tests pin down.  The exact A is
 accumulated alongside and the inverse is recomputed from it on a fixed cadence
 to stop fp drift on long streams.
 
-Three heads over the common accumulator:
-
-  label-space head (d x K), used directly by the binary-relevance baseline and,
-      composed with a sampled projection, by the corrected encoder variant;
-  transformed code head (d x M) that is rotated by P_old P_new^T whenever the
-      encoder basis changes, then regressed on the freshly encoded target;
-  naive code head (d x M) regressed on encoded targets with no rotation.
-
-Each ridge head has a plain SGD counterpart (same prediction surface,
-W <- W - step * x (W^T x - target)^T) for the large d*K regime.
+One head class covers every algorithm through three settings: its width (K for
+a head on label-space targets, M for a head on codes), whether it is rotated by
+P_old P_new^T whenever the encoder basis changes, and its step rule (the ridge
+step above, or plain SGD, W <- W - step * x (W^T x - target)^T, for the large
+d*K regime).
 """
 
 from __future__ import annotations
@@ -30,11 +25,7 @@ import numpy as np
 
 __all__ = [
     "RidgeAccumulator",
-    "LabelSpaceRidge",
-    "TransformedCodeRidge",
-    "CodeRidge",
-    "SgdHead",
-    "SgdTransformedHead",
+    "Head",
     "suggest_engine",
     "DEFAULT_REFRESH_EVERY",
     "ENGINE_AUTO_THRESHOLD",
@@ -50,7 +41,7 @@ def suggest_engine(d: int, k: int, threshold: int = ENGINE_AUTO_THRESHOLD) -> st
 
 
 class RidgeAccumulator:
-    """Shared second-moment state for the ridge heads."""
+    """Second-moment state behind the ridge step rule."""
 
     def __init__(self, d: int, lam: float = 1.0, refresh_every: int = DEFAULT_REFRESH_EVERY):
         if d < 1:
@@ -77,93 +68,17 @@ class RidgeAccumulator:
         if self.refresh_every > 0 and self.steps % self.refresh_every == 0:
             self.a_inv = np.linalg.solve(self.a, np.eye(self.d))
 
-    def to_snapshot(self) -> dict:
-        return {
-            "lam": self.lam,
-            "refresh_every": self.refresh_every,
-            "steps": self.steps,
-            "a": self.a.tolist(),
-            "a_inv": self.a_inv.tolist(),
-        }
 
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "RidgeAccumulator":
-        a = np.array(snap["a"], dtype=np.float64)
-        acc = cls(a.shape[0], float(snap["lam"]), int(snap["refresh_every"]))
-        acc.a = a
-        acc.a_inv = np.array(snap["a_inv"], dtype=np.float64)
-        acc.steps = int(snap["steps"])
-        return acc
+class Head:
+    """Linear head W (d x width) with prediction W^T x and one of two step rules.
 
+    ``rule="ridge"`` takes Sherman-Morrison steps over a RidgeAccumulator, so W
+    is always the exact regularized least-squares fit of every pair seen.
+    ``rule="sgd"`` takes W <- W - s/sqrt(t) * x (W^T x - target)^T, with s the
+    ``sgd_step_scale`` and t the number of updates so far.
 
-class LabelSpaceRidge:
-    """Ridge head H (d x K) trained on label-space targets."""
-
-    def __init__(self, d: int, k: int, lam: float = 1.0, refresh_every: int = DEFAULT_REFRESH_EVERY):
-        self.acc = RidgeAccumulator(d, lam, refresh_every)
-        self.h = np.zeros((d, k))
-
-    def predict_raw(self, x: np.ndarray) -> np.ndarray:
-        return self.h.T @ x
-
-    def predict_through(self, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """Code-space view of the prediction: basis @ (H^T x)."""
-        return basis @ (self.h.T @ x)
-
-    def update(self, x: np.ndarray, target: np.ndarray) -> None:
-        ainv_x, gamma = self.acc.peek(x)
-        resid = self.h.T @ x - target
-        self.h -= np.outer(ainv_x, resid) / (1.0 + gamma)
-        self.acc.absorb(x, ainv_x, gamma)
-
-    def to_snapshot(self) -> dict:
-        return {"kind": "label-ridge", "acc": self.acc.to_snapshot(), "h": self.h.tolist()}
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "LabelSpaceRidge":
-        acc = RidgeAccumulator.from_snapshot(snap["acc"])
-        h = np.array(snap["h"], dtype=np.float64)
-        head = cls(acc.d, h.shape[1], acc.lam, acc.refresh_every)
-        head.acc = acc
-        head.h = h
-        return head
-
-
-class CodeRidge:
-    """Ridge head W (d x M) trained on already-encoded targets, no rotation."""
-
-    def __init__(self, d: int, m: int, lam: float = 1.0, refresh_every: int = DEFAULT_REFRESH_EVERY):
-        self.acc = RidgeAccumulator(d, lam, refresh_every)
-        self.w = np.zeros((d, m))
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.w.T @ x
-
-    def update(self, x: np.ndarray, target: np.ndarray) -> None:
-        if target.shape != (self.w.shape[1],):
-            raise ValueError(f"target must have shape ({self.w.shape[1]},), got {target.shape}")
-        ainv_x, gamma = self.acc.peek(x)
-        resid = self.w.T @ x - target
-        self.w -= np.outer(ainv_x, resid) / (1.0 + gamma)
-        self.acc.absorb(x, ainv_x, gamma)
-
-    def to_snapshot(self) -> dict:
-        return {"kind": "code-ridge", "acc": self.acc.to_snapshot(), "w": self.w.tolist()}
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "CodeRidge":
-        acc = RidgeAccumulator.from_snapshot(snap["acc"])
-        w = np.array(snap["w"], dtype=np.float64)
-        head = cls(acc.d, w.shape[1], acc.lam, acc.refresh_every)
-        head.acc = acc
-        head.w = w
-        return head
-
-
-class TransformedCodeRidge:
-    """Ridge head W (d x M) kept aligned with a moving encoder basis.
-
-    On a basis change the head is rotated, W <- W (P_old P_new^T), so its
+    Given an initial ``basis`` (M x K, M = width) the head follows encoder basis
+    changes: each update first rotates it, W <- W (P_old P_new^T), so its
     predictions chase the new code coordinates instead of stale ones; the
     ridge accumulator itself is basis-free and untouched.
     """
@@ -171,16 +86,33 @@ class TransformedCodeRidge:
     def __init__(
         self,
         d: int,
-        basis: np.ndarray,
+        width: int,
+        rule: str = "ridge",
         lam: float = 1.0,
         refresh_every: int = DEFAULT_REFRESH_EVERY,
+        sgd_step_scale: float = 1.0,
+        basis: np.ndarray | None = None,
     ):
-        basis = np.asarray(basis, dtype=np.float64)
-        if basis.ndim != 2:
-            raise ValueError("basis must be an M x K matrix")
-        self.acc = RidgeAccumulator(d, lam, refresh_every)
-        self.basis = basis.copy()
-        self.w = np.zeros((d, basis.shape[0]))
+        if rule == "ridge":
+            self.acc = RidgeAccumulator(d, lam, refresh_every)
+        elif rule == "sgd":
+            if sgd_step_scale < 0:
+                raise ValueError(f"step size must be non-negative, got {sgd_step_scale}")
+            self.acc = None
+        else:
+            raise ValueError(f"unknown step rule {rule!r}")
+        self.sgd_step_scale = sgd_step_scale
+        self.w = np.zeros((d, width))
+        self.t = 0
+        self.basis = None
+        if basis is not None:
+            basis = np.asarray(basis, dtype=np.float64)
+            if basis.ndim != 2 or basis.shape[0] != width:
+                raise ValueError(f"basis must be an M x K matrix with M = width = {width}")
+            self.basis = basis.copy()
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.w.T @ x
 
     def transform(self, new_basis: np.ndarray) -> None:
         new_basis = np.asarray(new_basis, dtype=np.float64)
@@ -189,88 +121,23 @@ class TransformedCodeRidge:
         self.w = self.w @ (self.basis @ new_basis.T)
         self.basis = new_basis.copy()
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.w.T @ x
+    def update(self, x: np.ndarray, target: np.ndarray, basis: np.ndarray | None = None) -> None:
+        """Step toward ``target``, or toward ``basis @ target`` when a basis is given.
 
-    def update(self, x: np.ndarray, label_target: np.ndarray, new_basis: np.ndarray) -> None:
-        """Rotate onto new_basis, then ridge-step toward new_basis @ label_target."""
-        self.transform(new_basis)
+        A head that follows basis changes is rotated onto ``basis`` first.
+        """
+        if basis is not None:
+            if self.basis is not None:
+                self.transform(basis)
+            target = basis @ target
+        if target.shape != (self.w.shape[1],):
+            raise ValueError(f"target must have shape ({self.w.shape[1]},), got {target.shape}")
+        self.t += 1
+        if self.acc is None:
+            step = self.sgd_step_scale / np.sqrt(self.t)
+            self.w -= step * np.outer(x, self.w.T @ x - target)
+            return
         ainv_x, gamma = self.acc.peek(x)
-        resid = self.w.T @ x - self.basis @ label_target
+        resid = self.w.T @ x - target
         self.w -= np.outer(ainv_x, resid) / (1.0 + gamma)
         self.acc.absorb(x, ainv_x, gamma)
-
-    def to_snapshot(self) -> dict:
-        return {
-            "kind": "transformed-ridge",
-            "acc": self.acc.to_snapshot(),
-            "w": self.w.tolist(),
-            "basis": self.basis.tolist(),
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "TransformedCodeRidge":
-        acc = RidgeAccumulator.from_snapshot(snap["acc"])
-        head = cls(acc.d, np.array(snap["basis"]), acc.lam, acc.refresh_every)
-        head.acc = acc
-        head.w = np.array(snap["w"], dtype=np.float64)
-        return head
-
-
-class SgdHead:
-    """Plain SGD head, same prediction surface as the ridge heads."""
-
-    def __init__(self, d: int, width: int):
-        self.w = np.zeros((d, width))
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.w.T @ x
-
-    predict_raw = predict
-
-    def predict_through(self, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        return basis @ (self.w.T @ x)
-
-    def update(self, x: np.ndarray, target: np.ndarray, step: float) -> None:
-        if step < 0:
-            raise ValueError(f"step size must be non-negative, got {step}")
-        self.w -= step * np.outer(x, self.w.T @ x - target)
-
-    def to_snapshot(self) -> dict:
-        return {"kind": "sgd", "w": self.w.tolist()}
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "SgdHead":
-        w = np.array(snap["w"], dtype=np.float64)
-        head = cls(w.shape[0], w.shape[1])
-        head.w = w
-        return head
-
-
-class SgdTransformedHead(SgdHead):
-    """SGD head that follows encoder basis changes like the transformed ridge head."""
-
-    def __init__(self, d: int, basis: np.ndarray):
-        basis = np.asarray(basis, dtype=np.float64)
-        super().__init__(d, basis.shape[0])
-        self.basis = basis.copy()
-
-    def transform(self, new_basis: np.ndarray) -> None:
-        new_basis = np.asarray(new_basis, dtype=np.float64)
-        if new_basis.shape != self.basis.shape:
-            raise ValueError(f"basis shape changed from {self.basis.shape} to {new_basis.shape}")
-        self.w = self.w @ (self.basis @ new_basis.T)
-        self.basis = new_basis.copy()
-
-    def update_transformed(self, x: np.ndarray, label_target: np.ndarray, new_basis: np.ndarray, step: float) -> None:
-        self.transform(new_basis)
-        super().update(x, self.basis @ label_target, step)
-
-    def to_snapshot(self) -> dict:
-        return {"kind": "sgd-transformed", "w": self.w.tolist(), "basis": self.basis.tolist()}
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "SgdTransformedHead":
-        head = cls(np.array(snap["w"]).shape[0], np.array(snap["basis"]))
-        head.w = np.array(snap["w"], dtype=np.float64)
-        return head

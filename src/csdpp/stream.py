@@ -8,8 +8,9 @@ line endings, ``#`` starts a comment line:
                               a literal ``|``, then sparse idx:value features
     | 0:1.0                <- empty label field means all labels negative
 
-All indices are 0-based.  Absent features are 0.  Labels materialize as dense
-vectors in {-1,+1}.  ``parse_dataset`` also reads a small ARFF subset (numeric
+All indices are 0-based.  Absent features are 0; non-finite values (nan, inf)
+are rejected with their line number.  Labels materialize as dense vectors in
+{-1,+1}.  ``parse_dataset`` also reads a small ARFF subset (numeric
 attributes, dense or sparse data rows) with labels named by a companion list,
 which is how Mulan-style corpora are distributed.
 
@@ -25,6 +26,7 @@ race a generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,6 +145,8 @@ def parse_sparse_labels(text: str) -> tuple[list[Instance], int, int]:
                 val = float(val_s)
             except ValueError:
                 raise ParseError(line_no, f"bad feature token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"non-finite feature value in {tok!r}")
             if not 0 <= idx < d:
                 raise SchemaError(f"line {line_no}: feature index {idx} outside [0, {d})")
             if idx in seen:
@@ -223,9 +227,12 @@ def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, 
                         raise ParseError(line_no, f"bad sparse entry {tok!r}")
                     try:
                         idx = int(pair[0])
-                        values[idx] = float(pair[1])
-                    except (ValueError, IndexError):
+                        val = float(pair[1])
+                    except ValueError:
                         raise ParseError(line_no, f"bad sparse entry {tok!r}") from None
+                    if not 0 <= idx < values.size:
+                        raise ParseError(line_no, f"sparse index {idx} outside [0, {values.size})")
+                    values[idx] = val
         else:
             toks = _arff_split_row(line)
             if len(toks) != len(attr_names):
@@ -236,6 +243,8 @@ def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, 
                 values[:] = [float(t) for t in toks]
             except ValueError:
                 raise ParseError(line_no, "non-numeric value in data row") from None
+        if not np.all(np.isfinite(values)):
+            raise ParseError(line_no, "non-finite value in data row")
         labels = np.where(values[label_pos] > 0, 1, -1).astype(np.int8)
         instances.append(Instance(values[feat_pos].copy(), labels))
     if not in_data:

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import costs as costs_mod
 from .evaluation import expected_regret, offline_plst, run_with_snapshots, theorem2_bound
-from .learners import DppLearner, LearnerConfig, decode
+from .learners import LearnerConfig, decode, make_learner
 from .linalg import project_capped_simplex
 from .online_pca import CappedMsgState, default_eta_schedule
-from .regressor import LabelSpaceRidge
+from .regressor import Head
 from .stream import planted_subspace_stream, substream
 
 __all__ = ["SUITES", "MUTANTS", "SuiteReport", "run_suite", "run_suites"]
@@ -164,7 +164,7 @@ def suite_sherman(
     """Streaming ridge equals the direct batch solve at every step."""
     report = SuiteReport("sherman", True, params={"d": d, "k": k, "t": t, "seed": seed})
     rng = substream(seed, 103)
-    head = LabelSpaceRidge(d, k, lam=1.0)
+    head = Head(d, k, lam=1.0)
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     worst = 0.0
@@ -177,14 +177,14 @@ def suite_sherman(
         ys.append(y)
         if mutant == "sign-flip":
             ainv_x, gamma = head.acc.peek(x)
-            head.h += np.outer(ainv_x, head.h.T @ x - y) / (1.0 + gamma)
+            head.w += np.outer(ainv_x, head.w.T @ x - y) / (1.0 + gamma)
             head.acc.absorb(x, ainv_x, gamma)
         else:
             head.update(x, y)
         xm = np.stack(xs)
         ym = np.stack(ys)
         direct = np.linalg.solve(xm.T @ xm + np.eye(d), xm.T @ ym)
-        gap = float(np.max(np.abs(head.h - direct)))
+        gap = float(np.max(np.abs(head.w - direct)))
         if gap > worst:
             worst, worst_t = gap, step
     _check(report, "batch-equivalence", worst <= 1e-8, max_abs_gap=worst, at_step=worst_t)
@@ -198,7 +198,7 @@ def suite_sherman(
         x = rng.standard_normal(d)
         x /= max(1.0, float(np.linalg.norm(x)))
         w_direct = np.linalg.solve(xm.T @ xm + np.eye(d), xm.T @ (ym @ p.T))
-        proj_worst = max(proj_worst, float(np.max(np.abs(head.predict_through(x, p) - w_direct.T @ x))))
+        proj_worst = max(proj_worst, float(np.max(np.abs(p @ head.predict(x) - w_direct.T @ x))))
     _check(report, "projected-prediction", proj_worst <= 1e-8, max_abs_gap=proj_worst)
     return report
 
@@ -286,7 +286,7 @@ def suite_regret(t: int = 2000, seed: int = 3, mutant: str | None = None) -> Sui
     stream = planted_subspace_stream(
         d, k, t, seed, n_prototypes=m, prototype_probs=np.array([0.55, 0.3, 0.15]), feature_noise=0.02
     )
-    learner = DppLearner(LearnerConfig(algorithm="dpp-pbc", m=m, seed=seed), d, k)
+    learner = make_learner(LearnerConfig(algorithm="dpp-pbc", m=m, seed=seed), d, k)
     _, snapshots = run_with_snapshots(learner, stream)
     if mutant == "inverted-spectrum":
         snapshots = [(t_i, {**snap, "sigma": 1.0 - snap["sigma"]}) for t_i, snap in snapshots]

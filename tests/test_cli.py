@@ -2,11 +2,29 @@ import json
 import os
 import shutil
 import subprocess
+import sys
+import time
 
 import pytest
 
+import csdpp
+from csdpp import cli
 from csdpp.cli import main
 from csdpp.stream import planted_subspace_stream, serialize_sparse_labels
+
+_RUN_REPEAT = cli._run_repeat
+
+
+def _crash_o_rand_cell(payload):
+    """Stand-in for the cell runner: the o-rand cell kills its worker once the o-br CSV exists."""
+    spec = payload["spec"]
+    if spec["algo"] != "o-rand":
+        return _RUN_REPEAT(payload)
+    finished = spec["csv_path"].replace("o-rand", "o-br")
+    deadline = time.monotonic() + 60
+    while not os.path.exists(finished) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os._exit(1)
 
 ARFF_TEXT = """\
 @relation tiny
@@ -173,6 +191,31 @@ class TestRunCommand:
         assert run_cli("run", "--dataset", dataset, "--output", out) == 0
         assert len(os.listdir(out)) == 2
 
+    def test_artifacts_identical_across_blas_thread_counts(self, tmp_path):
+        # the criterion-10 cell, each run in a fresh process with its own BLAS thread count
+        insts = planted_subspace_stream(6, 8, 120, seed=10, n_prototypes=3)
+        data = tmp_path / "data.txt"
+        data.write_text(serialize_sparse_labels(insts, 6, 8), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(csdpp.__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            proc = subprocess.run(
+                [sys.executable, "-m", "csdpp.cli", "run", "--dataset", str(data), "--algo", "cs-dpp-pbt",
+                 "--cost", "rank", "--repeats", "2", "--seed", "5", "--output", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(read_all(out))
+        assert len(runs[0]) == 3
+        assert runs[0] == runs[1]
+
 
 class TestRunErrors:
     def test_unknown_cost_is_usage_error(self, dataset):
@@ -218,6 +261,22 @@ class TestRunErrors:
         code = run_cli("run", "--dataset", str(bad))
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_integer_worker_env_is_runtime_error(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CSDPP_WORKERS", "two")
+        assert run_cli("run", "--dataset", dataset, "--output", str(tmp_path / "res")) == 1
+        assert "error: CSDPP_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
+
+    def test_crashed_worker_names_its_cell_and_keeps_finished_csvs(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_run_repeat", _crash_o_rand_cell)
+        out = tmp_path / "res"
+        code = run_cli("run", "--dataset", dataset, "--algo", "o-br", "--algo", "o-rand",
+                       "--output", str(out), "--workers", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: cell o-rand_hamming_mf0.25_p0 repeat 0:" in err
+        assert (out / "o-br_hamming_mf0.25_p0_r0.csv").exists()
+        assert not (out / "o-rand_hamming_mf0.25_p0_r0.csv").exists()
 
     def test_bad_algo_in_config_is_usage_error(self, dataset, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -16,7 +16,6 @@ from csdpp.costs import (
     random_order,
     rank_loss,
     register_cost,
-    weight_matrix,
 )
 
 Y = np.array([1, -1, 1], dtype=np.int8)
@@ -126,22 +125,21 @@ class TestLabelWeights:
         assert float(Fraction(1, 7)) == 1.0 / 7
 
     def test_weight_matrix_examples(self):
+        # the weighting matrix C = diag(sqrt(deltas)) is applied as the vector sqrt_deltas
         w = label_weights(get_cost("hamming"), Y, YHAT)
-        np.testing.assert_allclose(weight_matrix(w) * Y, Y / np.sqrt(3), atol=1e-15)
-        deltas = np.zeros(3)
-        deltas[1] = 1 / 3
-        from csdpp.costs import WeightDiagonal
-
-        wd = WeightDiagonal.from_deltas(deltas)
+        np.testing.assert_allclose(w.sqrt_deltas * Y, Y / np.sqrt(3), atol=1e-15)
+        label_1_only = CostFunction("label-1-only", lambda y, yhat: Fraction(int(y[1] != yhat[1]), 3))
+        wd = label_weights(label_1_only, Y, YHAT)
+        np.testing.assert_array_equal(wd.deltas, [0.0, 1 / 3, 0.0])
         np.testing.assert_allclose(
-            weight_matrix(wd) * np.array([1, 1, -1]), [0, 1 / np.sqrt(3), 0], atol=1e-15
+            wd.sqrt_deltas * np.array([1, 1, -1]), [0, 1 / np.sqrt(3), 0], atol=1e-15
         )
 
     def test_zero_weights_silence_every_label(self):
-        from csdpp.costs import WeightDiagonal
-
-        wd = WeightDiagonal.from_deltas(np.zeros(3))
-        np.testing.assert_array_equal(weight_matrix(wd) * Y, np.zeros(3))
+        # the rank cost is 0 when the truth has no positive/negative pair
+        wd = label_weights(get_cost("rank"), np.ones(3, dtype=np.int8), YHAT)
+        np.testing.assert_array_equal(wd.deltas, np.zeros(3))
+        np.testing.assert_array_equal(wd.sqrt_deltas * Y, np.zeros(3))
 
     def test_order_must_be_permutation(self):
         with pytest.raises(ValueError, match="permutation"):

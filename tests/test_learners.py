@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,15 @@ from csdpp.costs import _REGISTRY, CostFunction, get_cost, hamming_loss, registe
 from csdpp.evaluation import offline_plst
 from csdpp.learners import (
     ALGORITHMS,
-    BinaryRelevanceLearner,
-    DppLearner,
+    Learner,
     LearnerConfig,
-    RandomProjectionLearner,
     decode,
+    from_snapshot,
     make_learner,
     play,
+    to_snapshot,
 )
-from csdpp.regressor import LabelSpaceRidge
+from csdpp.regressor import Head
 from csdpp.stream import planted_subspace_stream
 
 
@@ -73,11 +75,23 @@ class TestConfig:
             make_learner(LearnerConfig(algorithm="dpp-magic"), d=4, k=6)
 
     def test_factory_dispatch(self):
-        assert isinstance(make_learner(LearnerConfig(algorithm="dpp-pbt", m=2), 4, 6), DppLearner)
-        assert isinstance(make_learner(LearnerConfig(algorithm="o-br"), 4, 6), BinaryRelevanceLearner)
-        assert isinstance(
-            make_learner(LearnerConfig(algorithm="o-rand", m=2), 4, 6), RandomProjectionLearner
-        )
+        # algorithm -> (tracked encoder, cost-weighted, head width, head rotated)
+        plans = {
+            "dpp-pbc": (True, False, 6, False),
+            "dpp-pbt": (True, False, 2, True),
+            "dpp-naive": (True, False, 2, False),
+            "cs-dpp-pbc": (True, True, 6, False),
+            "cs-dpp-pbt": (True, True, 2, True),
+            "o-br": (False, False, 6, False),
+            "o-rand": (False, False, 2, False),
+        }
+        assert set(plans) == set(ALGORITHMS)
+        for algo, plan in plans.items():
+            learner = make_learner(LearnerConfig(algorithm=algo, m=2), 4, 6)
+            assert isinstance(learner, Learner)
+            got = (learner.msg is not None, learner.weighted, learner.head.w.shape[1],
+                   learner.head.basis is not None)
+            assert got == plan, algo
 
     def test_unknown_label_order(self):
         with pytest.raises(ValueError, match="label order"):
@@ -122,19 +136,23 @@ class TestDeterminism:
         play(lb, stream)
         assert not np.allclose(la.msg.q, lb.msg.q)
 
-    def test_snapshot_resume_matches_uninterrupted_run(self):
+    @pytest.mark.parametrize("engine", ["ridge", "sgd"])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_snapshot_resume_matches_uninterrupted_run(self, algo, engine):
         stream = small_stream(t=160, seed=3)
-        cfg = LearnerConfig(algorithm="cs-dpp-pbt", m=2, cost="f1", seed=7)
+        cfg = LearnerConfig(algorithm=algo, m=2, cost="f1", engine=engine, seed=7)
         straight = make_learner(cfg, 8, 6)
         rec_all = play(straight, stream)
 
         first = make_learner(cfg, 8, 6)
         play(first, stream[:80])
-        resumed = DppLearner.from_snapshot(cfg, 8, 6, first.to_snapshot())
+        snap = json.loads(json.dumps(to_snapshot(first)))
+        resumed = from_snapshot(make_learner(cfg, 8, 6), snap)
         rec_tail = play(resumed, stream[80:])
         for a, b in zip(rec_all[80:], rec_tail):
             np.testing.assert_array_equal(a.y_hat, b.y_hat)
             assert a.incurred_cost == b.incurred_cost
+        assert to_snapshot(resumed) == to_snapshot(straight)
 
     def test_record_step_indices(self):
         stream = small_stream(t=10, seed=4)
@@ -218,17 +236,17 @@ class TestBinaryRelevance:
         rng = np.random.default_rng(2)
         d, k = 6, 5
         br = make_learner(LearnerConfig(algorithm="o-br"), d, k)
-        scaled = LabelSpaceRidge(d, k)
+        scaled = Head(d, k)
         s = 1.0 / np.sqrt(k)
         for _ in range(150):
             x = rng.standard_normal(d)
             y = rng.choice([-1.0, 1.0], size=k)
             br.step(x, y.astype(np.int8))
             scaled.update(x, s * y)
-        np.testing.assert_allclose(scaled.h, br.head.h * s, atol=1e-12)
+        np.testing.assert_allclose(scaled.w, br.head.w * s, atol=1e-12)
         for _ in range(20):
             x = rng.standard_normal(d)
-            lhs = np.where(scaled.predict_raw(x) >= 0, 1, -1)
+            lhs = np.where(scaled.predict(x) >= 0, 1, -1)
             np.testing.assert_array_equal(lhs, br.predict(x))
 
 
@@ -236,15 +254,15 @@ class TestRandomProjection:
     def test_projection_is_seeded_and_fixed(self):
         a = make_learner(LearnerConfig(algorithm="o-rand", m=2, seed=4), 5, 6)
         b = make_learner(LearnerConfig(algorithm="o-rand", m=2, seed=4), 5, 6)
-        np.testing.assert_array_equal(a.projection, b.projection)
-        before = a.projection.copy()
+        np.testing.assert_array_equal(a.basis, b.basis)
+        before = a.basis.copy()
         play(a, small_stream(d=5, t=30, seed=9))
-        np.testing.assert_array_equal(a.projection, before)
+        np.testing.assert_array_equal(a.basis, before)
 
     def test_decoder_is_pseudo_inverse(self):
         learner = make_learner(LearnerConfig(algorithm="o-rand", m=2, seed=5), 5, 6)
-        np.testing.assert_allclose(learner.decoder, np.linalg.pinv(learner.projection), atol=1e-12)
-        rows = np.linalg.qr(learner.projection.T)[0].T  # row-orthonormal variant
+        np.testing.assert_allclose(learner.decoder, np.linalg.pinv(learner.basis), atol=1e-12)
+        rows = np.linalg.qr(learner.basis.T)[0].T  # row-orthonormal variant
         np.testing.assert_allclose(np.linalg.pinv(rows), rows.T, atol=1e-12)
 
     def test_square_projection_tracks_binary_relevance(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from csdpp.learners import from_snapshot, to_snapshot
 from csdpp.linalg import TOL, project_capped_simplex
 from csdpp.online_pca import CappedMsgState, EtaSchedule, default_eta_schedule
 
@@ -158,20 +159,15 @@ class TestSnapshots:
         st = CappedMsgState.initialize(6, 2, seed=3)
         for t in range(1, 10):
             st.update(random_observation(rng, 6), t)
-        snap = json.loads(json.dumps(st.to_snapshot()))
-        back = CappedMsgState.from_snapshot(snap)
+        snap = json.loads(json.dumps(to_snapshot(st)))
+        back = from_snapshot(CappedMsgState.initialize(6, 2, seed=4), snap)
         np.testing.assert_array_equal(back.q, st.q)
         np.testing.assert_array_equal(back.sigma, st.sigma)
         assert back.schedule(5) == st.schedule(5)
 
-    def test_snapshot_requires_schedule_info(self):
-        st = CappedMsgState(np.eye(2), np.array([0.6, 0.4]), 1, lambda t: 0.1)
-        snap = st.to_snapshot()
-        with pytest.raises(ValueError, match="schedule"):
-            CappedMsgState.from_snapshot(snap)
-        back = CappedMsgState.from_snapshot(snap, schedule=lambda t: 0.1)
-        assert back.schedule(1) == 0.1
-
     def test_rejects_foreign_payload(self):
+        st = CappedMsgState.initialize(6, 2, seed=3)
         with pytest.raises(ValueError, match="snapshot"):
-            CappedMsgState.from_snapshot({"kind": "other", "version": 1})
+            from_snapshot(st, {"kind": "other", "version": 1})
+        with pytest.raises(ValueError, match="snapshot field 'q' has shape"):
+            from_snapshot(st, to_snapshot(CappedMsgState.initialize(5, 2, seed=3)))

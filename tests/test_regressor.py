@@ -1,16 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from csdpp.regressor import (
-    DEFAULT_REFRESH_EVERY,
-    CodeRidge,
-    LabelSpaceRidge,
-    RidgeAccumulator,
-    SgdHead,
-    SgdTransformedHead,
-    TransformedCodeRidge,
-    suggest_engine,
-)
+from csdpp.learners import from_snapshot, to_snapshot
+from csdpp.regressor import DEFAULT_REFRESH_EVERY, Head, RidgeAccumulator, suggest_engine
 
 
 def batch_ridge(xs, ys, lam):
@@ -24,6 +18,11 @@ def batch_ridge(xs, ys, lam):
 def orthonormal_rows(m, k, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((k, m)))
     return q.T
+
+
+def round_trip(obj, fresh):
+    """fresh, overwritten with obj's state after a pass through JSON."""
+    return from_snapshot(fresh, json.loads(json.dumps(to_snapshot(obj))))
 
 
 class TestAccumulator:
@@ -56,34 +55,36 @@ class TestAccumulator:
         for _ in range(4):
             x = rng.standard_normal(3)
             acc.absorb(x, *acc.peek(x))
-        back = RidgeAccumulator.from_snapshot(acc.to_snapshot())
+        back = round_trip(acc, RidgeAccumulator(3, lam=2.0))
         np.testing.assert_array_equal(back.a, acc.a)
         np.testing.assert_array_equal(back.a_inv, acc.a_inv)
         assert back.steps == acc.steps and back.lam == acc.lam
 
 
 class TestLabelSpaceRidge:
+    """Ridge head of width K on label-space targets (o-br, *-pbc)."""
+
     def test_one_step_hand_example(self):
         # lambda=1, x=[1], y=[1]: gamma=1 so the zero head moves to 0.5 exactly
-        head = LabelSpaceRidge(1, 1, lam=1.0)
+        head = Head(1, 1, lam=1.0)
         head.update(np.array([1.0]), np.array([1.0]))
-        assert head.h[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert head.w[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_exact_prediction_leaves_head_fixed(self):
-        head = LabelSpaceRidge(2, 3, lam=1.0)
+        head = Head(2, 3, lam=1.0)
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = rng.standard_normal(2)
             head.update(x, rng.standard_normal(3))
-        frozen = head.h.copy()
+        frozen = head.w.copy()
         x = rng.standard_normal(2)
-        head.update(x, head.predict_raw(x))  # target equals current prediction
-        np.testing.assert_array_equal(head.h, frozen)
+        head.update(x, head.predict(x))  # target equals current prediction
+        np.testing.assert_array_equal(head.w, frozen)
 
     def test_matches_batch_solve_every_step(self):
         rng = np.random.default_rng(4)
         d, k, lam = 6, 4, 0.5
-        head = LabelSpaceRidge(d, k, lam=lam)
+        head = Head(d, k, lam=lam)
         xs, ys = [], []
         for _ in range(120):
             x = rng.standard_normal(d)
@@ -91,12 +92,12 @@ class TestLabelSpaceRidge:
             head.update(x, y)
             xs.append(x)
             ys.append(y)
-            assert np.max(np.abs(head.h - batch_ridge(xs, ys, lam))) <= 1e-8
+            assert np.max(np.abs(head.w - batch_ridge(xs, ys, lam))) <= 1e-8
 
     def test_projected_prediction_matches_batch(self):
         rng = np.random.default_rng(5)
         d, k, lam = 5, 6, 1.0
-        head = LabelSpaceRidge(d, k, lam=lam)
+        head = Head(d, k, lam=lam)
         xs, ys = [], []
         for _ in range(80):
             x = rng.standard_normal(d)
@@ -108,46 +109,50 @@ class TestLabelSpaceRidge:
         probe = rng.standard_normal(d)
         for _ in range(20):
             p = orthonormal_rows(3, k, int(rng.integers(1 << 30)))
-            got = head.predict_through(probe, p)
+            got = p @ head.predict(probe)
             want = p @ (exact.T @ probe)
             assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_predict_through_identity_rows(self):
-        head = LabelSpaceRidge(2, 4)
-        head.h = np.arange(8, dtype=np.float64).reshape(2, 4)
+        head = Head(2, 4)
+        head.w = np.arange(8, dtype=np.float64).reshape(2, 4)
         x = np.array([1.0, -1.0])
         p = np.eye(4)[[1, 3]]  # picks code coordinates 1 and 3
-        np.testing.assert_array_equal(head.predict_through(x, p), head.predict_raw(x)[[1, 3]])
+        np.testing.assert_array_equal(p @ head.predict(x), head.predict(x)[[1, 3]])
 
     def test_predict_through_equals_collapsed_code_head(self):
         # projecting the label-space prediction is the same linear map as the
         # collapsed code-space weights W = H P^T applied directly
         rng = np.random.default_rng(19)
         for _ in range(20):
-            head = LabelSpaceRidge(5, 7)
-            head.h = rng.standard_normal((5, 7))
+            head = Head(5, 7)
+            head.w = rng.standard_normal((5, 7))
             p = orthonormal_rows(3, 7, int(rng.integers(1 << 30)))
             x = rng.standard_normal(5)
-            w = head.h @ p.T
-            assert np.max(np.abs(head.predict_through(x, p) - w.T @ x)) <= 1e-12
+            w = head.w @ p.T
+            assert np.max(np.abs(p @ head.predict(x) - w.T @ x)) <= 1e-12
 
     def test_zero_head_predicts_zero(self):
-        head = LabelSpaceRidge(3, 5)
-        np.testing.assert_array_equal(head.predict_raw(np.ones(3)), np.zeros(5))
+        head = Head(3, 5)
+        np.testing.assert_array_equal(head.predict(np.ones(3)), np.zeros(5))
 
     def test_snapshot_round_trip(self):
         rng = np.random.default_rng(6)
-        head = LabelSpaceRidge(3, 2, lam=0.3)
+        head = Head(3, 2, lam=0.3)
         for _ in range(6):
             head.update(rng.standard_normal(3), rng.standard_normal(2))
-        back = LabelSpaceRidge.from_snapshot(head.to_snapshot())
-        np.testing.assert_array_equal(back.h, head.h)
+        back = round_trip(head, Head(3, 2, lam=0.3))
+        np.testing.assert_array_equal(back.w, head.w)
         np.testing.assert_array_equal(back.acc.a, head.acc.a)
+        np.testing.assert_array_equal(back.acc.a_inv, head.acc.a_inv)
+        assert back.acc.steps == head.acc.steps == 6
 
 
 class TestCodeRidge:
+    """Ridge head of width M on encoded targets, never rotated (dpp-naive, o-rand)."""
+
     def test_target_shape_contract(self):
-        head = CodeRidge(3, 2)
+        head = Head(3, 2)
         with pytest.raises(ValueError, match="target must have shape"):
             head.update(np.zeros(3), np.zeros(3))
 
@@ -155,7 +160,7 @@ class TestCodeRidge:
         rng = np.random.default_rng(7)
         d, k, m, lam = 5, 6, 2, 1.0
         p = orthonormal_rows(m, k, 11)
-        head = CodeRidge(d, m, lam=lam)
+        head = Head(d, m, lam=lam)
         xs, zs = [], []
         for _ in range(100):
             x = rng.standard_normal(d)
@@ -166,10 +171,26 @@ class TestCodeRidge:
         np.testing.assert_allclose(head.w, batch_ridge(xs, zs, lam), atol=1e-8)
 
 
+    def test_encodes_label_targets_with_the_given_basis(self):
+        rng = np.random.default_rng(20)
+        p = orthonormal_rows(2, 5, 12)
+        encoding = Head(3, 2)
+        encoded = Head(3, 2)
+        for _ in range(30):
+            x = rng.standard_normal(3)
+            y = rng.choice([-1.0, 1.0], size=5)
+            encoding.update(x, y, p)
+            encoded.update(x, p @ y)
+        np.testing.assert_array_equal(encoding.w, encoded.w)
+        assert encoding.basis is None  # a plain code head never stores or rotates a basis
+
+
 class TestTransformedCodeRidge:
+    """Code head of width M rotated onto each new basis (*-pbt)."""
+
     def test_same_basis_is_identity(self):
         p = orthonormal_rows(2, 5, 0)
-        head = TransformedCodeRidge(3, p)
+        head = Head(3, 2, basis=p)
         head.w = np.random.default_rng(8).standard_normal((3, 2))
         frozen = head.w.copy()
         head.transform(p)
@@ -177,7 +198,7 @@ class TestTransformedCodeRidge:
 
     def test_negated_basis_negates_head(self):
         p = orthonormal_rows(2, 5, 1)
-        head = TransformedCodeRidge(3, p)
+        head = Head(3, 2, basis=p)
         head.w = np.random.default_rng(9).standard_normal((3, 2))
         frozen = head.w.copy()
         head.transform(-p)
@@ -186,7 +207,7 @@ class TestTransformedCodeRidge:
     def test_rotation_preserves_label_space_view(self):
         rng = np.random.default_rng(10)
         p = orthonormal_rows(3, 7, 2)
-        head = TransformedCodeRidge(4, p)
+        head = Head(4, 3, basis=p)
         head.w = rng.standard_normal((4, 3))
         x = rng.standard_normal(4)
         before = head.basis.T @ head.predict(x)
@@ -202,8 +223,8 @@ class TestTransformedCodeRidge:
         rng = np.random.default_rng(11)
         d, k, m = 4, 6, 2
         p = orthonormal_rows(m, k, 3)
-        rotated = TransformedCodeRidge(d, p)
-        plain = CodeRidge(d, m)
+        rotated = Head(d, m, basis=p)
+        plain = Head(d, m)
         for _ in range(200):
             x = rng.standard_normal(d)
             y = rng.choice([-1.0, 1.0], size=k)
@@ -215,7 +236,7 @@ class TestTransformedCodeRidge:
         rng = np.random.default_rng(12)
         d, k, m, lam = 5, 8, 3, 1.0
         p = orthonormal_rows(m, k, 4)
-        head = TransformedCodeRidge(d, p, lam=lam)
+        head = Head(d, m, lam=lam, basis=p)
         xs, zs = [], []
         for _ in range(200):
             x = rng.standard_normal(d)
@@ -231,21 +252,19 @@ class TestTransformedCodeRidge:
         rng = np.random.default_rng(13)
         d, k, m = 4, 5, 2
         p = orthonormal_rows(m, k, 5)
-        label_head = LabelSpaceRidge(d, k)
-        rotated = TransformedCodeRidge(d, p)
-        naive = CodeRidge(d, m)
+        label_head = Head(d, k)
+        rotated = Head(d, m, basis=p)
+        naive = Head(d, m)
         for _ in range(60):
             x = rng.standard_normal(d)
             y = rng.choice([-1.0, 1.0], size=k)
             label_head.update(x, y)
             rotated.update(x, y, p)
             naive.update(x, p @ y)
-        np.testing.assert_allclose(rotated.w, label_head.h @ p.T, atol=1e-12)
-        np.testing.assert_allclose(naive.w, label_head.h @ p.T, atol=1e-12)
+        np.testing.assert_allclose(rotated.w, label_head.w @ p.T, atol=1e-12)
+        np.testing.assert_allclose(naive.w, label_head.w @ p.T, atol=1e-12)
         probe = rng.standard_normal(d)
-        np.testing.assert_allclose(
-            rotated.predict(probe), label_head.predict_through(probe, p), atol=1e-12
-        )
+        np.testing.assert_allclose(rotated.predict(probe), p @ label_head.predict(probe), atol=1e-12)
 
     def test_alternating_sign_flips_favor_label_space_head(self):
         # the naive code head chases a target whose sign flips every step and
@@ -254,14 +273,14 @@ class TestTransformedCodeRidge:
         d, k, m = 5, 4, 2
         p0 = orthonormal_rows(m, k, 6)
         b = rng.standard_normal((d, k)) * 0.5
-        label_head = LabelSpaceRidge(d, k)
-        naive = CodeRidge(d, m)
+        label_head = Head(d, k)
+        naive = Head(d, m)
         err_label = err_naive = 0.0
         for t in range(300):
             basis = p0 if t % 2 == 0 else -p0
             x = rng.standard_normal(d)
             y = b.T @ x
-            err_label += float(np.sum((basis @ label_head.predict_raw(x) - basis @ y) ** 2))
+            err_label += float(np.sum((basis @ label_head.predict(x) - basis @ y) ** 2))
             err_naive += float(np.sum((naive.predict(x) - basis @ y) ** 2))
             label_head.update(x, y)
             naive.update(x, basis @ y)
@@ -269,42 +288,55 @@ class TestTransformedCodeRidge:
 
     def test_basis_validation(self):
         with pytest.raises(ValueError, match="M x K"):
-            TransformedCodeRidge(3, np.zeros(4))
-        head = TransformedCodeRidge(3, orthonormal_rows(2, 5, 7))
+            Head(3, 4, basis=np.zeros(4))
+        with pytest.raises(ValueError, match="M x K"):
+            Head(3, 3, basis=orthonormal_rows(2, 5, 7))  # width must equal M
+        head = Head(3, 2, basis=orthonormal_rows(2, 5, 7))
         with pytest.raises(ValueError, match="basis shape changed"):
             head.transform(orthonormal_rows(3, 5, 7))
 
     def test_snapshot_round_trip(self):
         rng = np.random.default_rng(15)
         p = orthonormal_rows(2, 4, 8)
-        head = TransformedCodeRidge(3, p)
+        head = Head(3, 2, basis=p)
         for _ in range(5):
             head.update(rng.standard_normal(3), rng.choice([-1.0, 1.0], size=4), p)
-        back = TransformedCodeRidge.from_snapshot(head.to_snapshot())
+        back = round_trip(head, Head(3, 2, basis=orthonormal_rows(2, 4, 9)))
         np.testing.assert_array_equal(back.w, head.w)
         np.testing.assert_array_equal(back.basis, head.basis)
 
 
 class TestSgdHeads:
+    """The SGD step rule; its step at update t is sgd_step_scale / sqrt(t)."""
+
     def test_one_step_hand_example(self):
-        head = SgdHead(1, 1)
-        head.update(np.array([2.0]), np.array([1.0]), step=0.1)
+        head = Head(1, 1, rule="sgd", sgd_step_scale=0.1)
+        head.update(np.array([2.0]), np.array([1.0]))
         assert head.w[0, 0] == pytest.approx(0.2, abs=1e-15)
 
+    def test_step_decays_with_update_count(self):
+        head = Head(1, 1, rule="sgd", sgd_step_scale=0.5)
+        for _ in range(3):
+            head.update(np.array([0.0]), np.array([0.0]))
+        head.update(np.array([1.0]), np.array([1.0]))  # fourth update: step 0.5 / sqrt(4)
+        assert head.w[0, 0] == pytest.approx(0.25, abs=1e-15)
+
     def test_zero_step_freezes(self):
-        head = SgdHead(3, 2)
+        head = Head(3, 2, rule="sgd", sgd_step_scale=0.0)
         head.w = np.random.default_rng(16).standard_normal((3, 2))
         frozen = head.w.copy()
-        head.update(np.ones(3), np.ones(2), step=0.0)
+        head.update(np.ones(3), np.ones(2))
         np.testing.assert_array_equal(head.w, frozen)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            SgdHead(2, 2).update(np.ones(2), np.ones(2), step=-0.1)
+            Head(2, 2, rule="sgd", sgd_step_scale=-0.1)
+        with pytest.raises(ValueError, match="step rule"):
+            Head(2, 2, rule="adam")
 
     def test_step_follows_squared_error_gradient(self):
         rng = np.random.default_rng(17)
-        head = SgdHead(4, 3)
+        head = Head(4, 3, rule="sgd", sgd_step_scale=1.0)
         head.w = rng.standard_normal((4, 3))
         x = rng.standard_normal(4)
         target = rng.standard_normal(3)
@@ -313,8 +345,8 @@ class TestSgdHeads:
             return 0.5 * float(np.sum((w.T @ x - target) ** 2))
 
         before = head.w.copy()
-        head.update(x, target, step=1.0)
-        analytic = before - head.w  # equals the gradient when step is 1
+        head.update(x, target)
+        analytic = before - head.w  # equals the gradient when the first step is 1
         h = 1e-6
         for i in range(4):
             for j in range(3):
@@ -329,30 +361,32 @@ class TestSgdHeads:
     def test_transformed_variant_rotation(self):
         rng = np.random.default_rng(18)
         p = orthonormal_rows(2, 5, 9)
-        head = SgdTransformedHead(3, p)
+        head = Head(3, 2, rule="sgd", sgd_step_scale=0.5, basis=p)
         head.w = rng.standard_normal((3, 2))
         frozen = head.w.copy()
         head.transform(-p)
         np.testing.assert_allclose(head.w, -frozen, atol=1e-15)
-        head.update_transformed(np.zeros(3), np.ones(5), -p, step=0.5)
+        head.update(np.zeros(3), np.ones(5), -p)
         np.testing.assert_allclose(head.w, -frozen, atol=1e-15)  # x=0 leaves weights alone
 
     def test_prediction_surface_matches_ridge_layout(self):
-        head = SgdHead(2, 3)
+        head = Head(2, 3, rule="sgd")
         head.w = np.arange(6, dtype=np.float64).reshape(2, 3)
         x = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(head.predict_raw(x), head.w.T @ x)
+        np.testing.assert_array_equal(head.predict(x), head.w.T @ x)
         p = np.eye(3)[:2]
-        np.testing.assert_array_equal(head.predict_through(x, p), (head.w.T @ x)[:2])
+        np.testing.assert_array_equal(p @ head.predict(x), (head.w.T @ x)[:2])
 
     def test_snapshot_round_trips(self):
-        head = SgdHead(2, 2)
+        head = Head(2, 2, rule="sgd")
         head.w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        back = SgdHead.from_snapshot(head.to_snapshot())
+        head.update(np.array([1.0, 0.0]), np.zeros(2))
+        back = round_trip(head, Head(2, 2, rule="sgd"))
         np.testing.assert_array_equal(back.w, head.w)
-        tr = SgdTransformedHead(2, orthonormal_rows(1, 3, 10))
+        assert back.t == head.t == 1 and back.acc is None
+        tr = Head(2, 1, rule="sgd", basis=orthonormal_rows(1, 3, 10))
         tr.w = np.array([[0.5], [0.25]])
-        back2 = SgdTransformedHead.from_snapshot(tr.to_snapshot())
+        back2 = round_trip(tr, Head(2, 1, rule="sgd", basis=orthonormal_rows(1, 3, 11)))
         np.testing.assert_array_equal(back2.w, tr.w)
         np.testing.assert_array_equal(back2.basis, tr.basis)
 

@@ -69,6 +69,11 @@ class TestSparseLabelsFormat:
         with pytest.raises(ParseError, match="duplicate"):
             parse_sparse_labels("2 3 1\n0 | 1:1.0 1:2.0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_value(self, value):
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            parse_sparse_labels(f"2 3 2\n0 | 0:1.0\n1 | 2:{value}\n")
+
     def test_round_trip(self):
         instances, d, k = parse_sparse_labels(SAMPLE)
         text = serialize_sparse_labels(instances, d, k)
@@ -110,6 +115,18 @@ class TestArff:
     def test_unknown_label_name(self):
         with pytest.raises(SchemaError, match="not present"):
             parse_arff(ARFF, ["nope"])
+
+    @pytest.mark.parametrize("row", ["nan,1.5,1,0", "{0 inf, 3 1}"])
+    def test_non_finite_value(self, row):
+        bad = ARFF.replace("0.5,1.5,1,0", row)
+        with pytest.raises(ParseError, match="line 8: non-finite"):
+            parse_arff(bad, ["lab_a", "lab_b"])
+
+    @pytest.mark.parametrize("entry,message", [("-1 1", "sparse index -1"), ("4 1", "sparse index 4")])
+    def test_sparse_index_out_of_range(self, entry, message):
+        bad = ARFF.replace("0.5,1.5,1,0", "{%s}" % entry)
+        with pytest.raises(ParseError, match=f"line 8: {message} outside"):
+            parse_arff(bad, ["lab_a", "lab_b"])
 
     def test_row_width_mismatch(self):
         bad = ARFF.replace("0.5,1.5,1,0", "0.5,1.5,1")
