@@ -34,6 +34,17 @@ _GRID_DEFAULTS = {
     "m_frac": [0.25],
     "noise_p": [0.0],
 }
+_INT_KEYS = ("repeats", "seed", "limit", "workers", "order_seed")
+_OPTIONAL_KEYS = ("limit", "workers", "order_seed")  # null in a config means "unset"
+_NUMBER_KEYS = ("eta", "lam", "sgd_step")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,6 +111,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 key = "lam"
             if key not in merged:
                 parser.error(f"unknown config key {key!r}")
+            if key in _GRID_DEFAULTS and not isinstance(value, list):
+                value = [value]  # a grid axis may be given as a single value
             merged[key] = value
     for key in ("algo", "cost", "m_frac", "noise_p"):
         flag_val = getattr(args, key)
@@ -112,6 +125,22 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             merged[key] = flag_val
     if args.no_normalize:
         merged["normalize"] = False
+    for key in _INT_KEYS:
+        if not (_is_int(merged[key]) or (merged[key] is None and key in _OPTIONAL_KEYS)):
+            parser.error(f"{key} must be an integer, got {merged[key]!r}")
+    for key in _NUMBER_KEYS:
+        if not _is_number(merged[key]):
+            parser.error(f"{key} must be a number, got {merged[key]!r}")
+    for key in ("algo", "cost"):
+        for value in merged[key]:
+            if not isinstance(value, str):
+                parser.error(f"{key} values must be strings, got {value!r}")
+    for key in ("m_frac", "noise_p"):
+        for value in merged[key]:
+            if not _is_number(value):
+                parser.error(f"{key} values must be numbers, got {value!r}")
+    if merged["workers"] is not None and merged["workers"] < 1:
+        parser.error(f"workers must be >= 1, got {merged['workers']}")
     if merged["repeats"] < 1:
         parser.error("--repeats must be >= 1")
     for frac in merged["m_frac"]:
@@ -205,6 +234,9 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             workers = int(env_workers)
         except ValueError:
             print(f"error: CSDPP_WORKERS must be an integer, got {env_workers!r}", file=sys.stderr)
+            return 1
+        if workers < 1:
+            print(f"error: CSDPP_WORKERS must be >= 1, got {workers}", file=sys.stderr)
             return 1
     try:
         with open(args.dataset, encoding="utf-8") as fh:

@@ -1,35 +1,24 @@
 """Dense numeric kernels for the streaming encoder.
 
 Two primitives live here because everything above them depends on their exact
-behaviour: a cyclic Jacobi eigensolver for the small symmetric matrices that
-appear in the rank-capped spectral update, and the Euclidean projection onto
-the capped simplex ``{w : 0 <= w_i <= 1, sum_i w_i = budget}``.
+behaviour: a symmetric eigensolver for the small ((M+2)-dimensional) matrices
+of the rank-capped spectral update, and the Euclidean projection onto the
+capped simplex ``{w : 0 <= w_i <= 1, sum_i w_i = budget}``.
 
-The Jacobi solver is deliberately hand-rolled: the matrices are tiny
-((M+2)-dimensional), called hundreds of thousands of times, and the surrounding
-code needs deterministic, platform-stable numerics.  When numba is installed
-the inner sweep is JIT-compiled with ``fastmath=False`` so the compiled and
-interpreted paths produce identical floating point results.
+The eigensolver is LAPACK's symmetric driver through ``np.linalg.eigh``,
+wrapped with input checks, a descending order and a deterministic sign for
+each eigenvector (its largest-magnitude entry is positive).  The sign rule
+matters to callers that rotate a frame by the eigenvectors: for a small
+update the vectors stay close to the identity columns, so each frame row
+keeps its orientation from one step to the next.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # optional fast path, numerics identical to the pure-Python fallback
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 @dataclass(frozen=True)
@@ -37,116 +26,63 @@ class Tolerances:
     """Central numeric tolerances used across the package."""
 
     symmetry: float = 1e-10          # max asymmetry accepted by the eigensolver
-    jacobi_off_diag: float = 1e-12   # off-diagonal Frobenius norm at convergence
     reconstruction: float = 1e-8     # V diag(w) V^T vs input
     orthonormality: float = 1e-9     # frame drift allowed in spectral state
     trace: float = 1e-9              # trace budget drift allowed in spectral state
     simplex_sum: float = 1e-9        # sum constraint after projection
     simplex_idempotence: float = 1e-12
     in_span: float = 1e-12           # relative residual below which input is in-span
-    reorthogonalize: float = 1e-8    # relative residual triggering a second pass
     unit_norm_slack: float = 1e-9    # slack on ||y|| <= 1 update precondition
     bound_audit: float = 1e-9        # slack in cost upper-bound audits
 
 
 TOL = Tolerances()
 
-_MAX_JACOBI_SWEEPS = 100
-
 
 @dataclass(frozen=True)
 class SymmetricEigen:
     """Spectral factorization m = vectors @ diag(values) @ vectors.T.
 
-    ``values`` are sorted descending; ``vectors`` holds orthonormal columns.
+    ``values`` are sorted descending; ``vectors`` holds orthonormal columns,
+    each with its largest-magnitude entry positive.
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
 
-@_njit(cache=True, fastmath=False)
-def _jacobi_sweeps(a, v, tol):
-    """Cyclic Jacobi rotations on a (in place); accumulates rotations into v.
-
-    Returns True once the off-diagonal Frobenius norm drops below tol.
-    """
-    n = a.shape[0]
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        if np.sqrt(2.0 * off) <= tol:
-            return True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip - s * aiq
-                    a[i, q] = s * aip + c * aiq
-                for i in range(n):
-                    api = a[p, i]
-                    aqi = a[q, i]
-                    a[p, i] = c * api - s * aqi
-                    a[q, i] = s * api + c * aqi
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = c * vip - s * viq
-                    v[i, q] = s * vip + c * viq
-    # one last convergence check after the sweep budget
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            off += a[i, j] * a[i, j]
-    return np.sqrt(2.0 * off) <= tol
-
-
 def symmetric_eigen(m: np.ndarray) -> SymmetricEigen:
     """Full spectral factorization of a small symmetric matrix.
 
     Args:
-        m: square matrix, symmetric within ``TOL.symmetry`` (relative to its
-            largest entry).
+        m: square finite matrix, symmetric within ``TOL.symmetry`` (relative
+            to its largest entry).
 
     Returns:
-        SymmetricEigen with eigenvalues sorted descending.
+        SymmetricEigen with eigenvalues sorted descending (stable on ties) and
+        each eigenvector signed so that its largest-magnitude entry (the first
+        one on a tie) is positive.
 
     Raises:
-        ValueError: if ``m`` is not square or not symmetric within tolerance.
-        np.linalg.LinAlgError: if the rotation sweeps fail to converge.
+        ValueError: if ``m`` is empty, not square, not finite or not symmetric
+            within tolerance.
     """
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise ValueError("expected a non-empty matrix")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > TOL.symmetry * scale:
+    peak = float(np.abs(a).max())  # nan or inf iff some entry is
+    if not math.isfinite(peak):
+        raise ValueError("matrix has non-finite entries")
+    asym = float(np.abs(a - a.T).max())
+    if asym > TOL.symmetry * max(1.0, peak):
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
-    a = 0.5 * (a + a.T)
-    fro = float(np.linalg.norm(a))
-    tol = TOL.jacobi_off_diag * max(1.0, fro)
-    v = np.eye(n, dtype=np.float64)
-    if not _jacobi_sweeps(a, v, tol):
-        raise np.linalg.LinAlgError("Jacobi sweeps did not converge")
-    w = np.diag(a).copy()
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-w, kind="stable")
-    return SymmetricEigen(values=w[order], vectors=np.ascontiguousarray(v[:, order]))
+    v = v[:, order]
+    v *= np.sign(v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])])  # a unit vector's peak is nonzero
+    return SymmetricEigen(values=w[order], vectors=np.ascontiguousarray(v))
 
 
 def project_capped_simplex(v: np.ndarray, budget: int) -> np.ndarray:

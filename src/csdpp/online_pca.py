@@ -9,8 +9,8 @@ feasible set:
     U  <-  Proj( U + eta_t * y y^T )
 
 Everything happens in the small basis: y splits into its in-span coefficients
-a = Q y plus an orthogonal residual (modified Gram-Schmidt, one
-re-orthogonalization pass when the residual is tiny relative to ||y||), the
+a = Q y plus an orthogonal residual (classical Gram-Schmidt applied twice,
+which keeps the residual orthogonal to the frame at working precision), the
 shifted spectrum is the eigensystem of an (M+2)-dimensional matrix
 diag(sigma, 0) + eta [a; rho][a; rho]^T, the smallest eigenvalue is dropped to
 keep rank <= M+1, the survivors are projected onto the capped simplex, and the
@@ -24,6 +24,7 @@ makes the sampled encoder an unbiased proxy for the tracked subspace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,26 +95,22 @@ class CappedMsgState:
         if y.shape != (self.k,):
             raise ValueError(f"observation must have shape ({self.k},), got {y.shape}")
         ynorm = float(np.linalg.norm(y))
+        if not math.isfinite(ynorm) and not np.isfinite(y).all():  # a finite y can overflow the norm
+            raise ValueError("observation must be finite")
         if ynorm > 1.0 + TOL.unit_norm_slack:
             raise ValueError(f"observation norm {ynorm} exceeds 1")
         eta = float(self.schedule(t))
         if eta < 0:
             raise ValueError(f"step size must be non-negative, got {eta}")
 
-        # split y = Q^T a + rho * q_new by modified Gram-Schmidt
-        r = y.copy()
-        coeff = np.zeros(self.m + 1)
-        for i in range(self.m + 1):
-            c = float(self.q[i] @ r)
-            coeff[i] += c
-            r -= c * self.q[i]
+        # split y = Q^T a + rho * q_new; the second classical Gram-Schmidt pass
+        # scrubs the orthogonality the first one loses
+        coeff = self.q @ y
+        r = y - coeff @ self.q
+        c = self.q @ r
+        coeff += c
+        r -= c @ self.q
         rho = float(np.linalg.norm(r))
-        if 0.0 < rho < TOL.reorthogonalize * max(ynorm, 1.0):
-            for i in range(self.m + 1):  # second pass scrubs lost orthogonality
-                c = float(self.q[i] @ r)
-                coeff[i] += c
-                r -= c * self.q[i]
-            rho = float(np.linalg.norm(r))
 
         in_span = rho <= TOL.in_span * max(ynorm, 1.0)
         if in_span:

@@ -33,6 +33,7 @@ MUTANTS = {
     "projection": "nearest-breakpoint",  # shift snapped to a breakpoint, no interpolation
     "bounds": "drop-residual",           # bound omits the out-of-span term
     "regret": "inverted-spectrum",       # online losses reconstruct U from 1-sigma
+    "tracker": "skip-residual",          # every observation treated as in-span
 }
 
 
@@ -86,6 +87,48 @@ def suite_lemma1(trials: int = 100, draws: int = 20, seed: int = 0, mutant: str 
             rhs = float(y @ y - y @ (u @ y))
             worst = max(worst, abs(lhs - rhs))
     _check(report, "enumeration-identity", worst <= 1e-10, max_abs_gap=worst)
+    return report
+
+
+def dense_tracker_step(u: np.ndarray, y: np.ndarray, eta: float, m: int) -> np.ndarray:
+    """Full-space oracle step: eigh of U + eta y y^T, keep the top M+1, project onto the capped simplex."""
+    vals, vecs = np.linalg.eigh(u + eta * np.outer(y, y))
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1]
+    vals[m + 1:] = 0.0
+    vals[: m + 1] = project_capped_simplex(vals[: m + 1], m)
+    return (vecs * vals) @ vecs.T
+
+
+def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str | None = None) -> SuiteReport:
+    """Factored tracker updates against the dense K x K step, on evolved random states."""
+    report = SuiteReport("tracker", True, params={"trials": trials, "steps": steps, "seed": seed})
+    rng = substream(seed, 109)
+    worst = 0.0
+    witness: dict = {}
+    invalid: list[str] = []
+    for _ in range(trials):
+        k = int(rng.integers(3, 31))
+        m = int(rng.integers(1, k))
+        state = CappedMsgState.initialize(k, m, int(rng.integers(0, 2**31)), default_eta_schedule(m, k))
+        u = state.reconstruct()
+        for step in range(1, steps + 1):
+            y = _random_unit_cap(rng, k)
+            if step % 5 == 0:  # exercise the in-span branch too
+                y = state.q.T @ (state.q @ y)
+            seen = state.q.T @ (state.q @ y) if mutant == "skip-residual" else y
+            state.update(seen, step)
+            u = dense_tracker_step(u, y, state.schedule(step), m)
+            gap = float(np.max(np.abs(state.reconstruct() - u)))
+            if gap > worst:
+                worst = gap
+                witness = {"k": k, "m": m, "step": step}
+            try:
+                state.validate()
+            except ValueError as exc:
+                invalid.append(f"k={k} m={m} step={step}: {exc}")
+    _check(report, "dense-agreement", worst <= 1e-7, max_abs_gap=worst, **witness)
+    _check(report, "feasibility", not invalid, violations=invalid[:3])
     return report
 
 
@@ -322,6 +365,7 @@ SUITES = {
     "projection": suite_projection,
     "bounds": suite_bounds,
     "regret": suite_regret,
+    "tracker": suite_tracker,
 }
 
 

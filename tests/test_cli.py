@@ -285,6 +285,51 @@ class TestRunErrors:
             run_cli("run", "--dataset", dataset, "--config", str(cfg))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("workers", "2"), ("repeats", "2"), ("seed", 1.5), ("limit", True), ("order_seed", "7"),
+        ("eta", "2.0"), ("lambda", None), ("sgd_step", [1.0]),
+    ])
+    def test_mistyped_config_value_is_usage_error(self, dataset, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", dataset, "--config", str(cfg), "--output", str(tmp_path / "res"))
+        assert exc.value.code == 2
+        assert ("lam" if key == "lambda" else key) in capsys.readouterr().err
+
+    def test_scalar_grid_axes_in_config(self, dataset, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algo": "dpp-pbc", "cost": "f1", "m_frac": 0.5, "noise_p": 0.0}),
+                       encoding="utf-8")
+        out = tmp_path / "res"
+        assert run_cli("run", "--dataset", dataset, "--config", str(cfg), "--output", str(out)) == 0
+        assert sorted(os.listdir(out)) == ["dpp-pbc_f1_mf0.5_p0_r0.csv", "dpp-pbc_f1_mf0.5_p0_summary.json"]
+
+    def test_mistyped_grid_value_is_usage_error(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m_frac": ["0.5"]}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", dataset, "--config", str(cfg))
+        assert exc.value.code == 2
+        assert "m_frac" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_positive_workers_is_usage_error(self, dataset, tmp_path, capsys, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 0}), encoding="utf-8")
+        argv = ["--workers", "-3"] if source == "flag" else ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", dataset, *argv, "--output", str(tmp_path / "res"))
+        assert exc.value.code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    def test_non_positive_worker_env_is_runtime_error(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CSDPP_WORKERS", "0")
+        assert run_cli("run", "--dataset", dataset, "--output", str(tmp_path / "res")) == 1
+        assert "error: CSDPP_WORKERS must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):

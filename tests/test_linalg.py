@@ -8,6 +8,11 @@ def reconstruction(result):
     return result.vectors @ np.diag(result.values) @ result.vectors.T
 
 
+def assert_leading_entries_positive(vectors):
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    assert np.all(lead > 0.0), lead
+
+
 class TestSymmetricEigen:
     def test_identity(self):
         r = symmetric_eigen(np.eye(2))
@@ -29,6 +34,19 @@ class TestSymmetricEigen:
         with pytest.raises(ValueError, match="symmetric"):
             symmetric_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_finite(self):
+        a = np.eye(5)
+        a[1, 3] = a[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_eigen(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_eigen(np.diag([1.0, np.inf]))
+
+    def test_sign_rule_first_index_wins_a_tie(self):
+        # eigenvectors (1, 1)/sqrt2 and (1, -1)/sqrt2: both entries tie in magnitude
+        r = symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(r.vectors, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2), atol=1e-12)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             symmetric_eigen(np.zeros((2, 3)))
@@ -45,6 +63,7 @@ class TestSymmetricEigen:
             assert np.max(np.abs(r.vectors.T @ r.vectors - np.eye(n))) <= TOL.orthonormality
             ref = np.sort(np.linalg.eigvalsh(a))[::-1]
             assert np.max(np.abs(r.values - ref)) <= 1e-9
+            assert_leading_entries_positive(r.vectors)
 
     def test_near_degenerate_spectrum(self):
         a = np.diag([1.0, 1.0 + 1e-13, 0.5])

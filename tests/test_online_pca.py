@@ -4,24 +4,13 @@ import numpy as np
 import pytest
 
 from csdpp.learners import from_snapshot, to_snapshot
-from csdpp.linalg import TOL, project_capped_simplex
 from csdpp.online_pca import CappedMsgState, EtaSchedule, default_eta_schedule
+from csdpp.verify import dense_tracker_step
 
 
 def random_observation(rng, k):
     y = rng.standard_normal(k)
     return y / np.linalg.norm(y) * rng.uniform(0.05, 1.0)
-
-
-def dense_oracle_step(u, y, eta, m):
-    """Independent route: dense update, numpy eigensolver, top-(M+1) projection."""
-    u = u + eta * np.outer(y, y)
-    w, v = np.linalg.eigh(u)
-    w = w[::-1].copy()
-    v = v[:, ::-1]
-    w[m + 1:] = 0.0
-    w[: m + 1] = project_capped_simplex(w[: m + 1], m)
-    return (v * w) @ v.T
 
 
 class TestInitialization:
@@ -70,6 +59,29 @@ class TestUpdate:
         with pytest.raises(ValueError, match="norm"):
             st.update(np.array([1.0, 1.0, 0.0, 0.0]), 1)
 
+    def test_rejects_non_finite_observation(self):
+        st = CappedMsgState.initialize(4, 1, seed=0)
+        before = st.reconstruct()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="observation must be finite"):
+                st.update(np.array([0.5, bad, 0.0, 0.0]), 1)
+        np.testing.assert_array_equal(st.reconstruct(), before)
+
+    def test_small_step_keeps_frame_orientation(self):
+        # a tiny step barely rotates the frame, so no row may flip its sign;
+        # the dpp-naive head, which is never rotated, relies on this
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            k = int(rng.integers(4, 31))
+            m = int(rng.integers(1, k))
+            st = CappedMsgState.initialize(k, m, seed=trial)
+            for t in range(1, 30):
+                st.update(random_observation(rng, k), t)
+            assert np.min(np.diff(np.sort(st.sigma))) > 1e-6  # distinct spectrum
+            before = st.q.copy()
+            st.update(random_observation(rng, k), 10_000)
+            assert np.all(np.einsum("ij,ij->i", st.q, before) > 0.0)
+
     def test_shape_contract(self):
         st = CappedMsgState.initialize(4, 1, seed=0)
         with pytest.raises(ValueError, match="shape"):
@@ -90,7 +102,7 @@ class TestUpdate:
             for t in range(1, 51):
                 y = random_observation(rng, k)
                 st.update(y, t)
-                u = dense_oracle_step(u, y, st.schedule(t), m)
+                u = dense_tracker_step(u, y, st.schedule(t), m)
                 assert np.max(np.abs(st.reconstruct() - u)) <= 1e-7
 
     def test_in_span_observation_stays_low_rank(self):

@@ -14,11 +14,12 @@ REDUCED = {
     "projection": dict(instances=25),
     "bounds": dict(trials=1500),
     "regret": dict(t=800),
+    "tracker": dict(trials=8, steps=20),
 }
 
 
 class TestSuitesPass:
-    @pytest.mark.parametrize("name", ["lemma1", "lemma3", "sherman", "projection", "bounds"])
+    @pytest.mark.parametrize("name", ["lemma1", "lemma3", "sherman", "projection", "bounds", "tracker"])
     def test_clean_suite_passes(self, name):
         report = run_suite(name, **REDUCED[name])
         assert report.passed, report.to_dict()
