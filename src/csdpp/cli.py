@@ -7,10 +7,14 @@
 grid over one dataset; each cell writes an average-cost CSV, and each repeat
 group writes a JSON summary (mean and standard error of the final average
 cost).  Repeat r runs with seed base+r for both the stream shuffle/noise and
-the learner.  Cells are independent and may run in a worker pool (--workers or
-CSDPP_WORKERS).  Given the same spec and seed the outputs are byte-identical.
-A failed cell repeat (including a crashed pool worker) is named on stderr;
-the CSVs of finished repeats stay on disk and no summaries are written.
+the learner.  The parent parses and normalizes the dataset once and builds one
+stream per (noise, repeat), which every algorithm/cost/m-frac cell shares; a
+job carries only its stream, its LearnerConfig and its CSV header, so cells
+are independent and may run in a worker pool (--workers or CSDPP_WORKERS).
+Given the same spec and seed the outputs are byte-identical.
+A failed cell repeat (an unwritable CSV and a crashed pool worker included) is
+named on stderr; the CSVs of finished repeats stay on disk and no summaries
+are written.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -18,12 +22,14 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
-from . import evaluation, verify
+from . import evaluation, stream, verify
 from .costs import available_costs, get_cost
 from .learners import ALGORITHMS, LearnerConfig, make_learner, play
 from .stream import StreamConfig, build_stream, parse_dataset
@@ -146,6 +152,11 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     for frac in merged["m_frac"]:
         if not 0.0 < frac <= 1.0:
             parser.error(f"--m-frac must lie in (0, 1], got {frac}")
+    for noise_p in merged["noise_p"]:
+        if not 0.0 <= noise_p <= 1.0:
+            parser.error(f"--noise-p must lie in [0, 1], got {noise_p}")
+    if merged["limit"] is not None and merged["limit"] < 1:
+        parser.error(f"--limit must be >= 1, got {merged['limit']}")
     for name in merged["cost"]:
         try:
             get_cost(name)
@@ -157,62 +168,21 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return merged
 
 
-def _run_repeat(payload: dict) -> dict:
-    """One experiment cell repeat; isolated so a worker process can run it."""
-    instances = payload["instances"]
-    spec = payload["spec"]
-    cell_seed = spec["seed"] + spec["repeat"]
-    stream = build_stream(
-        instances,
-        StreamConfig(
-            seed=cell_seed, noise_p=spec["noise_p"], limit=spec["limit"], normalize=spec["normalize"]
-        ),
-    )
-    if not stream:
-        raise RuntimeError("stream is empty after truncation")
-    d = stream[0].features.size
-    k = stream[0].labels.size
-    config = LearnerConfig(
-        algorithm=spec["algo"],
-        m_frac=spec["m_frac"],
-        cost=spec["cost"],
-        seed=cell_seed,
-        lam=spec["lam"],
-        eta_scale=spec["eta"],
-        engine=spec["engine"],
-        sgd_step_scale=spec["sgd_step"],
-        label_order=spec["label_order"],
-        order_seed=spec["order_seed"],
-    )
-    learner = make_learner(config, d, k)
-    records = play(learner, stream)
-    trace = evaluation.trace_from_records(records)
-    header = {
-        "algorithm": spec["algo"],
-        "cost": spec["cost"],
-        "m": learner.m,
-        "m_frac": spec["m_frac"],
-        "noise_p": spec["noise_p"],
-        "repeat": spec["repeat"],
-        "seed": cell_seed,
-        "eta": spec["eta"],
-        "lambda": spec["lam"],
-        "engine": spec["engine"],
-        "sgd_step": spec["sgd_step"],
-        "label_order": spec["label_order"],
-        "order_seed": spec["order_seed"],
-        "steps": len(stream),
-        "normalize": spec["normalize"],
-    }
-    evaluation.write_cost_csv(spec["csv_path"], trace, header)
-    return {"repeat": spec["repeat"], "final": trace.final_average, "csv": spec["csv_path"]}
+def _run_repeat(payload: dict) -> float:
+    """One experiment cell repeat over its prebuilt stream; a worker process may run it."""
+    learner = make_learner(payload["config"], *payload["shape"])
+    trace = evaluation.trace_from_records(play(learner, payload["stream"]))
+    header = {**payload["header"], "m": learner.m, "steps": len(payload["stream"])}
+    evaluation.write_cost_csv(payload["csv"], trace, header)
+    return trace.final_average
 
 
 def _outcome(call, *args) -> tuple:
     """(result, None) from call(*args), or (None, exc) for a failure that ends only its cell."""
     try:
         return call(*args), None
-    except (ValueError, RuntimeError) as exc:  # a crashed pool worker raises BrokenProcessPool, a RuntimeError
+    # a crashed pool worker raises BrokenProcessPool, a RuntimeError; an unwritable CSV an OSError
+    except (ValueError, RuntimeError, OSError) as exc:
         return None, exc
 
 
@@ -255,54 +225,72 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             print(f"error: cannot read label names: {exc}", file=sys.stderr)
             return 1
     try:
-        instances, _, _ = parse_dataset(text, args.format, label_names)
+        instances, d, k = parse_dataset(text, args.format, label_names)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not instances:
+        print("error: the dataset has no instances", file=sys.stderr)
+        return 1
+    if merged["normalize"]:
+        instances = stream.normalize_features(instances)
 
     out_dir = merged["output"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 1
+    # a repeat's stream depends only on (seed + repeat, noise_p, limit): every cell shares it
+    streams = {
+        (noise_p, repeat): build_stream(
+            instances, StreamConfig(seed=merged["seed"] + repeat, noise_p=noise_p, limit=merged["limit"])
+        )
+        for noise_p in merged["noise_p"]
+        for repeat in range(merged["repeats"])
+    }
+    base_config = LearnerConfig(
+        lam=merged["lam"],
+        eta_scale=merged["eta"],
+        engine=merged["engine"],
+        sgd_step_scale=merged["sgd_step"],
+        label_order=merged["label_order"],
+        order_seed=merged["order_seed"],
+    )
+    base_header = {
+        "lambda": merged["lam"],
+        **{key: merged[key] for key in ("eta", "engine", "sgd_step", "label_order", "order_seed", "normalize")},
+    }
     jobs = []
-    for algo in merged["algo"]:
-        for cost in merged["cost"]:
-            for m_frac in merged["m_frac"]:
-                for noise_p in merged["noise_p"]:
-                    for repeat in range(merged["repeats"]):
-                        stem = f"{algo}_{cost}_mf{m_frac:g}_p{noise_p:g}"
-                        jobs.append(
-                            {
-                                "instances": instances,
-                                "spec": {
-                                    "algo": algo,
-                                    "cost": cost,
-                                    "m_frac": m_frac,
-                                    "noise_p": noise_p,
-                                    "repeat": repeat,
-                                    "seed": merged["seed"],
-                                    "limit": merged["limit"],
-                                    "normalize": merged["normalize"],
-                                    "eta": merged["eta"],
-                                    "lam": merged["lam"],
-                                    "engine": merged["engine"],
-                                    "sgd_step": merged["sgd_step"],
-                                    "label_order": merged["label_order"],
-                                    "order_seed": merged["order_seed"],
-                                    "csv_path": os.path.join(out_dir, f"{stem}_r{repeat}.csv"),
-                                    "stem": stem,
-                                },
-                            }
-                        )
+    for algo, cost, m_frac, noise_p in itertools.product(
+        merged["algo"], merged["cost"], merged["m_frac"], merged["noise_p"]
+    ):
+        stem = f"{algo}_{cost}_mf{m_frac:g}_p{noise_p:g}"
+        for repeat in range(merged["repeats"]):
+            seed = merged["seed"] + repeat
+            cell = {"algorithm": algo, "cost": cost, "m_frac": m_frac, "seed": seed}
+            jobs.append(
+                {
+                    "stream": streams[noise_p, repeat],
+                    "shape": (d, k),
+                    "config": replace(base_config, **cell),
+                    "header": {**base_header, **cell, "noise_p": noise_p, "repeat": repeat},
+                    "csv": os.path.join(out_dir, f"{stem}_r{repeat}.csv"),
+                    "stem": stem,
+                    "repeat": repeat,
+                }
+            )
     outcomes = _execute(jobs, workers)
-    failed = [(job["spec"], exc) for job, (_, exc) in zip(jobs, outcomes) if exc is not None]
-    for spec, exc in failed:
-        print(f"error: cell {spec['stem']} repeat {spec['repeat']}: {exc}", file=sys.stderr)
+    failed = [(job, exc) for job, (_, exc) in zip(jobs, outcomes) if exc is not None]
+    for job, exc in failed:
+        print(f"error: cell {job['stem']} repeat {job['repeat']}: {exc}", file=sys.stderr)
     if failed:
         print(f"error: {len(failed)} of {len(jobs)} cell repeats failed", file=sys.stderr)
         return 1
 
     by_stem: dict[str, list] = {}
-    for job, (result, _) in zip(jobs, outcomes):
-        by_stem.setdefault(job["spec"]["stem"], []).append((result["repeat"], result["final"]))
+    for job, (final, _) in zip(jobs, outcomes):
+        by_stem.setdefault(job["stem"], []).append((job["repeat"], final))
     for stem, finals in by_stem.items():
         finals.sort()
         summary = evaluation.summarize_finals([f for _, f in finals])
@@ -317,6 +305,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     for name in args.suites:
         if name not in verify.SUITES:
             parser.error(f"unknown suite {name!r}; available: {sorted(verify.SUITES)}")
+    if args.trials is not None and args.trials < 1:
+        parser.error(f"--trials must be >= 1, got {args.trials}")
     kwargs: dict = {"seed": args.seed, "mutant": args.mutant}
     if args.trials is not None:
         kwargs.update(

@@ -94,9 +94,12 @@ class CappedMsgState:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.k,):
             raise ValueError(f"observation must have shape ({self.k},), got {y.shape}")
-        ynorm = float(np.linalg.norm(y))
-        if not math.isfinite(ynorm) and not np.isfinite(y).all():  # a finite y can overflow the norm
+        peak = float(np.abs(y).max())  # ||y|| >= max|y_i|, so past this check the norm cannot overflow
+        if not math.isfinite(peak):
             raise ValueError("observation must be finite")
+        if peak > 1.0 + TOL.unit_norm_slack:
+            raise ValueError(f"observation entry {peak} exceeds 1")
+        ynorm = float(np.linalg.norm(y))
         if ynorm > 1.0 + TOL.unit_norm_slack:
             raise ValueError(f"observation norm {ynorm} exceeds 1")
         eta = float(self.schedule(t))

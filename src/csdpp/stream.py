@@ -14,10 +14,11 @@ are rejected with their line number.  Labels materialize as dense vectors in
 attributes, dense or sparse data rows) with labels named by a companion list,
 which is how Mulan-style corpora are distributed.
 
-Stream construction applies, in order: optional dataset-level feature
-normalization (min-max to [0,1], then division by sqrt(d), so ||x|| <= 1),
-seeded permutation, truncation to a step budget, and seeded one-sided label
-noise (each positive flips to negative independently with probability p).
+Dataset-level feature normalization (min-max to [0,1], then division by
+sqrt(d), so ||x|| <= 1) is `normalize_features`, applied once to the parsed
+dataset by the caller.  Stream construction (`build_stream`) then applies, in
+order: seeded permutation, truncation to a step budget, and seeded one-sided
+label noise (each positive flips to negative independently with probability p).
 
 All randomness in the package flows through `substream(seed, purpose)`:
 independent named substreams of a single seed, so components never share or
@@ -94,7 +95,6 @@ class StreamConfig:
     seed: int = 0
     noise_p: float = 0.0
     limit: int | None = None
-    normalize: bool = True
 
 
 def parse_sparse_labels(text: str) -> tuple[list[Instance], int, int]:
@@ -296,9 +296,8 @@ def normalize_features(instances: list[Instance]) -> list[Instance]:
 
 
 def build_stream(instances: list[Instance], config: StreamConfig) -> list[Instance]:
-    """normalize -> permute -> truncate -> label noise, each step seeded."""
-    out = normalize_features(instances) if config.normalize else list(instances)
-    out = permute_stream(out, config.seed)
+    """permute -> truncate -> label noise, each step seeded."""
+    out = permute_stream(instances, config.seed)
     if config.limit is not None:
         if config.limit < 0:
             raise ValueError("limit must be non-negative")

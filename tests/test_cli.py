@@ -17,10 +17,9 @@ _RUN_REPEAT = cli._run_repeat
 
 def _crash_o_rand_cell(payload):
     """Stand-in for the cell runner: the o-rand cell kills its worker once the o-br CSV exists."""
-    spec = payload["spec"]
-    if spec["algo"] != "o-rand":
+    if payload["config"].algorithm != "o-rand":
         return _RUN_REPEAT(payload)
-    finished = spec["csv_path"].replace("o-rand", "o-br")
+    finished = payload["csv"].replace("o-rand", "o-br")
     deadline = time.monotonic() + 60
     while not os.path.exists(finished) and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -178,12 +177,31 @@ class TestRunCommand:
         assert exc.value.code == 2
 
     def test_worker_pool_matches_serial(self, dataset, tmp_path):
-        args = ["run", "--dataset", dataset, "--algo", "dpp-naive", "--repeats", "2", "--seed", "3"]
-        serial = str(tmp_path / "serial")
-        pooled = str(tmp_path / "pooled")
-        assert run_cli(*args, "--output", serial) == 0
-        assert run_cli(*args, "--output", pooled, "--workers", "2") == 0
-        assert read_all(serial) == read_all(pooled)
+        for normalize in ([], ["--no-normalize"]):
+            args = ["run", "--dataset", dataset, "--algo", "dpp-naive", "--repeats", "2", "--seed", "3",
+                    "--limit", "50", "--noise-p", "0", "--noise-p", "0.25", *normalize]
+            serial = str(tmp_path / f"serial{len(normalize)}")
+            pooled = str(tmp_path / f"pooled{len(normalize)}")
+            assert run_cli(*args, "--output", serial) == 0
+            assert run_cli(*args, "--output", pooled, "--workers", "2") == 0
+            assert read_all(serial) == read_all(pooled)
+            assert len(read_all(serial)) == 6
+
+    def test_dataset_is_normalized_once(self, dataset, tmp_path, monkeypatch):
+        calls = []
+        normalize = csdpp.stream.normalize_features
+
+        def counting(instances):
+            calls.append(len(instances))
+            return normalize(instances)
+
+        monkeypatch.setattr(csdpp.stream, "normalize_features", counting)
+        monkeypatch.delenv("CSDPP_WORKERS", raising=False)
+        out = tmp_path / "res"
+        assert run_cli("run", "--dataset", dataset, "--algo", "o-br", "--algo", "dpp-pbc",
+                       "--repeats", "2", "--output", str(out)) == 0
+        assert calls == [80]
+        assert len(os.listdir(out)) == 6
 
     def test_worker_env_variable(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setenv("CSDPP_WORKERS", "2")
@@ -232,6 +250,46 @@ class TestRunErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--dataset", dataset, "--m-frac", "1.5")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--limit", "0"], "--limit must be >= 1, got 0"),
+        (["--limit", "-1"], "--limit must be >= 1, got -1"),
+        (["--noise-p", "0", "--noise-p", "1.5"], "--noise-p must lie in [0, 1], got 1.5"),
+    ])
+    def test_bad_stream_shaping_is_usage_error(self, dataset, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", dataset, *argv, "--output", str(tmp_path / "res"))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    def test_empty_dataset_is_one_runtime_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("8 6 0\n", encoding="utf-8")
+        code = run_cli("run", "--dataset", str(empty), "--algo", "o-br", "--algo", "dpp-pbc",
+                       "--repeats", "2", "--output", str(tmp_path / "res"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: the dataset has no instances\n"
+        assert not (tmp_path / "res").exists()
+
+    def test_unwritable_csv_fails_only_its_cell(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("CSDPP_WORKERS", raising=False)
+        out = tmp_path / "res"
+        (out / "o-br_hamming_mf0.25_p0_r0.csv").mkdir(parents=True)
+        code = run_cli("run", "--dataset", dataset, "--algo", "o-br", "--repeats", "2", "--output", str(out))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: cell o-br_hamming_mf0.25_p0 repeat 0:")
+        assert err[1:] == ["error: 1 of 2 cell repeats failed"]
+        assert (out / "o-br_hamming_mf0.25_p0_r1.csv").is_file()
+        assert sorted(os.listdir(out)) == ["o-br_hamming_mf0.25_p0_r0.csv", "o-br_hamming_mf0.25_p0_r1.csv"]
+
+    def test_uncreatable_output_directory_is_runtime_error(self, dataset, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("", encoding="utf-8")
+        code = run_cli("run", "--dataset", dataset, "--output", str(blocker / "sub"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot create output directory: ")
 
     def test_zero_repeats_is_usage_error(self, dataset):
         with pytest.raises(SystemExit) as exc:
@@ -348,6 +406,13 @@ class TestVerifyCommand:
         assert run_cli("verify", "bounds", "--trials", "400", "--mutant", "drop-residual") == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["passed"] is False
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trials_is_usage_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "lemma1", "--trials", trials)
+        assert exc.value.code == 2
+        assert f"--trials must be >= 1, got {trials}" in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

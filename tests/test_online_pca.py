@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ class TestUpdate:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="observation must be finite"):
                 st.update(np.array([0.5, bad, 0.0, 0.0]), 1)
+        np.testing.assert_array_equal(st.reconstruct(), before)
+
+    def test_rejects_huge_finite_observation_without_overflow(self):
+        st = CappedMsgState.initialize(4, 1, seed=0)
+        before = st.reconstruct()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds 1"):
+                st.update(np.array([0.5, 1e200, 0.0, 0.0]), 1)
         np.testing.assert_array_equal(st.reconstruct(), before)
 
     def test_small_step_keeps_frame_orientation(self):
