@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import evaluation, stream, verify
-from .costs import available_costs, get_cost
+from .costs import available_costs
 from .learners import ALGORITHMS, LearnerConfig, make_learner, play
 from .stream import StreamConfig, build_stream, parse_dataset
 
@@ -158,9 +158,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if merged["limit"] is not None and merged["limit"] < 1:
         parser.error(f"--limit must be >= 1, got {merged['limit']}")
     for name in merged["cost"]:
-        try:
-            get_cost(name)
-        except ValueError:
+        if name not in available_costs():
             parser.error(f"unknown cost {name!r}; available: {available_costs()}")
     for algo in merged["algo"]:
         if algo not in ALGORITHMS:
@@ -296,7 +294,12 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         summary = evaluation.summarize_finals([f for _, f in finals])
         summary["cell"] = stem
         summary["seed_base"] = merged["seed"]
-        evaluation.write_json(os.path.join(out_dir, f"{stem}_summary.json"), summary)
+        path = os.path.join(out_dir, f"{stem}_summary.json")
+        try:
+            evaluation.write_json(path, summary)
+        except OSError as exc:
+            print(f"error: cannot write summary {path}: {exc}", file=sys.stderr)
+            return 1
     print(f"wrote {len(jobs)} cost traces and {len(by_stem)} summaries to {out_dir}")
     return 0
 
@@ -307,6 +310,11 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             parser.error(f"unknown suite {name!r}; available: {sorted(verify.SUITES)}")
     if args.trials is not None and args.trials < 1:
         parser.error(f"--trials must be >= 1, got {args.trials}")
+    for name in args.cost or []:
+        if name not in available_costs():
+            parser.error(f"unknown cost {name!r}; available: {available_costs()}")
+    if args.mutant is not None and args.mutant not in verify.MUTANTS.values():
+        parser.error(f"unknown mutant {args.mutant!r}; available: {sorted(verify.MUTANTS.values())}")
     kwargs: dict = {"seed": args.seed, "mutant": args.mutant}
     if args.trials is not None:
         kwargs.update(

@@ -1,25 +1,28 @@
 """Cost functions on {-1,+1}^K label vectors and per-label weight extraction.
 
-Costs map (truth, prediction) to [0, 1], 0 iff equal where defined.  The four
-built-ins:
+A cost is a ratio of integers computed from the confusion counts tp, fp, fn,
+tn: the labels positive in both truth and prediction, only in the prediction,
+only in the truth, and in neither.  Costs lie in [0, 1], 0 iff equal where
+defined.  The four built-ins, each 0 where its denominator is:
 
-  hamming   : (# disagreeing labels) / K
-  rank      : averaged pairwise misorder between positive and negative truth
-              labels, ties counted 1/2; 0 when truth has no positive/negative pair
-  f1        : 1 - 2|P ∩ P'| / (|P| + |P'|) with P, P' the positive sets;
-              0 when both sets are empty
-  accuracy  : 1 - |P ∩ P'| / |P ∪ P'|; 0 when the union is empty
+  hamming   : (fp + fn) / K
+  rank      : (2 fn fp + tp fp + fn tn) / (2 (tp + fn) (fp + tn)), the averaged
+              pairwise misorder of positive and negative truth labels, ties 1/2
+  f1        : (fp + fn) / (2 tp + fp + fn) = 1 - F1
+  accuracy  : (fp + fn) / (tp + fp + fn) = 1 - |P ∩ P'| / |P ∪ P'|
 
 Per-label weights come from a sequential decomposition: walking the labels in
-a given order with a working copy that starts at the prediction, the weight of
-label k is |c(truth, forced-wrong at k) - c(truth, forced-right at k)| with all
+a given order from the prediction, correcting one label at a time, the weight
+of label k is |c(truth, k forced wrong) - c(truth, k forced right)| with all
 earlier labels already corrected.  Summed over the disagreement set these
 weights reproduce the full cost exactly (telescoping), provided forcing a label
 wrong never lowers the cost -- `check_condition` probes that hypothesis.
 
-Built-in costs evaluate internally in exact rationals so weight differences
-are exact: with the hamming cost every weight is the same double as 1/K, which
-downstream lets the cost-weighted learner degenerate bit-for-bit to the
+Prefix and suffix sums of per-label confusion indicators give every
+position's forced-wrong and forced-right counts; each gap is then one float64
+division of integers below 2**53, the double nearest the exact rational (as
+the rational walk `verify.walk_gaps` gives).  So every hamming weight is the
+exact double 1/K, and the cost-weighted learner degenerates bit for bit to the
 unweighted one.
 """
 
@@ -50,62 +53,48 @@ __all__ = [
     "random_order",
 ]
 
+_ONE_HOT = np.eye(4, dtype=np.int64)  # one row per confusion category
+
 
 def _validate_pair(y: np.ndarray, yhat: np.ndarray) -> None:
     if y.shape != yhat.shape or y.ndim != 1 or y.size == 0:
         raise ValueError(f"label vectors must share a non-empty 1-d shape, got {y.shape} vs {yhat.shape}")
-    if not (np.all(np.abs(y) == 1) and np.all(np.abs(yhat) == 1)):
+    if not ((np.abs(y) == 1).all() and (np.abs(yhat) == 1).all()):
         raise ValueError("label vectors must take values in {-1,+1}")
 
 
-def _ham(y: np.ndarray, yhat: np.ndarray) -> Fraction:
-    return Fraction(int(np.count_nonzero(y != yhat)), y.size)
-
-
-def _rank(y: np.ndarray, yhat: np.ndarray) -> Fraction:
-    pos = y == 1
-    neg = ~pos
-    npos = int(np.count_nonzero(pos))
-    nneg = y.size - npos
-    if npos == 0 or nneg == 0:
-        return Fraction(0)
-    p1 = int(np.count_nonzero(yhat[pos] == 1))
-    p0 = npos - p1
-    n1 = int(np.count_nonzero(yhat[neg] == 1))
-    n0 = nneg - n1
-    # misordered pairs count 1, tied pairs count 1/2
-    return Fraction(2 * p0 * n1 + p1 * n1 + p0 * n0, 2 * npos * nneg)
-
-
-def _f1(y: np.ndarray, yhat: np.ndarray) -> Fraction:
-    inter = int(np.count_nonzero((y == 1) & (yhat == 1)))
-    denom = int(np.count_nonzero(y == 1)) + int(np.count_nonzero(yhat == 1))
-    if denom == 0:
-        return Fraction(0)
-    return Fraction(denom - 2 * inter, denom)
-
-
-def _acc(y: np.ndarray, yhat: np.ndarray) -> Fraction:
-    inter = int(np.count_nonzero((y == 1) & (yhat == 1)))
-    union = int(np.count_nonzero((y == 1) | (yhat == 1)))
-    if union == 0:
-        return Fraction(0)
-    return Fraction(union - inter, union)
+def _category(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
+    """Each label's confusion category: 0 tp, 1 fp, 2 fn, 3 tn."""
+    return 2 * (yhat != 1) + (y != 1)
 
 
 @dataclass(frozen=True)
 class CostFunction:
-    """A named cost; ``raw`` may return Fraction (exact) or float."""
+    """A named cost: ``counts(tp, fp, fn, tn)`` maps int64 counts to integer (numerator, denominator >= 1)."""
 
     name: str
-    raw: Callable[[np.ndarray, np.ndarray], Fraction | float]
+    counts: Callable
     condition_verified: bool = False  # weight-decomposition hypothesis known to hold
+
+    def raw(self, y: np.ndarray, yhat: np.ndarray) -> Fraction:
+        num, den = _priced(self, np.bincount(_category(y, yhat), minlength=4))
+        return Fraction(int(num), int(den))
 
     def __call__(self, y: np.ndarray, yhat: np.ndarray) -> float:
         y = np.asarray(y)
         yhat = np.asarray(yhat)
         _validate_pair(y, yhat)
         return float(self.raw(y, yhat))
+
+
+def _priced(cost: CostFunction, confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cost.counts`` of the (4, ...) int64 array of (tp, fp, fn, tn), checked."""
+    num, den = (np.asarray(v) for v in cost.counts(*confusion))
+    if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
+        raise ValueError(f"cost {cost.name!r}: counts must return integers, got {num.dtype} / {den.dtype}")
+    if den.min() < 1:
+        raise ValueError(f"cost {cost.name!r}: counts returned a denominator below 1")
+    return num.astype(np.int64, copy=False), den.astype(np.int64, copy=False)
 
 
 _REGISTRY: dict[str, CostFunction] = {}
@@ -129,10 +118,17 @@ def available_costs() -> list[str]:
     return sorted(_REGISTRY)
 
 
-HAMMING = register_cost(CostFunction("hamming", _ham, condition_verified=True))
-RANK = register_cost(CostFunction("rank", _rank, condition_verified=True))
-F1 = register_cost(CostFunction("f1", _f1, condition_verified=True))
-ACCURACY = register_cost(CostFunction("accuracy", _acc, condition_verified=True))
+def _builtin(name: str, counts: Callable) -> CostFunction:
+    return register_cost(CostFunction(name, counts, condition_verified=True))
+
+
+# a built-in's numerator is 0 wherever its denominator is, so a floor of 1 prices that case 0
+HAMMING = _builtin("hamming", lambda tp, fp, fn, tn: (fp + fn, tp + fp + fn + tn))
+RANK = _builtin(
+    "rank", lambda tp, fp, fn, tn: (2 * fn * fp + tp * fp + fn * tn, np.maximum(2 * (tp + fn) * (fp + tn), 1))
+)
+F1 = _builtin("f1", lambda tp, fp, fn, tn: (fp + fn, np.maximum(2 * tp + fp + fn, 1)))
+ACCURACY = _builtin("accuracy", lambda tp, fp, fn, tn: (fp + fn, np.maximum(tp + fp + fn, 1)))
 
 
 def hamming_loss(y, yhat) -> float:
@@ -167,14 +163,35 @@ class WeightDiagonal:
     sqrt_deltas: np.ndarray
 
 
+def _gaps(cost: CostFunction, y: np.ndarray, yhat: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Each label's signed gap c(forced wrong) - c(forced right), walking ``order`` along the last axis."""
+    y = np.take_along_axis(y, order, axis=-1)
+    neg = y != 1
+    # one-hot confusion rows per position: the label as predicted, corrected, forced wrong
+    predicted = _ONE_HOT[_category(y, np.take_along_axis(yhat, order, axis=-1))]
+    corrected = _ONE_HOT[3 * neg]
+    forced = _ONE_HOT[2 - neg]
+    # forced right at p: labels up to p corrected, labels after p as predicted
+    after = predicted.sum(axis=-2, keepdims=True) - np.cumsum(predicted, axis=-2)
+    right = np.cumsum(corrected, axis=-2) + after
+    n_r, d_r = _priced(cost, np.moveaxis(right, -1, 0))
+    n_w, d_w = _priced(cost, np.moveaxis(right - corrected + forced, -1, 0))
+    # bounds |n_w| d_r, |n_r| d_w and d_w d_r: integers below 2**53 are exact doubles
+    if int(max(abs(n_w).max(), d_w.max())) * int(max(abs(n_r).max(), d_r.max())) >= 2**53:
+        raise ValueError(f"cost {cost.name!r}: count products reach 2**53, the weights would be inexact")
+    gaps = np.empty(y.shape)
+    np.put_along_axis(gaps, order, (n_w * d_r - n_r * d_w) / (d_w * d_r), axis=-1)
+    return gaps
+
+
 def label_weights(
     cost: CostFunction, y: np.ndarray, yhat: np.ndarray, order: np.ndarray | None = None
 ) -> WeightDiagonal:
     """Sequential per-label cost weights for truth y against prediction yhat.
 
-    Walks ``order`` (native order by default) holding a working vector that
-    starts at yhat and is corrected one label at a time; the weight of label j
-    is the cost gap between forcing j wrong and forcing j right at that point.
+    Walks ``order`` (native order by default) from yhat, correcting one label
+    at a time; the weight of label j is the cost gap between forcing j wrong
+    and forcing j right at that point.
     """
     y = np.asarray(y)
     yhat = np.asarray(yhat)
@@ -184,17 +201,9 @@ def label_weights(
         order = native_order(k)
     else:
         order = np.asarray(order)
-        if sorted(order.tolist()) != list(range(k)):
+        if order.shape != (k,) or not np.array_equal(np.sort(order), np.arange(k)):
             raise ValueError("order must be a permutation of range(K)")
-    cur = yhat.copy()
-    deltas = np.zeros(k, dtype=np.float64)
-    for j in order:
-        right = cur.copy()
-        right[j] = y[j]
-        wrong = cur.copy()
-        wrong[j] = -y[j]
-        deltas[j] = float(abs(cost.raw(y, wrong) - cost.raw(y, right)))
-        cur[j] = y[j]
+    deltas = np.abs(_gaps(cost, y, yhat, order))
     return WeightDiagonal(deltas, np.sqrt(deltas))
 
 
@@ -212,38 +221,22 @@ class ConditionReport:
         return not self.violations
 
 
-def check_condition(
-    cost: CostFunction, trials: int, k_max: int, seed: int = 0, tol: float = 1e-12
-) -> ConditionReport:
-    """Sample (y, yhat, order, position) tuples and test the gap never dips below 0."""
+def check_condition(cost: CostFunction, trials: int, k_max: int, seed: int = 0) -> ConditionReport:
+    """Sample (y, yhat, order) triples and test that no label's gap dips below 0."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     rng = substream(seed, PURPOSE_LABEL_ORDER)
     report = ConditionReport(cost.name, trials)
     signs = np.array([-1, 1], dtype=np.int8)
-    for _ in range(trials):
-        k = int(rng.integers(2, k_max + 1))
-        y = rng.choice(signs, size=k)
-        yhat = rng.choice(signs, size=k)
-        order = rng.permutation(k)
-        cur = yhat.copy()
-        for j in order:
-            right = cur.copy()
-            right[j] = y[j]
-            wrong = cur.copy()
-            wrong[j] = -y[j]
-            gap = float(cost.raw(y, wrong)) - float(cost.raw(y, right))
-            report.checked += 1
-            if gap < -tol:
-                if len(report.violations) < 20:
-                    report.violations.append(
-                        {
-                            "y": y.tolist(),
-                            "yhat": yhat.tolist(),
-                            "order": order.tolist(),
-                            "label": int(j),
-                            "gap": gap,
-                        }
-                    )
-            cur[j] = y[j]
+    sizes = rng.integers(2, k_max + 1, size=trials)
+    for k in np.unique(sizes):  # the triples with k labels, as one batch
+        n = int(np.count_nonzero(sizes == k))
+        y = rng.choice(signs, size=(n, k))
+        yhat = rng.choice(signs, size=(n, k))
+        order = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+        gaps = _gaps(cost, y, yhat, order)
+        report.checked += gaps.size
+        for i, j in np.argwhere(gaps < 0)[: 20 - len(report.violations)]:
+            witness = {"y": y[i].tolist(), "yhat": yhat[i].tolist(), "order": order[i].tolist()}
+            report.violations.append({**witness, "label": int(j), "gap": float(gaps[i, j])})
     return report

@@ -42,7 +42,6 @@ __all__ = [
     "theorem2_bound",
     "trace_from_records",
     "write_cost_csv",
-    "write_regret_csv",
     "summarize_finals",
     "write_json",
     "atomic_write_text",
@@ -230,16 +229,6 @@ def write_cost_csv(path: str, trace: CostTrace, header: dict | None = None) -> N
     lines = _header_lines(header)
     lines.append("t,avg_cost")
     lines.extend(f"{t},{avg!r}" for t, avg in enumerate(trace.averages, start=1))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_regret_csv(path: str, report: RegretReport, header: dict | None = None) -> None:
-    lines = _header_lines(header)
-    lines.append("t,delta,avg_regret")
-    lines.extend(
-        f"{t},{delta!r},{avg!r}"
-        for t, delta, avg in zip(report.steps, report.deltas, report.avg_regret)
-    )
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -34,7 +34,6 @@ diagonal actually used, and counts violations beyond tolerance.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,12 +84,9 @@ _PLANS = {
 }
 
 
-def decode(basis: np.ndarray, code: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
-    """Componentwise sign of basis^T code (+ offset); sign(0) resolves to +1."""
-    v = basis.T @ code
-    if offset is not None:
-        v = v + offset
-    return np.where(v >= 0.0, 1, -1).astype(np.int8)
+def decode(basis: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Componentwise sign of basis^T code; sign(0) resolves to +1."""
+    return np.where(basis.T @ code >= 0.0, 1, -1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -129,12 +125,11 @@ class LearnerConfig:
 
 @dataclass
 class PredictionRecord:
-    """One step's outcome: prediction, its price under the configured cost, wall time."""
+    """One step's outcome: the prediction and its price under the configured cost."""
 
     t: int
     y_hat: np.ndarray
     incurred_cost: float
-    elapsed: float
 
 
 @dataclass
@@ -240,7 +235,6 @@ class Learner:
         return self._decode(self.predict_code(x))
 
     def step(self, x: np.ndarray, y: np.ndarray) -> PredictionRecord:
-        start = time.perf_counter()
         self.t += 1
         basis = new_basis = self.basis
         code = self.predict_code(x)
@@ -272,7 +266,7 @@ class Learner:
         else:  # a rotated head encodes with the basis it is turned onto, a plain one with the old
             self.head.update(x, target, new_basis if self.head.basis is not None else basis)
         self.basis = new_basis
-        return PredictionRecord(self.t, y_hat, incurred, time.perf_counter() - start)
+        return PredictionRecord(self.t, y_hat, incurred)
 
     def regret_snapshot(self) -> dict:
         """State entering the next step, for expected-regret accounting."""

@@ -12,6 +12,7 @@ suites honest: a check that cannot catch its own canonical bug proves nothing.
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,17 +133,33 @@ def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str 
     return report
 
 
-def _weights_for(cost, y, yhat, order, mutant):
-    if mutant != "static-context":
-        return costs_mod.label_weights(cost, y, yhat, order).deltas
-    deltas = np.zeros(y.size)
-    for j in order:  # defect: earlier labels never corrected
-        wrong = yhat.copy()
+def walk_gaps(cost, y: np.ndarray, yhat: np.ndarray, order: np.ndarray, correct: bool = True) -> np.ndarray:
+    """Oracle for `costs.label_weights`: each label's signed gap c(wrong) - c(right).
+
+    Walks ``order`` on copies in exact rationals; ``correct=False`` never corrects
+    earlier labels, which is lemma3's static-context defect.
+    """
+    cur = yhat.copy()
+    gaps = np.zeros(y.size)
+    for j in order:
+        wrong = cur.copy()
         wrong[j] = -y[j]
-        right = yhat.copy()
+        right = cur.copy()
         right[j] = y[j]
-        deltas[j] = float(abs(cost.raw(y, wrong) - cost.raw(y, right)))
-    return deltas
+        gaps[j] = float(cost.raw(y, wrong) - cost.raw(y, right))
+        if correct:
+            cur[j] = y[j]
+    return gaps
+
+
+def _triple(y: np.ndarray, yhat: np.ndarray, order: np.ndarray) -> dict:
+    return {"k": y.size, "y": y.tolist(), "yhat": yhat.tolist(), "order": order.tolist()}
+
+
+def _weights_for(cost, y, yhat, order, mutant):
+    if mutant == "static-context":
+        return np.abs(walk_gaps(cost, y, yhat, order, correct=False))
+    return costs_mod.label_weights(cost, y, yhat, order).deltas
 
 
 def suite_lemma3(
@@ -153,42 +170,38 @@ def suite_lemma3(
     cost_names: list[str] | None = None,
     mutant: str | None = None,
 ) -> SuiteReport:
-    """Weight decomposition reproduces the cost on the disagreement set."""
+    """Weights reproduce the cost on the disagreement set and equal the rational walk bit for bit."""
     names = cost_names or ["hamming", "rank", "f1", "accuracy"]
-    report = SuiteReport(
-        "lemma3",
-        True,
-        params={"random_trials": random_trials, "condition_trials": condition_trials, "costs": names},
-    )
+    walk_trials = max(1, random_trials // 50)  # the walk is O(K^2) per triple, at K up to 64
+    params = {"random_trials": random_trials, "walk_trials": walk_trials, "condition_trials": condition_trials}
+    report = SuiteReport("lemma3", True, params={**params, "costs": names})
     signs = np.array([-1, 1], dtype=np.int8)
+    exhaustive = [  # every (y, yhat, order) at K <= 4
+        (signs[(i >> np.arange(k)) & 1], signs[(j >> np.arange(k)) & 1], np.array(order))
+        for k in range(1, 5)
+        for i in range(2**k)
+        for j in range(2**k)
+        for order in itertools.permutations(range(k))
+    ]
     for name in names:
         cost = costs_mod.get_cost(name)
-        worst = 0.0
-        witness: dict = {}
-        for k in (3, 4):  # exhaustive, native and reversed orders
-            orders = [np.arange(k), np.arange(k)[::-1].copy()]
-            grid = [signs[(i >> np.arange(k)) & 1] for i in range(2**k)]
-            for y in grid:
-                for yhat in grid:
-                    total = float(cost.raw(y, yhat))
-                    for order in orders:
-                        deltas = _weights_for(cost, y, yhat, order, mutant)
-                        gap = abs(float(np.sum(deltas[y != yhat])) - total)
-                        if gap > worst:
-                            worst = gap
-                            witness = {"k": k, "y": y.tolist(), "yhat": yhat.tolist()}
         rng = substream(seed, 101)
-        for _ in range(random_trials):
-            k = int(rng.integers(2, k_max + 1))
-            y = rng.choice(signs, size=k)
-            yhat = rng.choice(signs, size=k)
-            order = rng.permutation(k)
-            deltas = _weights_for(cost, y, yhat, order, mutant)
-            gap = abs(float(np.sum(deltas[y != yhat])) - float(cost.raw(y, yhat)))
+
+        def draw(k: int) -> tuple:
+            return rng.choice(signs, size=k), rng.choice(signs, size=k), rng.permutation(k)
+
+        sampled = [draw(int(rng.integers(2, k_max + 1))) for _ in range(random_trials)]
+        walked = exhaustive + [draw(int(rng.integers(1, 65))) for _ in range(walk_trials)]
+        weights = [_weights_for(cost, y, yhat, order, mutant) for y, yhat, order in walked + sampled]
+        worst, witness = 0.0, {}
+        for w, (y, yhat, order) in zip(weights, walked + sampled):
+            gap = abs(float(np.sum(w[y != yhat])) - float(cost.raw(y, yhat)))
             if gap > worst:
-                worst = gap
-                witness = {"k": k, "y": y.tolist(), "yhat": yhat.tolist(), "order": order.tolist()}
+                worst, witness = gap, _triple(y, yhat, order)
         _check(report, f"decomposition-{name}", worst <= 1e-12, max_abs_gap=worst, **witness)
+        bad = [t for t, w in zip(walked, weights) if not np.array_equal(w, np.abs(walk_gaps(cost, *t)))]
+        witness = _triple(*bad[0]) if bad else {}
+        _check(report, f"walk-agreement-{name}", not bad, triples=len(walked), **witness)
         if condition_trials:
             probe = costs_mod.check_condition(cost, condition_trials, k_max=10, seed=seed)
             _check(

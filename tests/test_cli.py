@@ -284,6 +284,17 @@ class TestRunErrors:
         assert (out / "o-br_hamming_mf0.25_p0_r1.csv").is_file()
         assert sorted(os.listdir(out)) == ["o-br_hamming_mf0.25_p0_r0.csv", "o-br_hamming_mf0.25_p0_r1.csv"]
 
+    def test_unwritable_summary_is_runtime_error(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("CSDPP_WORKERS", raising=False)
+        out = tmp_path / "res"
+        blocker = out / "o-br_hamming_mf0.25_p0_summary.json"
+        blocker.mkdir(parents=True)
+        code = run_cli("run", "--dataset", dataset, "--algo", "o-br", "--output", str(out))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write summary {blocker}: ")
+        assert (out / "o-br_hamming_mf0.25_p0_r0.csv").is_file()
+
     def test_uncreatable_output_directory_is_runtime_error(self, dataset, tmp_path, capsys):
         blocker = tmp_path / "afile"
         blocker.write_text("", encoding="utf-8")
@@ -400,12 +411,24 @@ class TestVerifyCommand:
         assert run_cli("verify", "lemma3", "--cost", "rank", "--trials", "400") == 0
         payload = json.loads(capsys.readouterr().out)
         names = [c["name"] for c in payload[0]["checks"]]
-        assert names == ["decomposition-rank", "condition-rank"]
+        assert names == ["decomposition-rank", "walk-agreement-rank", "condition-rank"]
 
     def test_mutant_fails_with_exit_1(self, capsys):
         assert run_cli("verify", "bounds", "--trials", "400", "--mutant", "drop-residual") == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["passed"] is False
+
+    def test_unknown_cost_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "lemma3", "--cost", "nope")
+        assert exc.value.code == 2
+        assert "unknown cost 'nope'; available: ['accuracy', 'f1', 'hamming', 'rank']" in capsys.readouterr().err
+
+    def test_unknown_mutant_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "projection", "--mutant", "nearest-brekpoint")
+        assert exc.value.code == 2
+        assert "unknown mutant 'nearest-brekpoint'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_non_positive_trials_is_usage_error(self, capsys, trials):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from csdpp.costs import (
     rank_loss,
     register_cost,
 )
+from csdpp.verify import walk_gaps
 
 Y = np.array([1, -1, 1], dtype=np.int8)
 YHAT = np.array([1, 1, -1], dtype=np.int8)
@@ -70,7 +72,7 @@ class TestCostValues:
         assert get_cost("rank").name == "rank"
         with pytest.raises(ValueError, match="unknown cost"):
             get_cost("nope")
-        custom = CostFunction("always-zero", lambda y, yhat: 0.0)
+        custom = CostFunction("always-zero", lambda tp, fp, fn, tn: (0, 1))
         register_cost(custom)
         try:
             assert get_cost("always-zero")(Y, YHAT) == 0.0
@@ -128,12 +130,54 @@ class TestLabelWeights:
         # the weighting matrix C = diag(sqrt(deltas)) is applied as the vector sqrt_deltas
         w = label_weights(get_cost("hamming"), Y, YHAT)
         np.testing.assert_allclose(w.sqrt_deltas * Y, Y / np.sqrt(3), atol=1e-15)
-        label_1_only = CostFunction("label-1-only", lambda y, yhat: Fraction(int(y[1] != yhat[1]), 3))
-        wd = label_weights(label_1_only, Y, YHAT)
-        np.testing.assert_array_equal(wd.deltas, [0.0, 1 / 3, 0.0])
-        np.testing.assert_allclose(
-            wd.sqrt_deltas * np.array([1, 1, -1]), [0, 1 / np.sqrt(3), 0], atol=1e-15
-        )
+        # a cost that prices only missed positives silences the negative label
+        false_negatives = CostFunction("false-negatives", lambda tp, fp, fn, tn: (fn, tp + fp + fn + tn))
+        wd = label_weights(false_negatives, Y, YHAT)
+        np.testing.assert_array_equal(wd.deltas, [1 / 3, 0.0, 1 / 3])
+        np.testing.assert_allclose(wd.sqrt_deltas * Y, [1 / np.sqrt(3), 0, 1 / np.sqrt(3)], atol=1e-15)
+
+    def test_weights_equal_the_rational_walk(self):
+        # bit for bit: every order at K <= 4, then random triples at K <= 64
+        signs = np.array([-1, 1], dtype=np.int8)
+        triples = [
+            (signs[(i >> np.arange(k)) & 1], signs[(j >> np.arange(k)) & 1], np.array(order))
+            for k in range(1, 5)
+            for i in range(2**k)
+            for j in range(2**k)
+            for order in itertools.permutations(range(k))
+        ]
+        rng = np.random.default_rng(4)
+        for _ in range(150):
+            k = int(rng.integers(1, 65))
+            p = rng.uniform(0.05, 0.95)
+            y = np.where(rng.random(k) < p, 1, -1).astype(np.int8)
+            yhat = np.where(rng.random(k) < p, 1, -1).astype(np.int8)
+            triples.append((y, yhat, rng.permutation(k)))
+        for name in available_costs():
+            cost = get_cost(name)
+            for y, yhat, order in triples:
+                got = label_weights(cost, y, yhat, order).deltas
+                np.testing.assert_array_equal(got, np.abs(walk_gaps(cost, y, yhat, order)))
+
+    def test_exactness_guard(self):
+        # balanced rank denominators are 2 (K/2)^2, so their square reaches 2**53 between K = 13,000 and 14,000
+        rank = get_cost("rank")
+        y = np.tile(np.array([1, -1], dtype=np.int8), 6_500)
+        assert label_weights(rank, y, -y).deltas.sum() == pytest.approx(rank(y, -y), abs=1e-9)
+        y = np.tile(np.array([1, -1], dtype=np.int8), 7_000)
+        with pytest.raises(ValueError, match="'rank'.*2\\*\\*53"):
+            label_weights(rank, y, -y)
+        huge = CostFunction("huge", lambda tp, fp, fn, tn: (fp + fn, (tp + fp + fn + tn) * 2**40))
+        with pytest.raises(ValueError, match="'huge'.*2\\*\\*53"):
+            label_weights(huge, Y, YHAT)
+        fractional = CostFunction("fractional", lambda tp, fp, fn, tn: ((fp + fn) / 2, tp + fp + fn + tn))
+        with pytest.raises(ValueError, match="'fractional'.*integers"):
+            label_weights(fractional, Y, YHAT)
+        with pytest.raises(ValueError, match="'fractional'.*integers"):
+            fractional(Y, YHAT)
+        unpriced = CostFunction("unpriced", lambda tp, fp, fn, tn: (fp + fn, tp - tp))
+        with pytest.raises(ValueError, match="'unpriced'.*denominator below 1"):
+            label_weights(unpriced, Y, YHAT)
 
     def test_zero_weights_silence_every_label(self):
         # the rank cost is 0 when the truth has no positive/negative pair
@@ -159,12 +203,12 @@ class TestCondition:
             assert report.passed, report.violations[:1]
 
     def test_constant_zero_cost_passes(self):
-        zero = CostFunction("zero", lambda y, yhat: 0.0)
+        zero = CostFunction("zero", lambda tp, fp, fn, tn: (0, 1))
         assert check_condition(zero, trials=200, k_max=6).passed
 
     def test_violating_cost_is_caught(self):
         # rewards wrongness: gap goes negative
-        bad = CostFunction("bad", lambda y, yhat: float(np.count_nonzero(y == yhat)) / y.size)
+        bad = CostFunction("bad", lambda tp, fp, fn, tn: (tp + tn, tp + fp + fn + tn))
         report = check_condition(bad, trials=200, k_max=6)
         assert not report.passed
         assert report.violations[0]["gap"] < 0

@@ -7,7 +7,6 @@ import pytest
 
 from csdpp.evaluation import (
     CostTrace,
-    RegretReport,
     atomic_write_text,
     expected_regret,
     offline_plst,
@@ -17,7 +16,6 @@ from csdpp.evaluation import (
     trace_from_records,
     write_cost_csv,
     write_json,
-    write_regret_csv,
 )
 from csdpp.learners import LearnerConfig, PredictionRecord, make_learner
 from csdpp.stream import Instance, planted_subspace_stream
@@ -63,7 +61,7 @@ class TestCostTrace:
         np.testing.assert_allclose(trace.averages, direct, atol=1e-12)
 
     def test_from_records(self):
-        recs = [PredictionRecord(t, np.ones(2, dtype=np.int8), 0.5, 0.0) for t in range(1, 4)]
+        recs = [PredictionRecord(t, np.ones(2, dtype=np.int8), 0.5) for t in range(1, 4)]
         trace = trace_from_records(recs)
         assert trace.costs == [0.5, 0.5, 0.5]
 
@@ -236,12 +234,6 @@ class TestOutputs:
         trace.track(0.5)
         write_cost_csv(str(tmp_path / "t.csv"), trace)
         assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
-
-    def test_regret_csv_layout(self, tmp_path):
-        report = RegretReport(steps=[1, 2], deltas=[0.5, 0.25], avg_regret=[0.1, 0.05])
-        path = str(tmp_path / "r.csv")
-        write_regret_csv(path, report)
-        assert open(path, encoding="utf-8").read() == "t,delta,avg_regret\n1,0.5,0.1\n2,0.25,0.05\n"
 
     def test_json_sorted_round_trip(self, tmp_path):
         path = str(tmp_path / "s.json")

@@ -41,11 +41,6 @@ class TestDecode:
         for c in (0.1, 3.0, 1e6):
             np.testing.assert_array_equal(decode(basis, c * code), base)
 
-    def test_offset_shifts_threshold(self):
-        basis = np.eye(2)
-        got = decode(basis, np.array([-0.5, -0.5]), offset=np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(got, np.array([1, -1], dtype=np.int8))
-
     def test_output_dtype(self):
         assert decode(np.eye(2), np.zeros(2)).dtype == np.int8
 
@@ -98,9 +93,8 @@ class TestConfig:
             make_learner(LearnerConfig(algorithm="dpp-pbc", m=2, label_order="sorted"), 4, 6)
 
     def test_custom_cost_probe(self):
-        def rewards_wrongness(y, y_hat):
-            agree = sum(a == b for a, b in zip(y, y_hat))
-            return agree / len(y)
+        def rewards_wrongness(tp, fp, fn, tn):
+            return tp + tn, tp + fp + fn + tn
 
         register_cost(CostFunction("anti-agreement", rewards_wrongness))
         try:
@@ -158,7 +152,6 @@ class TestDeterminism:
         stream = small_stream(t=10, seed=4)
         recs = play(make_learner(LearnerConfig(algorithm="o-br"), 8, 6), stream)
         assert [r.t for r in recs] == list(range(1, 11))
-        assert all(r.elapsed >= 0 for r in recs)
 
 
 class TestCostWeightingEquivalence:

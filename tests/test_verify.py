@@ -44,6 +44,15 @@ class TestMutantsFail:
         report = run_suite(name, mutant=MUTANTS[name], **REDUCED[name])
         assert not report.passed, f"suite {name} missed its canonical defect"
 
+    def test_static_context_breaks_decomposition_and_walk_agreement(self):
+        clean = run_suite("lemma3", random_trials=50, cost_names=["f1"])
+        assert {c["name"]: c["passed"] for c in clean.checks} == {"decomposition-f1": True, "walk-agreement-f1": True}
+        assert clean.checks[1]["witness"] == {"triples": 6564 + 1}  # every order at K <= 4, one at K <= 64
+        mutant = run_suite("lemma3", random_trials=50, cost_names=["f1"], mutant="static-context")
+        checks = {c["name"]: c for c in mutant.checks}
+        assert not checks["decomposition-f1"]["passed"] and not checks["walk-agreement-f1"]["passed"]
+        assert set(checks["walk-agreement-f1"]["witness"]) == {"triples", "k", "y", "yhat", "order"}
+
     def test_unknown_mutant_is_inert(self):
         report = run_suite("projection", instances=5, mutant="not-a-real-defect")
         assert report.passed
