@@ -56,11 +56,16 @@ __all__ = [
 _ONE_HOT = np.eye(4, dtype=np.int64)  # one row per confusion category
 
 
-def _validate_pair(y: np.ndarray, yhat: np.ndarray) -> None:
+def _validate_pair(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
+    """Check that y and yhat are {-1,+1} vectors of one shape; return their (tp, fp, fn, tn)."""
     if y.shape != yhat.shape or y.ndim != 1 or y.size == 0:
         raise ValueError(f"label vectors must share a non-empty 1-d shape, got {y.shape} vs {yhat.shape}")
-    if not ((np.abs(y) == 1).all() and (np.abs(yhat) == 1).all()):
+    pos, pos_hat = y == 1, yhat == 1
+    n_pos, n_hat = np.count_nonzero(pos), np.count_nonzero(pos_hat)
+    if n_pos + n_hat + np.count_nonzero(y == -1) + np.count_nonzero(yhat == -1) != 2 * y.size:
         raise ValueError("label vectors must take values in {-1,+1}")
+    tp = np.count_nonzero(pos & pos_hat)
+    return np.array([tp, n_hat - tp, n_pos - tp, y.size - n_pos - n_hat + tp], dtype=np.int64)
 
 
 def _category(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
@@ -81,18 +86,19 @@ class CostFunction:
         return Fraction(int(num), int(den))
 
     def __call__(self, y: np.ndarray, yhat: np.ndarray) -> float:
-        y = np.asarray(y)
-        yhat = np.asarray(yhat)
-        _validate_pair(y, yhat)
-        return float(self.raw(y, yhat))
+        num, den = _priced(self, _validate_pair(np.asarray(y), np.asarray(yhat)))
+        return int(num) / int(den)  # int true division rounds correctly: the double nearest raw()
 
 
 def _priced(cost: CostFunction, confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``cost.counts`` of the (4, ...) int64 array of (tp, fp, fn, tn), checked."""
-    num, den = (np.asarray(v) for v in cost.counts(*confusion))
+    num, den = cost.counts(*confusion)
+    if isinstance(num, np.integer) and isinstance(den, np.integer) and den >= 1:
+        return num, den  # one pair's counts, priced by scalar arithmetic
+    num, den = np.asarray(num), np.asarray(den)
     if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
         raise ValueError(f"cost {cost.name!r}: counts must return integers, got {num.dtype} / {den.dtype}")
-    if den.min() < 1:
+    if np.count_nonzero(den < 1):
         raise ValueError(f"cost {cost.name!r}: counts returned a denominator below 1")
     return num.astype(np.int64, copy=False), den.astype(np.int64, copy=False)
 
@@ -185,21 +191,27 @@ def _gaps(cost: CostFunction, y: np.ndarray, yhat: np.ndarray, order: np.ndarray
 
 
 def label_weights(
-    cost: CostFunction, y: np.ndarray, yhat: np.ndarray, order: np.ndarray | None = None
+    cost: CostFunction,
+    y: np.ndarray,
+    yhat: np.ndarray,
+    order: np.ndarray | None = None,
+    *,
+    _checked: bool = False,
 ) -> WeightDiagonal:
     """Sequential per-label cost weights for truth y against prediction yhat.
 
     Walks ``order`` (native order by default) from yhat, correcting one label
     at a time; the weight of label j is the cost gap between forcing j wrong
-    and forcing j right at that point.
+    and forcing j right at that point.  ``_checked`` is for the learner, which
+    has already priced (and so validated) the pair and built the order itself.
     """
     y = np.asarray(y)
     yhat = np.asarray(yhat)
-    _validate_pair(y, yhat)
     k = y.size
     if order is None:
         order = native_order(k)
-    else:
+    if not _checked:
+        _validate_pair(y, yhat)
         order = np.asarray(order)
         if order.shape != (k,) or not np.array_equal(np.sort(order), np.arange(k)):
             raise ValueError("order must be a permutation of range(K)")

@@ -134,7 +134,6 @@ class RegretReport:
     expected_losses: list[float] = field(default_factory=list)
     reference_losses: list[float] = field(default_factory=list)
     deltas: list[float] = field(default_factory=list)          # ||U_t - P*^T P*||_2
-    avg_regret: list[float] = field(default_factory=list)      # cumulative regret / #steps
     cumulative_regret: float = 0.0
     regret_encoder: float = 0.0    # spectral-tracking share
     regret_regressor: float = 0.0  # prediction share
@@ -160,7 +159,7 @@ def expected_regret(
     running = 0.0
     running_enc = 0.0
     running_reg = 0.0
-    for count, (t, snap) in enumerate(snapshots, start=1):
+    for t, snap in snapshots:
         inst = instances[t - 1]
         x = inst.features
         y_s = inst.labels.astype(np.float64) * scale
@@ -183,7 +182,6 @@ def expected_regret(
         report.expected_losses.append(online)
         report.reference_losses.append(ref)
         report.deltas.append(float(np.max(np.abs(np.linalg.eigvalsh(u - u_star)))))
-        report.avg_regret.append(running / count)
     report.cumulative_regret = running
     report.regret_encoder = running_enc
     report.regret_regressor = running_reg

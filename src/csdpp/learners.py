@@ -242,7 +242,8 @@ class Learner:
         incurred = self.cost(y, y_hat)
 
         if self.weighted:
-            sqrt_w = costs_mod.label_weights(self.cost, y, y_hat, self.order).sqrt_deltas
+            weights = costs_mod.label_weights(self.cost, y, y_hat, self.order, _checked=True)
+            sqrt_w = weights.sqrt_deltas
         else:
             sqrt_w = self._sqrt_w
         target = sqrt_w * y

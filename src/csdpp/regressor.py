@@ -1,16 +1,28 @@
 """Online regressor mapping features to label-space or code-space targets.
 
 The ridge step rule keeps the inverse of
-A_t = lambda I + sum_{s<=t} x_s x_s^T, maintained by Sherman-Morrison rank-one
+A_t = lambda I + sum_{s<=t} x_s x_s^T through Sherman-Morrison rank-one
 downdates.  The per-step weight correction
 
     W <- W - A_prev_inv x (prediction - target)^T / (1 + x^T A_prev_inv x)
 
 uses the inverse from *before* absorbing x; expanding the recursion shows the
 result equals the exact regularized least-squares solution that includes the
-current pair, which is what the consistency tests pin down.  The exact A is
-accumulated alongside and the inverse is recomputed from it on a fixed cadence
-to stop fp drift on long streams.
+current pair, which is what the consistency tests pin down.
+
+The downdates are delayed in a panel of at most 32 rows.  Step j's downdate is
+c_j u_j u_j^T with u_j = A_{j-1}^-1 x_j and c_j = 1 / (1 + x_j^T u_j), so the
+current inverse is the inverse stored at the last flush minus U^T diag(c) U
+over the pending rows, and applying it to x costs O(d^2 + 32 d):
+
+    A_t^-1 x = A_flush^-1 x - U^T (c * (U x))
+
+When the panel fills, the pending rows are flushed with two matrix products,
+A_flush^-1 -= (U^T c) U and A_flush += X^T X, in place of two d x d rank-one
+passes per step.  Each product is taken one 64 x 64 tile at a time, small
+enough that BLAS keeps it on one thread, so a flush rounds the same at any
+BLAS thread count.  The exact A is recomputed into the inverse on a fixed
+cadence (after a flush) to stop fp drift on long streams.
 
 One head class covers every algorithm through three settings: its width (K for
 a head on label-space targets, M for a head on codes), whether it is rotated by
@@ -33,6 +45,10 @@ __all__ = [
 
 DEFAULT_REFRESH_EVERY = 10_000
 ENGINE_AUTO_THRESHOLD = 1_000_000
+_PANEL = 32  # delayed downdates flushed together
+# OpenBLAS runs a product with m n k <= 2**18 on one thread; a 64 x 64 tile of a
+# flush (k <= 32) stays well below that, so flushes round alike at any BLAS thread count
+_TILE = 64
 
 
 def suggest_engine(d: int, k: int, threshold: int = ENGINE_AUTO_THRESHOLD) -> str:
@@ -40,8 +56,20 @@ def suggest_engine(d: int, k: int, threshold: int = ENGINE_AUTO_THRESHOLD) -> st
     return "sgd" if d * k > threshold else "ridge"
 
 
+def _add_gram(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """out += left^T right, one small matrix product per tile of out."""
+    d = out.shape[0]
+    for i in range(0, d, _TILE):
+        for j in range(0, d, _TILE):
+            out[i : i + _TILE, j : j + _TILE] += left[:, i : i + _TILE].T @ right[:, j : j + _TILE]
+
+
 class RidgeAccumulator:
-    """Second-moment state behind the ridge step rule."""
+    """Second-moment state behind the ridge step rule.
+
+    ``a_inv`` and ``a`` hold the state as of the last flush; rows ``:pending``
+    of ``panel_u``, ``panel_c`` and ``panel_x`` hold the steps absorbed since.
+    """
 
     def __init__(self, d: int, lam: float = 1.0, refresh_every: int = DEFAULT_REFRESH_EVERY):
         if d < 1:
@@ -53,19 +81,36 @@ class RidgeAccumulator:
         self.refresh_every = int(refresh_every)
         self.a_inv = np.eye(d) / lam
         self.a = np.eye(d) * lam
+        self.panel_u = np.zeros((_PANEL, d))
+        self.panel_c = np.zeros(_PANEL)
+        self.panel_x = np.zeros((_PANEL, d))
+        self.pending = 0
         self.steps = 0
 
     def peek(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """(A_prev_inv x, gamma) for the pending instance; does not mutate."""
+        n = self.pending
         ainv_x = self.a_inv @ x
+        if n:
+            u = self.panel_u[:n]
+            ainv_x -= u.T @ (self.panel_c[:n] * (u @ x))
         return ainv_x, float(x @ ainv_x)
 
     def absorb(self, x: np.ndarray, ainv_x: np.ndarray, gamma: float) -> None:
-        """Rank-one downdate of the inverse; periodic exact refresh."""
-        self.a_inv -= np.outer(ainv_x, ainv_x) / (1.0 + gamma)
-        self.a += np.outer(x, x)
+        """Queue the rank-one downdate; flush a full panel; periodic exact refresh."""
+        row = self.pending
+        self.panel_u[row] = ainv_x
+        self.panel_c[row] = 1.0 / (1.0 + gamma)
+        self.panel_x[row] = x
+        self.pending = n = row + 1
         self.steps += 1
-        if self.refresh_every > 0 and self.steps % self.refresh_every == 0:
+        refresh = self.refresh_every > 0 and self.steps % self.refresh_every == 0
+        if refresh or n == _PANEL:
+            u, x_rows = self.panel_u[:n], self.panel_x[:n]
+            _add_gram(self.a_inv, -self.panel_c[:n, None] * u, u)
+            _add_gram(self.a, x_rows, x_rows)
+            self.pending = 0
+        if refresh:
             self.a_inv = np.linalg.solve(self.a, np.eye(self.d))
 
 

@@ -5,12 +5,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import csdpp
 from csdpp import cli
 from csdpp.cli import main
-from csdpp.stream import planted_subspace_stream, serialize_sparse_labels
+from csdpp.stream import Instance, planted_subspace_stream, serialize_sparse_labels
 
 _RUN_REPEAT = cli._run_repeat
 
@@ -232,6 +233,52 @@ class TestRunCommand:
             assert proc.returncode == 0, proc.stderr
             runs.append(read_all(out))
         assert len(runs[0]) == 3
+        assert runs[0] == runs[1]
+
+    def test_wide_ridge_cell_identical_across_blas_thread_counts(self, tmp_path):
+        # d=500 is wide enough for OpenBLAS to split the panel flushes across threads;
+        # 150 steps flush four 32-row panels and leave 22 rows pending in the snapshot
+        rng = np.random.default_rng(30)
+        d, k, rows = 500, 8, 150
+        insts = []
+        for _ in range(rows):
+            x = np.zeros(d)
+            nz = rng.choice(d, size=d // 20, replace=False)
+            x[nz] = rng.random(nz.size)
+            insts.append(Instance(x, rng.choice(np.array([-1, 1], dtype=np.int8), size=k)))
+        data = tmp_path / "wide.txt"
+        data.write_text(serialize_sparse_labels(insts, d, k), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(csdpp.__file__)))
+        script = (
+            "import json, sys\n"
+            "from csdpp import cli, learners, stream\n"
+            "data, out, snap = sys.argv[1:]\n"
+            "assert cli.main(['run', '--dataset', data, '--algo', 'o-br', '--algo', 'cs-dpp-pbc',\n"
+            "                 '--cost', 'f1', '--seed', '5', '--output', out]) == 0\n"
+            "insts, d, k = stream.parse_dataset(open(data, encoding='utf-8').read())\n"
+            "learner = learners.make_learner(learners.LearnerConfig(algorithm='cs-dpp-pbc', cost='f1', seed=5), d, k)\n"
+            "learners.play(learner, insts)\n"
+            "open(snap, 'w', encoding='utf-8').write(json.dumps(learners.to_snapshot(learner)))\n"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            snap = tmp_path / f"snapshot{threads}.json"
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "CSDPP_WORKERS": "1",
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(data), str(out), str(snap)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append((read_all(out), snap.read_bytes()))
+        assert len(runs[0][0]) == 4
+        assert json.loads(runs[0][1])["head"]["acc"]["pending"] == rows % 32
         assert runs[0] == runs[1]
 
 

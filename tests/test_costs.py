@@ -61,11 +61,23 @@ class TestCostValues:
         y = np.array([1, -1], dtype=np.int8)
         assert hamming_loss(y, -y) > 0 and f1_loss(y, -y) > 0 and accuracy_loss(y, -y) > 0
 
+    def test_price_is_the_double_nearest_the_exact_cost(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(1, 300))
+            y = np.where(rng.random(k) < 0.3, 1, -1).astype(np.int8)
+            yhat = np.where(rng.random(k) < 0.3, 1, -1).astype(np.int8)
+            for name in available_costs():
+                cost = get_cost(name)
+                assert cost(y, yhat) == float(cost.raw(y, yhat))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
             hamming_loss(np.array([1, -1]), np.array([1, -1, 1]))
         with pytest.raises(ValueError, match="values"):
             hamming_loss(np.array([1, 0]), np.array([1, -1]))
+        with pytest.raises(ValueError, match="values"):
+            hamming_loss(np.array([1, -1]), np.array([1.0, np.nan]))
 
     def test_registry(self):
         assert available_costs() == ["accuracy", "f1", "hamming", "rank"]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from csdpp import costs
 from csdpp.costs import _REGISTRY, CostFunction, get_cost, hamming_loss, register_cost
 from csdpp.evaluation import offline_plst
 from csdpp.learners import (
@@ -331,3 +332,11 @@ class TestLearning:
             rec = learner.step(inst.features, inst.labels)
             np.testing.assert_array_equal(rec.y_hat, predicted)
             assert rec.incurred_cost == rank(inst.labels, predicted)
+
+    def test_weighted_step_validates_its_pair_once(self, monkeypatch):
+        calls = []
+        validate = costs._validate_pair
+        monkeypatch.setattr(costs, "_validate_pair", lambda y, yhat: calls.append(1) or validate(y, yhat))
+        learner = make_learner(LearnerConfig(algorithm="cs-dpp-pbc", m=2, cost="f1", seed=3), 8, 6)
+        play(learner, small_stream(t=7, seed=14))
+        assert len(calls) == 7

@@ -25,6 +25,21 @@ def round_trip(obj, fresh):
     return from_snapshot(fresh, json.loads(json.dumps(to_snapshot(obj))))
 
 
+def applied(acc):
+    """(A^-1, A) with the pending panel rows applied, one rank-one step at a time."""
+    a_inv, a = acc.a_inv.copy(), acc.a.copy()
+    n = acc.pending
+    for u, c, x in zip(acc.panel_u[:n], acc.panel_c[:n], acc.panel_x[:n]):
+        a_inv -= c * np.outer(u, u)
+        a += np.outer(x, x)
+    return a_inv, a
+
+
+def peeked_inverse(acc):
+    """The inverse that peek applies, read off column by column."""
+    return np.stack([acc.peek(e)[0] for e in np.eye(acc.d)], axis=1)
+
+
 class TestAccumulator:
     def test_validation(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -35,10 +50,14 @@ class TestAccumulator:
     def test_inverse_tracks_exact_matrix(self):
         rng = np.random.default_rng(0)
         acc = RidgeAccumulator(4, lam=0.7, refresh_every=0)
-        for _ in range(60):
-            x = rng.standard_normal(4)
+        xs = rng.standard_normal((60, 4))
+        for x in xs:
             acc.absorb(x, *acc.peek(x))
-        np.testing.assert_allclose(acc.a_inv, np.linalg.inv(acc.a), atol=1e-10)
+        assert acc.pending == 60 - 32  # the state below includes 28 queued rows
+        a_inv, a = applied(acc)
+        np.testing.assert_allclose(a, 0.7 * np.eye(4) + xs.T @ xs, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(a_inv, np.linalg.inv(a), atol=1e-10)
+        np.testing.assert_allclose(peeked_inverse(acc), a_inv, atol=1e-13)
 
     def test_periodic_refresh_resets_drift(self):
         rng = np.random.default_rng(1)
@@ -46,19 +65,74 @@ class TestAccumulator:
         for i in range(10):
             x = rng.standard_normal(3)
             acc.absorb(x, *acc.peek(x))
+            a_inv, a = applied(acc)
+            np.testing.assert_allclose(a_inv @ a, np.eye(3), atol=1e-10)
             if acc.steps % 5 == 0:
-                np.testing.assert_allclose(acc.a_inv @ acc.a, np.eye(3), atol=1e-12)
+                assert acc.pending == 0  # a refresh flushes the panel first
+                np.testing.assert_allclose(a_inv @ a, np.eye(3), atol=1e-12)
+                np.testing.assert_array_equal(acc.a_inv, np.linalg.solve(acc.a, np.eye(3)))
 
     def test_snapshot_round_trip(self):
         rng = np.random.default_rng(2)
         acc = RidgeAccumulator(3, lam=2.0)
-        for _ in range(4):
+        for _ in range(36):
             x = rng.standard_normal(3)
             acc.absorb(x, *acc.peek(x))
+        assert acc.pending == 4
         back = round_trip(acc, RidgeAccumulator(3, lam=2.0))
-        np.testing.assert_array_equal(back.a, acc.a)
-        np.testing.assert_array_equal(back.a_inv, acc.a_inv)
-        assert back.steps == acc.steps and back.lam == acc.lam
+        for name in ("a", "a_inv", "panel_u", "panel_c", "panel_x"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(acc, name))
+        for got, want in zip(applied(back), applied(acc)):
+            np.testing.assert_array_equal(got, want)
+        assert back.steps == acc.steps and back.pending == acc.pending and back.lam == acc.lam
+
+    def test_snapshot_without_panel_is_rejected(self):
+        acc = RidgeAccumulator(3)
+        acc.absorb(np.ones(3), *acc.peek(np.ones(3)))
+        snap = to_snapshot(acc)
+        for name in ("panel_u", "panel_c", "panel_x", "pending"):
+            del snap[name]  # the layout of a snapshot without the delayed panel
+        with pytest.raises(ValueError, match="snapshot fields"):
+            from_snapshot(RidgeAccumulator(3), snap)
+
+    def test_mid_panel_snapshot_resumes_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        xs = rng.standard_normal((150, 6))
+        ys = rng.standard_normal((150, 3))
+        whole = Head(6, 3, lam=0.5)
+        first = Head(6, 3, lam=0.5)
+        for x, y in zip(xs[:45], ys[:45]):
+            whole.update(x, y)
+            first.update(x, y)
+        assert first.acc.pending == 13
+        resumed = round_trip(first, Head(6, 3, lam=0.5))
+        for x, y in zip(xs[45:], ys[45:]):  # crosses the flushes at steps 64, 96 and 128
+            whole.update(x, y)
+            resumed.update(x, y)
+        np.testing.assert_array_equal(resumed.w, whole.w)
+        for name in ("a", "a_inv", "panel_u", "panel_c", "panel_x"):
+            np.testing.assert_array_equal(getattr(resumed.acc, name), getattr(whole.acc, name))
+        assert resumed.acc.pending == whole.acc.pending == 150 % 32
+
+    def test_refresh_after_long_sparse_stream(self):
+        # 10,000 rows at d=200 with 5% nonzeros: the refresh at step 10,000 solves the
+        # dense accumulated A, which equals lambda I + X^T X, and agrees with the
+        # inverse carried by Sherman-Morrison downdates alone
+        rng = np.random.default_rng(22)
+        d, steps, lam = 200, DEFAULT_REFRESH_EVERY, 1.0
+        xs = np.zeros((steps, d))
+        for row in xs:
+            nz = rng.choice(d, size=d // 20, replace=False)
+            row[nz] = rng.random(nz.size) / np.sqrt(nz.size)
+        acc = RidgeAccumulator(d, lam)
+        carried = RidgeAccumulator(d, lam, refresh_every=0)
+        for x in xs:
+            acc.absorb(x, *acc.peek(x))
+            carried.absorb(x, *carried.peek(x))
+        assert acc.pending == 0 and carried.pending == steps % 32
+        np.testing.assert_allclose(acc.a, lam * np.eye(d) + xs.T @ xs, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(acc.a_inv, np.linalg.solve(acc.a, np.eye(d)))
+        np.testing.assert_allclose(applied(carried)[0], acc.a_inv, atol=1e-12)
 
 
 class TestLabelSpaceRidge:
@@ -143,8 +217,9 @@ class TestLabelSpaceRidge:
             head.update(rng.standard_normal(3), rng.standard_normal(2))
         back = round_trip(head, Head(3, 2, lam=0.3))
         np.testing.assert_array_equal(back.w, head.w)
-        np.testing.assert_array_equal(back.acc.a, head.acc.a)
-        np.testing.assert_array_equal(back.acc.a_inv, head.acc.a_inv)
+        assert back.acc.pending == head.acc.pending == 6
+        for got, want in zip(applied(back.acc), applied(head.acc)):
+            np.testing.assert_array_equal(got, want)
         assert back.acc.steps == head.acc.steps == 6
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csdpp.linalg import project_capped_simplex
+from csdpp.regressor import RidgeAccumulator
 from csdpp.verify import MUTANTS, SUITES, grid_projection_oracle, run_suite, run_suites
 
 # trimmed trial counts: enough signal for the defect injectors, quick in CI
@@ -52,6 +53,16 @@ class TestMutantsFail:
         checks = {c["name"]: c for c in mutant.checks}
         assert not checks["decomposition-f1"]["passed"] and not checks["walk-agreement-f1"]["passed"]
         assert set(checks["walk-agreement-f1"]["witness"]) == {"triples", "k", "y", "yhat", "order"}
+
+    def test_peek_ignoring_pending_panel_breaks_batch_equivalence(self, monkeypatch):
+        def stale_peek(self, x):  # the inverse as of the last flush only
+            ainv_x = self.a_inv @ x
+            return ainv_x, float(x @ ainv_x)
+
+        monkeypatch.setattr(RidgeAccumulator, "peek", stale_peek)
+        report = run_suite("sherman", **REDUCED["sherman"])
+        checks = {c["name"]: c["passed"] for c in report.checks}
+        assert not report.passed and not checks["batch-equivalence"]
 
     def test_unknown_mutant_is_inert(self):
         report = run_suite("projection", instances=5, mutant="not-a-real-defect")
