@@ -18,8 +18,9 @@ earlier labels already corrected.  Summed over the disagreement set these
 weights reproduce the full cost exactly (telescoping), provided forcing a label
 wrong never lowers the cost -- `check_condition` probes that hypothesis.
 
-Prefix and suffix sums of per-label confusion indicators give every
-position's forced-wrong and forced-right counts; each gap is then one float64
+The predicted confusion counts plus a prefix sum of each label's change when
+corrected give every position's forced-right counts, and one more change
+forces the label wrong; each gap is then one float64
 division of integers below 2**53, the double nearest the exact rational (as
 the rational walk `verify.walk_gaps` gives).  So every hamming weight is the
 exact double 1/K, and the cost-weighted learner degenerates bit for bit to the
@@ -53,7 +54,12 @@ __all__ = [
     "random_order",
 ]
 
-_ONE_HOT = np.eye(4, dtype=np.int64)  # one row per confusion category
+_ONE_HOT = np.eye(4, dtype=np.int64)
+# column c, for a label of confusion category c (0 tp, 1 fp, 2 fn, 3 tn), of three
+# (tp, fp, fn, tn) tables: the label as predicted, the change when it is corrected
+# (to tp or tn), and the change when, corrected, it is forced wrong (to fn or fp)
+_CORRECTED, _FORCED = _ONE_HOT[:, [0, 3, 0, 3]], _ONE_HOT[:, [2, 1, 2, 1]]
+_MOVES = np.stack((_ONE_HOT, _CORRECTED - _ONE_HOT, _FORCED - _CORRECTED))
 
 
 def _validate_pair(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
@@ -91,7 +97,7 @@ class CostFunction:
 
 
 def _priced(cost: CostFunction, confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cost.counts`` of the (4, ...) int64 array of (tp, fp, fn, tn), checked."""
+    """``cost.counts`` of the (4, ...) int64 array of (tp, fp, fn, tn), checked, shaped like one count."""
     num, den = cost.counts(*confusion)
     if isinstance(num, np.integer) and isinstance(den, np.integer) and den >= 1:
         return num, den  # one pair's counts, priced by scalar arithmetic
@@ -100,6 +106,9 @@ def _priced(cost: CostFunction, confusion: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValueError(f"cost {cost.name!r}: counts must return integers, got {num.dtype} / {den.dtype}")
     if np.count_nonzero(den < 1):
         raise ValueError(f"cost {cost.name!r}: counts returned a denominator below 1")
+    shape = confusion.shape[1:]
+    if num.shape != shape or den.shape != shape:  # e.g. a constant cost
+        num, den = np.broadcast_to(num, shape), np.broadcast_to(den, shape)
     return num.astype(np.int64, copy=False), den.astype(np.int64, copy=False)
 
 
@@ -171,22 +180,23 @@ class WeightDiagonal:
 
 def _gaps(cost: CostFunction, y: np.ndarray, yhat: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Each label's signed gap c(forced wrong) - c(forced right), walking ``order`` along the last axis."""
-    y = np.take_along_axis(y, order, axis=-1)
-    neg = y != 1
-    # one-hot confusion rows per position: the label as predicted, corrected, forced wrong
-    predicted = _ONE_HOT[_category(y, np.take_along_axis(yhat, order, axis=-1))]
-    corrected = _ONE_HOT[3 * neg]
-    forced = _ONE_HOT[2 - neg]
-    # forced right at p: labels up to p corrected, labels after p as predicted
-    after = predicted.sum(axis=-2, keepdims=True) - np.cumsum(predicted, axis=-2)
-    right = np.cumsum(corrected, axis=-2) + after
-    n_r, d_r = _priced(cost, np.moveaxis(right, -1, 0))
-    n_w, d_w = _priced(cost, np.moveaxis(right - corrected + forced, -1, 0))
+    at = order if order.ndim == 1 else (np.arange(order.shape[0])[:, None], order)  # each row in its order
+    predicted, correct, force = _MOVES[:, :, _category(y, yhat)[at]]
+    # the counts with the label at p forced right (labels up to p corrected,
+    # labels after p as predicted), then with it forced wrong
+    walk = np.empty((4, 2, *order.shape), dtype=np.int64)
+    right, wrong = walk[:, 0], walk[:, 1]
+    correct.cumsum(axis=-1, out=right)
+    right += predicted.sum(axis=-1, keepdims=True)
+    np.add(right, force, out=wrong)
+    num, den = _priced(cost, walk)  # rows: forced right, forced wrong
     # bounds |n_w| d_r, |n_r| d_w and d_w d_r: integers below 2**53 are exact doubles
-    if int(max(abs(n_w).max(), d_w.max())) * int(max(abs(n_r).max(), d_r.max())) >= 2**53:
+    peak_r, peak_w = np.maximum(abs(num), den).reshape(2, -1).max(axis=1)
+    if int(peak_r) * int(peak_w) >= 2**53:
         raise ValueError(f"cost {cost.name!r}: count products reach 2**53, the weights would be inexact")
-    gaps = np.empty(y.shape)
-    np.put_along_axis(gaps, order, (n_w * d_r - n_r * d_w) / (d_w * d_r), axis=-1)
+    cross = num * den[::-1]  # n_r d_w, n_w d_r
+    gaps = np.empty(order.shape)
+    gaps[at] = (cross[1] - cross[0]) / (den[1] * den[0])
     return gaps
 
 

@@ -34,6 +34,7 @@ diagonal actually used, and counts violations beyond tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,7 +257,7 @@ class Learner:
 
         if self.msg is not None:
             direction = target
-            norm = float(np.linalg.norm(direction))
+            norm = math.sqrt(direction @ direction)  # np.linalg.norm of a contiguous vector, bit for bit
             if norm > 1.0 + TOL.unit_norm_slack:  # weight mass can exceed 1 for some costs
                 direction = direction / norm
             self.msg.update(direction, self.t)

@@ -94,12 +94,13 @@ class CappedMsgState:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.k,):
             raise ValueError(f"observation must have shape ({self.k},), got {y.shape}")
+        y = np.ascontiguousarray(y)
         peak = float(np.abs(y).max())  # ||y|| >= max|y_i|, so past this check the norm cannot overflow
         if not math.isfinite(peak):
             raise ValueError("observation must be finite")
         if peak > 1.0 + TOL.unit_norm_slack:
             raise ValueError(f"observation entry {peak} exceeds 1")
-        ynorm = float(np.linalg.norm(y))
+        ynorm = math.sqrt(y @ y)  # np.linalg.norm of a contiguous real vector, bit for bit
         if ynorm > 1.0 + TOL.unit_norm_slack:
             raise ValueError(f"observation norm {ynorm} exceeds 1")
         eta = float(self.schedule(t))
@@ -113,39 +114,46 @@ class CappedMsgState:
         c = self.q @ r
         coeff += c
         r -= c @ self.q
-        rho = float(np.linalg.norm(r))
+        rho = math.sqrt(r @ r)
 
-        in_span = rho <= TOL.in_span * max(ynorm, 1.0)
-        if in_span:
-            small = np.diag(self.sigma) + eta * np.outer(coeff, coeff)
-            frame = self.q
+        rows = self.m + 1
+        if rho <= TOL.in_span * max(ynorm, 1.0):  # in span: the frame does not grow
+            aug, frame = coeff, self.q
         else:
-            aug = np.append(coeff, rho)
-            small = np.diag(np.append(self.sigma, 0.0)) + eta * np.outer(aug, aug)
-            frame = np.vstack((self.q, r / rho))
+            aug = np.empty(rows + 1)
+            aug[:rows] = coeff
+            aug[rows] = rho
+            frame = np.empty_like(self.q, shape=(rows + 1, self.k))  # the frame's memory order, as vstack keeps it
+            frame[:rows] = self.q
+            np.divide(r, rho, out=frame[rows])
+        # diag(sigma, 0) + eta aug aug^T: exactly symmetric and finite; adding 0.0
+        # turns a -0.0 product into the +0.0 that a zero diagonal matrix plus it gives
+        small = np.multiply.outer(aug, aug)
+        small *= eta
+        small += 0.0
+        small.ravel()[: rows * (aug.size + 1) : aug.size + 1] += self.sigma
 
-        eig = symmetric_eigen(small)
-        top = eig.values[: self.m + 1]          # drop the smallest direction if M+2 present
-        vecs = eig.vectors[:, : self.m + 1]
+        eig = symmetric_eigen(small, _checked=False)
+        top = eig.values[:rows]          # drop the smallest direction if M+2 present
+        vecs = eig.vectors[:, :rows]
         self.sigma = project_capped_simplex(top, self.m)
         self.q = vecs.T @ frame
 
     def removal_probabilities(self) -> np.ndarray:
         """Probability of deleting each frame row when sampling a projection."""
-        return np.clip(1.0 - self.sigma, 0.0, None)
+        return np.maximum(1.0 - self.sigma, 0.0)
 
     def sample_projection(self, rng: np.random.Generator) -> np.ndarray:
         """Draw P (M x K): the frame with one row removed; E[P^T P] equals U."""
         probs = self.removal_probabilities()
         u = float(rng.random()) * float(probs.sum())
-        acc = 0.0
-        drop = self.m  # fall through to the last row on fp underflow
-        for i in range(self.m + 1):
-            acc += probs[i]
-            if u < acc:
-                drop = i
-                break
-        return np.delete(self.q, drop, axis=0)
+        # the first row whose running total exceeds u (cumsum adds in order, as a
+        # loop would); a total that rounds below u falls through to the last row
+        drop = min(int(probs.cumsum().searchsorted(u, "right")), self.m)
+        basis = np.empty_like(self.q, shape=(self.m, self.k))  # the frame's memory order, as np.delete keeps it
+        basis[:drop] = self.q[:drop]
+        basis[drop:] = self.q[drop + 1 :]
+        return basis
 
     def reconstruct(self) -> np.ndarray:
         """Dense U = Q^T diag(sigma) Q (K x K); for diagnostics and tests."""

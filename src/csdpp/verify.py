@@ -20,7 +20,7 @@ import numpy as np
 from . import costs as costs_mod
 from .evaluation import expected_regret, offline_plst, run_with_snapshots, theorem2_bound
 from .learners import LearnerConfig, decode, make_learner
-from .linalg import project_capped_simplex
+from .linalg import TOL, project_capped_simplex, symmetric_eigen
 from .online_pca import CappedMsgState, default_eta_schedule
 from .regressor import Head
 from .stream import planted_subspace_stream, substream
@@ -101,24 +101,81 @@ def dense_tracker_step(u: np.ndarray, y: np.ndarray, eta: float, m: int) -> np.n
     return (vecs * vals) @ vecs.T
 
 
+def checked_tracker_step(state: CappedMsgState, y: np.ndarray, t: int) -> None:
+    """Oracle for `CappedMsgState.update` on a valid observation: the step as first written.
+
+    It takes the norms with ``np.linalg.norm``, builds the small matrix with
+    ``np.diag``/``np.append``/``np.outer`` and the grown frame with ``np.vstack``,
+    and solves it through the public, checked ``symmetric_eigen``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    ynorm = float(np.linalg.norm(y))
+    eta = float(state.schedule(t))
+    coeff = state.q @ y
+    r = y - coeff @ state.q
+    c = state.q @ r
+    coeff += c
+    r -= c @ state.q
+    rho = float(np.linalg.norm(r))
+    if rho <= TOL.in_span * max(ynorm, 1.0):
+        small = np.diag(state.sigma) + eta * np.outer(coeff, coeff)
+        frame = state.q
+    else:
+        aug = np.append(coeff, rho)
+        small = np.diag(np.append(state.sigma, 0.0)) + eta * np.outer(aug, aug)
+        frame = np.vstack((state.q, r / rho))
+    eig = symmetric_eigen(small)
+    state.sigma = project_capped_simplex(eig.values[: state.m + 1], state.m)
+    state.q = eig.vectors[:, : state.m + 1].T @ frame
+
+
+def sequential_draw(state: CappedMsgState, rng: np.random.Generator) -> np.ndarray:
+    """Oracle for `CappedMsgState.sample_projection`: walk the running total row by row."""
+    probs = state.removal_probabilities()
+    u = float(rng.random()) * float(probs.sum())
+    acc = 0.0
+    drop = state.m  # fall through to the last row on fp underflow
+    for i in range(state.m + 1):
+        acc += probs[i]
+        if u < acc:
+            drop = i
+            break
+    return np.delete(state.q, drop, axis=0)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str | None = None) -> SuiteReport:
-    """Factored tracker updates against the dense K x K step, on evolved random states."""
+    """Factored tracker updates against the dense K x K step, and bit for bit against the checked step."""
     report = SuiteReport("tracker", True, params={"trials": trials, "steps": steps, "seed": seed})
     rng = substream(seed, 109)
     worst = 0.0
     witness: dict = {}
     invalid: list[str] = []
+    differs: dict = {}
     for _ in range(trials):
         k = int(rng.integers(3, 31))
         m = int(rng.integers(1, k))
-        state = CappedMsgState.initialize(k, m, int(rng.integers(0, 2**31)), default_eta_schedule(m, k))
+        init_seed = int(rng.integers(0, 2**31))
+        state = CappedMsgState.initialize(k, m, init_seed, default_eta_schedule(m, k))
+        ref = CappedMsgState(state.q, state.sigma, m, state.schedule)  # keeps the frame's memory order
+        fast_rng, ref_rng = np.random.default_rng(init_seed), np.random.default_rng(init_seed)
         u = state.reconstruct()
         for step in range(1, steps + 1):
             y = _random_unit_cap(rng, k)
             if step % 5 == 0:  # exercise the in-span branch too
                 y = state.q.T @ (state.q @ y)
             seen = state.q.T @ (state.q @ y) if mutant == "skip-residual" else y
+            basis, ref_basis = state.sample_projection(fast_rng), sequential_draw(ref, ref_rng)
             state.update(seen, step)
+            checked_tracker_step(ref, seen, step)
+            if not differs:
+                parts = {"basis": (basis, ref_basis), "q": (state.q, ref.q), "sigma": (state.sigma, ref.sigma)}
+                bad = [name for name, (a, b) in parts.items() if not _same_bits(a, b)]
+                if bad:
+                    differs = {"k": k, "m": m, "step": step, "parts": bad}
             u = dense_tracker_step(u, y, state.schedule(step), m)
             gap = float(np.max(np.abs(state.reconstruct() - u)))
             if gap > worst:
@@ -129,6 +186,7 @@ def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str 
             except ValueError as exc:
                 invalid.append(f"k={k} m={m} step={step}: {exc}")
     _check(report, "dense-agreement", worst <= 1e-7, max_abs_gap=worst, **witness)
+    _check(report, "checked-agreement", not differs, steps=trials * steps, **differs)
     _check(report, "feasibility", not invalid, violations=invalid[:3])
     return report
 

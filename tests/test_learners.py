@@ -340,3 +340,29 @@ class TestLearning:
         learner = make_learner(LearnerConfig(algorithm="cs-dpp-pbc", m=2, cost="f1", seed=3), 8, 6)
         play(learner, small_stream(t=7, seed=14))
         assert len(calls) == 7
+
+    def test_tracked_step_runs_each_traced_layer_once(self, monkeypatch):
+        # the benchmark's per-layer split wraps these module attributes by name;
+        # a step that bypassed one would silently drop its layer from the split
+        from csdpp import learners, online_pca
+
+        calls = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **kw: calls.setdefault(name, []).append(a) or real(*a, **kw))
+
+        count(online_pca, "symmetric_eigen")
+        count(online_pca, "project_capped_simplex")
+        count(learners.costs_mod, "label_weights")
+        k, m = 12, 3
+        learner = make_learner(LearnerConfig(algorithm="cs-dpp-pbc", m=m, cost="f1", seed=4), 5, k)
+        y = np.full(k, -1, dtype=np.int8)
+        y[[0, 5, 9]] = 1
+        learner.step(np.full(5, 0.4), y)
+        assert {name: len(args) for name, args in calls.items()} == {
+            "symmetric_eigen": 1,
+            "project_capped_simplex": 1,
+            "label_weights": 1,
+        }
+        assert calls["symmetric_eigen"][0][0].shape == (m + 2, m + 2)  # the label left the frame's span

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from csdpp import online_pca
 from csdpp.linalg import TOL, project_capped_simplex, symmetric_eigen
+from csdpp.online_pca import CappedMsgState
 
 
 def reconstruction(result):
@@ -64,6 +66,30 @@ class TestSymmetricEigen:
             ref = np.sort(np.linalg.eigvalsh(a))[::-1]
             assert np.max(np.abs(r.values - ref)) <= 1e-9
             assert_leading_entries_positive(r.vectors)
+
+    def test_unchecked_path_matches_checked_bits_on_tracker_matrices(self, monkeypatch):
+        built = []
+
+        def record(a, **kw):
+            built.append(a.copy())
+            return symmetric_eigen(a, **kw)
+
+        monkeypatch.setattr(online_pca, "symmetric_eigen", record)
+        rng = np.random.default_rng(5)
+        for k, m in ((6, 2), (40, 12), (200, 4)):
+            st = CappedMsgState.initialize(k, m, seed=k)
+            for t in range(1, 31):
+                y = rng.standard_normal(k)
+                y *= rng.uniform(0.1, 1.0) / np.linalg.norm(y)
+                if t % 3 == 0:  # in span: the matrix keeps M+1 rows
+                    y = st.q.T @ (st.q @ y)
+                st.update(y, t)
+        assert len(built) == 90 and {len(a) for a in built} >= {3, 4, 13, 14, 5, 6}
+        for a in built:
+            fast, checked = symmetric_eigen(a, _checked=False), symmetric_eigen(a, _checked=True)
+            assert fast.values.tobytes() == checked.values.tobytes()
+            assert fast.vectors.tobytes() == checked.vectors.tobytes()
+            assert fast.vectors.flags.c_contiguous and checked.vectors.flags.c_contiguous
 
     def test_near_degenerate_spectrum(self):
         a = np.diag([1.0, 1.0 + 1e-13, 0.5])

@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from csdpp import online_pca
 from csdpp.learners import from_snapshot, to_snapshot
 from csdpp.online_pca import CappedMsgState, EtaSchedule, default_eta_schedule
-from csdpp.verify import dense_tracker_step
+from csdpp.verify import checked_tracker_step, dense_tracker_step, sequential_draw
 
 
 def random_observation(rng, k):
@@ -173,6 +174,60 @@ class TestSampler:
             p = st.sample_projection(rng)
             removed_first += int(np.array_equal(p, st.q[1:]))
         assert abs(removed_first / n - 0.3) <= 0.01
+
+
+class _FixedDraw:
+    """Stands in for a generator whose next uniform draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestBitsAgainstCheckedStep:
+    """`update` and `sample_projection` against the step as first written (verify's oracles)."""
+
+    @pytest.mark.parametrize("k, m", [(3, 1), (8, 3), (30, 7), (60, 25), (200, 4)])
+    def test_steps_and_draws_match_bit_for_bit(self, k, m, monkeypatch):
+        dims = []
+        eigen = online_pca.symmetric_eigen
+        monkeypatch.setattr(online_pca, "symmetric_eigen", lambda a, **kw: dims.append(len(a)) or eigen(a, **kw))
+        rng = np.random.default_rng(100 * k + m)
+        st, ref = CappedMsgState.initialize(k, m, seed=k), CappedMsgState.initialize(k, m, seed=k)
+        assert st.q.flags.f_contiguous and not st.q.flags.c_contiguous  # the frame QR hands to step 1
+        fast_draws, ref_draws = np.random.default_rng(m), np.random.default_rng(m)
+        for t in range(1, 51):
+            y = random_observation(rng, k)
+            if t % 4 == 0:
+                y = st.q.T @ (st.q @ y)
+            basis, ref_basis = st.sample_projection(fast_draws), sequential_draw(ref, ref_draws)
+            assert basis.tobytes() == ref_basis.tobytes()
+            assert basis.flags.f_contiguous == ref_basis.flags.f_contiguous
+            st.update(y, t)
+            checked_tracker_step(ref, y, t)
+            assert st.q.tobytes() == ref.q.tobytes(), t
+            assert st.sigma.tobytes() == ref.sigma.tobytes(), t
+        assert {m + 1, m + 2} <= set(dims)  # in-span and growing steps both ran
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "sigma, value, dropped",
+        [
+            ([1.0, 0.5, 0.5], 0.0, 1),    # row 0 is never removed, even at u = 0
+            ([0.5, 0.5, 1.0], 0.5, 1),    # u equals the partial sum of row 0
+            ([0.25, 0.75, 1.0], 1.0, 2),  # u reaches the total: fall through to row M
+        ],
+    )
+    def test_sampler_edge_cases(self, order, sigma, value, dropped):
+        q = np.asarray(np.random.default_rng(1).standard_normal((3, 6)), order=order)
+        st = CappedMsgState(q, np.array(sigma), 2, lambda t: 0.0)
+        basis = st.sample_projection(_FixedDraw(value))
+        ref = sequential_draw(st, _FixedDraw(value))
+        np.testing.assert_array_equal(basis, np.delete(q, dropped, axis=0))
+        assert basis.tobytes() == ref.tobytes()
+        assert basis.flags.f_contiguous == ref.flags.f_contiguous == (order == "F")
 
 
 class TestSnapshots:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csdpp.linalg import project_capped_simplex
+from csdpp.online_pca import CappedMsgState
 from csdpp.regressor import RidgeAccumulator
 from csdpp.verify import MUTANTS, SUITES, grid_projection_oracle, run_suite, run_suites
 
@@ -63,6 +64,22 @@ class TestMutantsFail:
         report = run_suite("sherman", **REDUCED["sherman"])
         checks = {c["name"]: c["passed"] for c in report.checks}
         assert not report.passed and not checks["batch-equivalence"]
+
+    def test_sampler_dropping_the_next_row_breaks_checked_agreement(self, monkeypatch):
+        def drop_next_row(self, rng):
+            probs = self.removal_probabilities()
+            u = float(rng.random()) * float(probs.sum())
+            drop = int(probs.cumsum().searchsorted(u, "right")) + 1
+            return np.delete(self.q, min(drop, self.m), axis=0)
+
+        clean = run_suite("tracker", **REDUCED["tracker"])
+        assert {c["name"]: c["passed"] for c in clean.checks}["checked-agreement"]
+        monkeypatch.setattr(CappedMsgState, "sample_projection", drop_next_row)
+        report = run_suite("tracker", **REDUCED["tracker"])
+        checks = {c["name"]: c for c in report.checks}
+        assert not report.passed and not checks["checked-agreement"]["passed"]
+        assert checks["checked-agreement"]["witness"]["parts"] == ["basis"]
+        assert checks["dense-agreement"]["passed"]  # only the oracle replay sees a wrong draw
 
     def test_unknown_mutant_is_inert(self):
         report = run_suite("projection", instances=5, mutant="not-a-real-defect")
