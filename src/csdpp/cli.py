@@ -8,13 +8,20 @@ grid over one dataset; each cell writes an average-cost CSV, and each repeat
 group writes a JSON summary (mean and standard error of the final average
 cost).  Repeat r runs with seed base+r for both the stream shuffle/noise and
 the learner.  The parent parses and normalizes the dataset once and builds one
-stream per (noise, repeat), which every algorithm/cost/m-frac cell shares; a
-job carries only its stream, its LearnerConfig and its CSV header, so cells
-are independent and may run in a worker pool (--workers or CSDPP_WORKERS).
+stream per (noise, repeat), which every algorithm/cost/m-frac cell shares.
+Cells whose learner ignores the cost (every plan but the cost-weighted
+cs-dpp-* ones) share one play per (algorithm, m-frac, noise, repeat), and a
+cs-dpp-* cell under hamming shares its dpp-* twin's play (criterion 07): a
+job plays one such trajectory and prices its predictions under every cost it
+serves, with the same cost call the learner makes, so no output byte depends
+on the grouping.  A job carries only its stream, its LearnerConfig and its
+cells' CSV headers, so jobs are independent and may run in a worker pool
+(--workers or CSDPP_WORKERS).
 Given the same spec and seed the outputs are byte-identical.
 A failed cell repeat (an unwritable CSV and a crashed pool worker included) is
-named on stderr; the CSVs of finished repeats stay on disk and no summaries
-are written.
+named on stderr, once for every cell a failed play served; the CSVs of
+finished repeats stay on disk and no summaries are written.  A grid axis value
+given twice, or two values naming one cell, is a usage error.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -30,8 +37,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import evaluation, stream, verify
-from .costs import available_costs
-from .learners import ALGORITHMS, LearnerConfig, make_learner, play
+from .costs import available_costs, get_cost
+from .learners import ALGORITHMS, LearnerConfig, make_learner, play, trajectory
 from .stream import StreamConfig, build_stream, parse_dataset
 
 _GRID_DEFAULTS = {
@@ -145,6 +152,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         for value in merged[key]:
             if not _is_number(value):
                 parser.error(f"{key} values must be numbers, got {value!r}")
+    for key, spec in (("algo", ""), ("cost", ""), ("m_frac", "g"), ("noise_p", "g")):
+        named: dict[str, object] = {}  # a value as a cell stem spells it -> the value
+        for value in merged[key]:
+            name = format(value, spec)
+            if name in named:
+                parser.error(f"--{key.replace('_', '-')} values {named[name]!r} and {value!r} "
+                             f"name the same cells ({name}); give each value once")
+            named[name] = value
     if merged["workers"] is not None and merged["workers"] < 1:
         parser.error(f"workers must be >= 1, got {merged['workers']}")
     if merged["repeats"] < 1:
@@ -166,12 +181,27 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return merged
 
 
-def _run_repeat(payload: dict) -> float:
-    """One experiment cell repeat over its prebuilt stream; a worker process may run it."""
-    learner = make_learner(payload["config"], *payload["shape"])
-    trace = evaluation.trace_from_records(play(learner, payload["stream"]))
-    header = {**payload["header"], "m": learner.m, "steps": len(payload["stream"])}
-    evaluation.write_cost_csv(payload["csv"], trace, header)
+def _run_repeat(payload: dict) -> list[tuple]:
+    """Play one learner trajectory over its prebuilt stream; a worker process may run it.
+
+    Returns one (final average cost, error) pair per cell the play serves, in
+    order, so that a CSV that cannot be written fails only its own cell.
+    """
+    config = payload["config"]
+    learner = make_learner(config, *payload["shape"])
+    records = play(learner, payload["stream"])
+    played = {"m": learner.m, "steps": len(records)}
+    return [_outcome(_write_cell, cell, records, payload["stream"], config.cost, played)
+            for cell in payload["cells"]]
+
+
+def _write_cell(cell: dict, records: list, instances: list, played_cost: str, played: dict) -> float:
+    """Write one cell's CSV; the learner priced its predictions under played_cost only."""
+    price = None if cell["cost"] == played_cost else get_cost(cell["cost"])
+    trace = evaluation.CostTrace()
+    for rec, inst in zip(records, instances):
+        trace.track(rec.incurred_cost if price is None else price(inst.labels, rec.y_hat))
+    evaluation.write_cost_csv(cell["csv"], trace, {**cell["header"], **played})
     return trace.final_average
 
 
@@ -259,7 +289,8 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "lambda": merged["lam"],
         **{key: merged[key] for key in ("eta", "engine", "sgd_step", "label_order", "order_seed", "normalize")},
     }
-    jobs = []
+    plays: dict[tuple, dict] = {}  # (trajectory, noise_p, repeat) -> the job that plays it
+    served = []  # (stem, repeat, play key, slot in the play's cells), in grid order
     for algo, cost, m_frac, noise_p in itertools.product(
         merged["algo"], merged["cost"], merged["m_frac"], merged["noise_p"]
     ):
@@ -267,28 +298,39 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for repeat in range(merged["repeats"]):
             seed = merged["seed"] + repeat
             cell = {"algorithm": algo, "cost": cost, "m_frac": m_frac, "seed": seed}
-            jobs.append(
+            key = (trajectory(replace(base_config, **cell)), noise_p, repeat)
+            job = plays.setdefault(
+                key,
                 {
                     "stream": streams[noise_p, repeat],
                     "shape": (d, k),
-                    "config": replace(base_config, **cell),
+                    "config": replace(key[0], cost=cost),
+                    "cells": [],
+                },
+            )
+            served.append((stem, repeat, key, len(job["cells"])))
+            job["cells"].append(
+                {
+                    "cost": cost,
                     "header": {**base_header, **cell, "noise_p": noise_p, "repeat": repeat},
                     "csv": os.path.join(out_dir, f"{stem}_r{repeat}.csv"),
-                    "stem": stem,
-                    "repeat": repeat,
                 }
             )
-    outcomes = _execute(jobs, workers)
-    failed = [(job, exc) for job, (_, exc) in zip(jobs, outcomes) if exc is not None]
-    for job, exc in failed:
-        print(f"error: cell {job['stem']} repeat {job['repeat']}: {exc}", file=sys.stderr)
+    outcomes = dict(zip(plays, _execute(list(plays.values()), workers)))
+    results = []  # (stem, repeat, final, error) per cell repeat
+    for stem, repeat, key, slot in served:
+        cell_outcomes, exc = outcomes[key]
+        results.append((stem, repeat, *(cell_outcomes[slot] if exc is None else (None, exc))))
+    failed = [(stem, repeat, exc) for stem, repeat, _, exc in results if exc is not None]
+    for stem, repeat, exc in failed:
+        print(f"error: cell {stem} repeat {repeat}: {exc}", file=sys.stderr)
     if failed:
-        print(f"error: {len(failed)} of {len(jobs)} cell repeats failed", file=sys.stderr)
+        print(f"error: {len(failed)} of {len(results)} cell repeats failed", file=sys.stderr)
         return 1
 
     by_stem: dict[str, list] = {}
-    for job, (final, _) in zip(jobs, outcomes):
-        by_stem.setdefault(job["stem"], []).append((job["repeat"], final))
+    for stem, repeat, final, _ in results:
+        by_stem.setdefault(stem, []).append((repeat, final))
     for stem, finals in by_stem.items():
         finals.sort()
         summary = evaluation.summarize_finals([f for _, f in finals])
@@ -300,7 +342,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         except OSError as exc:
             print(f"error: cannot write summary {path}: {exc}", file=sys.stderr)
             return 1
-    print(f"wrote {len(jobs)} cost traces and {len(by_stem)} summaries to {out_dir}")
+    print(f"wrote {len(results)} cost traces and {len(by_stem)} summaries to {out_dir}")
     return 0
 
 

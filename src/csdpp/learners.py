@@ -35,7 +35,7 @@ diagonal actually used, and counts violations beyond tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "decode",
     "make_learner",
     "play",
+    "trajectory",
     "Learner",
     "to_snapshot",
     "from_snapshot",
@@ -83,6 +84,24 @@ _PLANS = {
     "o-br": ("identity", "none", "label"),
     "o-rand": ("gaussian", "none", "code"),
 }
+
+
+def trajectory(config: LearnerConfig) -> LearnerConfig:
+    """A config whose learner makes the same prediction as config's at every step.
+
+    Only a "cost" weighting reads the cost beyond pricing the prediction, so any
+    other plan's trajectory is keyed with cost hamming.  Under hamming every exact
+    cost weight is 1/K, the uniform weight (criterion 07), so a cs-dpp-* learner
+    plays its dpp-* twin.  Configs with equal trajectories, played over one
+    stream, differ only in the price they put on each prediction.
+    """
+    encoder, weighting, head = _PLANS[config.algorithm]
+    if weighting != "cost":
+        return replace(config, cost="hamming")
+    if config.cost == "hamming":
+        twin = next(name for name, plan in _PLANS.items() if plan == (encoder, "uniform", head))
+        return replace(config, algorithm=twin)
+    return config
 
 
 def decode(basis: np.ndarray, code: np.ndarray) -> np.ndarray:

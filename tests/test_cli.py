@@ -11,16 +11,18 @@ import pytest
 import csdpp
 from csdpp import cli
 from csdpp.cli import main
+from csdpp.costs import available_costs
+from csdpp.learners import ALGORITHMS
 from csdpp.stream import Instance, planted_subspace_stream, serialize_sparse_labels
 
 _RUN_REPEAT = cli._run_repeat
 
 
 def _crash_o_rand_cell(payload):
-    """Stand-in for the cell runner: the o-rand cell kills its worker once the o-br CSV exists."""
+    """Stand-in for the job runner: the o-rand play kills its worker once the o-br CSV exists."""
     if payload["config"].algorithm != "o-rand":
         return _RUN_REPEAT(payload)
-    finished = payload["csv"].replace("o-rand", "o-br")
+    finished = payload["cells"][0]["csv"].replace("o-rand", "o-br")
     deadline = time.monotonic() + 60
     while not os.path.exists(finished) and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -188,6 +190,45 @@ class TestRunCommand:
             assert read_all(serial) == read_all(pooled)
             assert len(read_all(serial)) == 6
 
+    @pytest.mark.parametrize("engine", ["ridge", "sgd"])
+    def test_shared_plays_match_cells_run_one_at_a_time(self, dataset, tmp_path, engine):
+        common = ["run", "--dataset", dataset, "--repeats", "2", "--seed", "4", "--engine", engine]
+        single = tmp_path / "single"
+        for algo in ALGORITHMS:
+            for cost in available_costs():
+                assert run_cli(*common, "--algo", algo, "--cost", cost, "--output", str(single)) == 0
+        expected = read_all(single)
+        assert len(expected) == len(ALGORITHMS) * len(available_costs()) * 3
+        axes = [arg for algo in ALGORITHMS for arg in ("--algo", algo)]
+        axes += [arg for cost in available_costs() for arg in ("--cost", cost)]
+        for workers in ("1", "2"):
+            grid = tmp_path / f"grid{workers}"
+            assert run_cli(*common, *axes, "--workers", workers, "--output", str(grid)) == 0
+            assert read_all(grid) == expected
+
+    def test_cost_blind_cells_share_one_play(self, dataset, tmp_path, monkeypatch, capsys):
+        built = []
+        make_learner = cli.make_learner
+
+        def counting(config, d, k):
+            built.append((config.algorithm, config.cost))
+            return make_learner(config, d, k)
+
+        monkeypatch.setattr(cli, "make_learner", counting)
+        monkeypatch.delenv("CSDPP_WORKERS", raising=False)
+        out = tmp_path / "res"
+        axes = [arg for algo in ALGORITHMS for arg in ("--algo", algo)]
+        assert run_cli("run", "--dataset", dataset, *axes, "--cost", "hamming", "--cost", "f1",
+                       "--output", str(out)) == 0
+        # five cost-blind plays (cs-dpp-* under hamming joins dpp-*), two cost-weighted f1 plays
+        assert len(built) == 7
+        assert sorted(built) == sorted(
+            [(algo, "hamming") for algo in ("dpp-pbc", "dpp-pbt", "dpp-naive", "o-br", "o-rand")]
+            + [("cs-dpp-pbc", "f1"), ("cs-dpp-pbt", "f1")]
+        )
+        assert len(os.listdir(out)) == 28
+        assert capsys.readouterr().out == f"wrote 14 cost traces and 14 summaries to {out}\n"
+
     def test_dataset_is_normalized_once(self, dataset, tmp_path, monkeypatch):
         calls = []
         normalize = csdpp.stream.normalize_features
@@ -331,6 +372,33 @@ class TestRunErrors:
         assert (out / "o-br_hamming_mf0.25_p0_r1.csv").is_file()
         assert sorted(os.listdir(out)) == ["o-br_hamming_mf0.25_p0_r0.csv", "o-br_hamming_mf0.25_p0_r1.csv"]
 
+    def test_unwritable_csv_fails_only_its_cell_in_a_shared_play(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("CSDPP_WORKERS", raising=False)
+        out = tmp_path / "res"
+        (out / "o-br_hamming_mf0.25_p0_r0.csv").mkdir(parents=True)
+        code = run_cli("run", "--dataset", dataset, "--algo", "o-br", "--cost", "hamming", "--cost", "f1",
+                       "--output", str(out))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: cell o-br_hamming_mf0.25_p0 repeat 0:")
+        assert err[1:] == ["error: 1 of 2 cell repeats failed"]
+        assert sorted(os.listdir(out)) == ["o-br_f1_mf0.25_p0_r0.csv", "o-br_hamming_mf0.25_p0_r0.csv"]
+        assert (out / "o-br_f1_mf0.25_p0_r0.csv").is_file()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_play_names_every_cell_it_served(self, dataset, tmp_path, capsys, workers):
+        # M = K is legal for o-br but not for a tracked learner; cs-dpp-pbc/hamming plays as dpp-pbc
+        code = run_cli("run", "--dataset", dataset, "--algo", "dpp-pbc", "--algo", "cs-dpp-pbc",
+                       "--algo", "o-br", "--cost", "hamming", "--cost", "f1", "--m-frac", "1",
+                       "--workers", workers, "--output", str(tmp_path / "res"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        message = ": code dimension must satisfy 1 <= M < K, got M=8 K=8"
+        assert err == [f"error: cell {algo}_{cost}_mf1_p0 repeat 0{message}"
+                       for algo in ("dpp-pbc", "cs-dpp-pbc") for cost in ("hamming", "f1")] + [
+            "error: 4 of 6 cell repeats failed"]
+        assert sorted(os.listdir(tmp_path / "res")) == ["o-br_f1_mf1_p0_r0.csv", "o-br_hamming_mf1_p0_r0.csv"]
+
     def test_unwritable_summary_is_runtime_error(self, dataset, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("CSDPP_WORKERS", raising=False)
         out = tmp_path / "res"
@@ -393,6 +461,41 @@ class TestRunErrors:
         assert "error: cell o-rand_hamming_mf0.25_p0 repeat 0:" in err
         assert (out / "o-br_hamming_mf0.25_p0_r0.csv").exists()
         assert not (out / "o-rand_hamming_mf0.25_p0_r0.csv").exists()
+
+    def test_crashed_worker_names_every_cell_its_play_served(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_run_repeat", _crash_o_rand_cell)
+        out = tmp_path / "res"
+        code = run_cli("run", "--dataset", dataset, "--algo", "o-br", "--algo", "o-rand",
+                       "--cost", "hamming", "--cost", "f1", "--output", str(out), "--workers", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: cell o-rand_hamming_mf0.25_p0 repeat 0:" in err
+        assert "error: cell o-rand_f1_mf0.25_p0 repeat 0:" in err
+        assert (out / "o-br_hamming_mf0.25_p0_r0.csv").exists()
+        assert not any(name.startswith("o-rand") for name in os.listdir(out))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--algo", "o-br", "--algo", "o-br"], "--algo values 'o-br' and 'o-br' name the same cells (o-br)"),
+        (["--cost", "f1", "--cost", "hamming", "--cost", "f1"],
+         "--cost values 'f1' and 'f1' name the same cells (f1)"),
+        (["--m-frac", "0.25", "--m-frac", "0.250000001"],
+         "--m-frac values 0.25 and 0.250000001 name the same cells (0.25)"),
+        (["--noise-p", "0.1", "--noise-p", "0.1"], "--noise-p values 0.1 and 0.1 name the same cells (0.1)"),
+    ])
+    def test_repeated_grid_value_is_usage_error(self, dataset, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", dataset, *argv, "--limit", "50", "--output", str(tmp_path / "res"))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    def test_grid_values_repeated_in_config_are_usage_error(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise_p": [0, 0.0]}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", dataset, "--config", str(cfg), "--output", str(tmp_path / "res"))
+        assert exc.value.code == 2
+        assert "--noise-p values 0 and 0.0 name the same cells (0)" in capsys.readouterr().err
 
     def test_bad_algo_in_config_is_usage_error(self, dataset, tmp_path):
         cfg = tmp_path / "cfg.json"

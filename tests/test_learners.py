@@ -15,6 +15,7 @@ from csdpp.learners import (
     make_learner,
     play,
     to_snapshot,
+    trajectory,
 )
 from csdpp.regressor import Head
 from csdpp.stream import planted_subspace_stream
@@ -174,6 +175,24 @@ class TestCostWeightingEquivalence:
             np.testing.assert_array_equal(ra.y_hat, rb.y_hat)
             assert ra.incurred_cost == rb.incurred_cost
             np.testing.assert_array_equal(plain.basis, weighted.basis)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_trajectory_config_plays_the_same_predictions(self, algorithm):
+        stream = small_stream(t=150, seed=8)
+        shared = set()
+        for cost in costs.available_costs():
+            config = LearnerConfig(algorithm=algorithm, m=2, cost=cost, seed=3)
+            twin = trajectory(config)
+            assert trajectory(twin) == twin
+            shared.add(twin)
+            ours = play(make_learner(config, 8, 6), stream)
+            theirs = play(make_learner(twin, 8, 6), stream)
+            for a, b in zip(ours, theirs):
+                np.testing.assert_array_equal(a.y_hat, b.y_hat)
+        weighted = algorithm.startswith("cs-")
+        assert len(shared) == (len(costs.available_costs()) if weighted else 1)
+        hamming = trajectory(LearnerConfig(algorithm=algorithm, cost="hamming"))
+        assert hamming.algorithm == (algorithm[3:] if weighted else algorithm)
 
     def test_asymmetric_cost_diverges(self):
         stream = small_stream(t=200, seed=6)
