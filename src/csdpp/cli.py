@@ -9,19 +9,26 @@ group writes a JSON summary (mean and standard error of the final average
 cost).  Repeat r runs with seed base+r for both the stream shuffle/noise and
 the learner.  The parent parses and normalizes the dataset once and builds one
 stream per (noise, repeat), which every algorithm/cost/m-frac cell shares.
-Cells whose learner ignores the cost (every plan but the cost-weighted
-cs-dpp-* ones) share one play per (algorithm, m-frac, noise, repeat), and a
-cs-dpp-* cell under hamming shares its dpp-* twin's play (criterion 07): a
-job plays one such trajectory and prices its predictions under every cost it
-serves, with the same cost call the learner makes, so no output byte depends
-on the grouping.  A job carries only its stream, its LearnerConfig and its
-cells' CSV headers, so jobs are independent and may run in a worker pool
-(--workers or CSDPP_WORKERS).
-Given the same spec and seed the outputs are byte-identical.
-A failed cell repeat (an unwritable CSV and a crashed pool worker included) is
-named on stderr, once for every cell a failed play served; the CSVs of
-finished repeats stay on disk and no summaries are written.  A grid axis value
-given twice, or two values naming one cell, is a usage error.
+Cells whose learners predict alike share one play: a cost-blind plan (all but
+the cost-weighted cs-dpp-* ones) plays once per (algorithm, M, noise, repeat),
+o-br once per (noise, repeat), and a cs-dpp-* cell under hamming joins its
+dpp-* twin (criterion 07).  A job plays one trajectory and prices its
+predictions under every cost it serves, with the cost call the learner makes,
+so no output byte depends on the grouping.  A job carries only its stream, its
+LearnerConfig and its cells' CSV headers, so jobs may run in a worker pool
+(--workers or CSDPP_WORKERS).  Given the same spec and seed the outputs are
+byte-identical.  A failed cell repeat (an unwritable CSV and a crashed pool
+worker included) is named on stderr, once for every cell a failed play served;
+the CSVs of finished repeats stay on disk and no summaries are written.
+
+Each `run` setting is one row of `_SETTINGS`.  A --config JSON object sets it
+by its flag's name ("_" or "-" alike, "lam" for "lambda", "normalize": false
+for --no-normalize); explicit flags win.  A config key takes exactly what its
+flag takes and gets the same usage error, before any output is written; a grid
+axis also takes one value, and limit, workers and order_seed null (unset).
+Ranges: repeats, limit, workers >= 1; seed, order_seed >= 0; eta, sgd_step >= 0
+and lambda > 0, all finite; m_frac in (0, 1]; noise_p in [0, 1].  Two grid
+axis values naming one cell are a usage error too.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -31,33 +38,92 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from . import evaluation, stream, verify
 from .costs import available_costs, get_cost
 from .learners import ALGORITHMS, LearnerConfig, make_learner, play, trajectory
 from .stream import StreamConfig, build_stream, parse_dataset
 
-_GRID_DEFAULTS = {
-    "algo": ["cs-dpp-pbc"],
-    "cost": ["hamming"],
-    "m_frac": [0.25],
-    "noise_p": [0.0],
-}
-_INT_KEYS = ("repeats", "seed", "limit", "workers", "order_seed")
-_OPTIONAL_KEYS = ("limit", "workers", "order_seed")  # null in a config means "unset"
-_NUMBER_KEYS = ("eta", "lam", "sgd_step")
+
+@dataclass(frozen=True)
+class _Setting:
+    """One `run` setting.  Its config key is its name with "_" for "-"; a bool is a --no-<name> switch."""
+
+    name: str
+    kind: object                # int, float (finite), str, bool, or the allowed values (or their source)
+    help: str | None = None
+    axis: bool = False          # a grid axis: a repeatable flag, a list or one value in a config
+    range: str | None = None    # a key of _RANGES
+    feeds: tuple | None = None  # (LearnerConfig or StreamConfig, field), whose default it takes
+    default: object = None      # if it feeds neither; a setting whose default is None takes null
+    recorded: bool = False      # written to each CSV header
+
+    @property
+    def key(self) -> str:
+        return self.name.replace("-", "_")
+
+    @property
+    def flag(self) -> str:
+        return f"--no-{self.name}" if self.kind is bool else f"--{self.name}"
+
+    @property
+    def initial(self):
+        return getattr(*self.feeds) if self.feeds else self.default
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_RANGES = {"be >= 0": lambda v: v >= 0, "be >= 1": lambda v: v >= 1, "be > 0": lambda v: v > 0,
+           "lie in (0, 1]": lambda v: 0 < v <= 1, "lie in [0, 1]": lambda v: 0 <= v <= 1}
+_KINDS = {int: ("an integer", int), float: ("a finite number", (int, float)), str: ("a string", str),
+          bool: ("true or false", bool)}  # kind -> (what a value must be, the JSON types that fit)
+_SETTINGS = (
+    _Setting("algo", ALGORITHMS, "repeatable", axis=True, feeds=(LearnerConfig, "algorithm")),
+    _Setting("cost", available_costs, "repeatable; see `verify` for names", axis=True,
+             feeds=(LearnerConfig, "cost")),
+    _Setting("m-frac", float, "code dim as a fraction of K", axis=True, range="lie in (0, 1]",
+             feeds=(LearnerConfig, "m_frac")),
+    _Setting("noise-p", float, "positive-label flip probability", axis=True, range="lie in [0, 1]",
+             feeds=(StreamConfig, "noise_p")),
+    _Setting("repeats", int, range="be >= 1", default=1),
+    _Setting("seed", int, range="be >= 0", feeds=(LearnerConfig, "seed")),
+    _Setting("limit", int, "truncate the stream", range="be >= 1", feeds=(StreamConfig, "limit")),
+    _Setting("normalize", bool, "skip feature normalization", default=True, recorded=True),
+    _Setting("eta", float, "encoder step-size scale", range="be >= 0",
+             feeds=(LearnerConfig, "eta_scale"), recorded=True),
+    _Setting("lambda", float, "ridge strength", range="be > 0", feeds=(LearnerConfig, "lam"), recorded=True),
+    _Setting("engine", ("ridge", "sgd", "auto"), feeds=(LearnerConfig, "engine"), recorded=True),
+    _Setting("sgd-step", float, "SGD step-size scale", range="be >= 0",
+             feeds=(LearnerConfig, "sgd_step_scale"), recorded=True),
+    _Setting("label-order", ("native", "random"), feeds=(LearnerConfig, "label_order"), recorded=True),
+    _Setting("order-seed", int, range="be >= 0", feeds=(LearnerConfig, "order_seed"), recorded=True),
+    _Setting("output", str, "output directory (default ./results)", default="results"),
+    _Setting("workers", int, "worker pool size (env CSDPP_WORKERS)", range="be >= 1"),
+)
+_BY_KEY = {setting.key: setting for setting in _SETTINGS}
+_BY_KEY["lam"] = _BY_KEY["lambda"]  # a config spelling kept from earlier releases
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _problem(setting: _Setting, value) -> str | None:
+    """What is wrong with one value of setting, or None; flag and config values alike."""
+    kind = setting.kind
+    if value is None and setting.initial is None:
+        return None
+    if kind in _KINDS:
+        what, types = _KINDS[kind]
+        if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool) \
+                or (kind is float and not abs(value) < math.inf):
+            return f"must be {what}, got {value!r}"
+    else:
+        choices = list(kind() if callable(kind) else kind)
+        if value not in choices:
+            return f"must be one of {choices}, got {value!r}"
+    if setting.range is not None and not _RANGES[setting.range](value):
+        return f"must {setting.range}, got {value!r}"
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,22 +135,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=["sparse-labels", "arff"], default="sparse-labels")
     run.add_argument("--label-names", help="companion label list file (arff only)")
     run.add_argument("--config", help="JSON config file; explicit flags win")
-    run.add_argument("--algo", action="append", choices=ALGORITHMS, help="repeatable")
-    run.add_argument("--cost", action="append", help="repeatable; see `verify` for names")
-    run.add_argument("--m-frac", action="append", type=float, help="code dim as a fraction of K")
-    run.add_argument("--noise-p", action="append", type=float, help="positive-label flip probability")
-    run.add_argument("--repeats", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--limit", type=int, default=None, help="truncate the stream")
-    run.add_argument("--no-normalize", action="store_true", help="skip feature normalization")
-    run.add_argument("--eta", type=float, default=None, help="encoder step-size scale")
-    run.add_argument("--lambda", dest="lam", type=float, default=None, help="ridge strength")
-    run.add_argument("--engine", choices=["ridge", "sgd", "auto"], default=None)
-    run.add_argument("--sgd-step", type=float, default=None, help="SGD step-size scale")
-    run.add_argument("--label-order", choices=["native", "random"], default=None)
-    run.add_argument("--order-seed", type=int, default=None)
-    run.add_argument("--output", default=None, help="output directory (default ./results)")
-    run.add_argument("--workers", type=int, default=None, help="worker pool size (env CSDPP_WORKERS)")
+    for s in _SETTINGS:
+        if s.kind is bool:
+            run.add_argument(s.flag, dest=s.key, action="store_false", default=None, help=s.help)
+        else:
+            run.add_argument(s.flag, dest=s.key, action="append" if s.axis else "store", help=s.help,
+                             choices=s.kind if isinstance(s.kind, tuple) else None,
+                             type=s.kind if s.kind in (int, float) else None)
 
     ver = sub.add_parser("verify", help="run the property self-check suites")
     ver.add_argument("suites", nargs="*", metavar="suite", help=f"default: all of {sorted(verify.SUITES)}")
@@ -95,89 +152,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Layer resolution: hard defaults < JSON config < explicit flags."""
-    merged = {
-        "repeats": 1,
-        "seed": 0,
-        "limit": None,
-        "normalize": True,
-        "eta": 2.0,
-        "lam": 1.0,
-        "engine": "ridge",
-        "sgd_step": 1.0,
-        "label_order": "native",
-        "order_seed": None,
-        "output": "results",
-        "workers": None,
-        **_GRID_DEFAULTS,
-    }
+def _resolve_settings(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """Each setting's value by layers, defaults < JSON config < explicit flags; every given value is checked."""
+    given = []  # (setting, value, how the user named it), the config's first so that flags win
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
-        for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key == "lambda":
-                key = "lam"
-            if key not in merged:
-                parser.error(f"unknown config key {key!r}")
-            if key in _GRID_DEFAULTS and not isinstance(value, list):
-                value = [value]  # a grid axis may be given as a single value
-            merged[key] = value
-    for key in ("algo", "cost", "m_frac", "noise_p"):
-        flag_val = getattr(args, key)
-        if flag_val:
-            merged[key] = flag_val
-    for key in ("repeats", "seed", "limit", "eta", "lam", "engine", "sgd_step",
-                "label_order", "order_seed", "output", "workers"):
-        flag_val = getattr(args, key)
-        if flag_val is not None:
-            merged[key] = flag_val
-    if args.no_normalize:
-        merged["normalize"] = False
-    for key in _INT_KEYS:
-        if not (_is_int(merged[key]) or (merged[key] is None and key in _OPTIONAL_KEYS)):
-            parser.error(f"{key} must be an integer, got {merged[key]!r}")
-    for key in _NUMBER_KEYS:
-        if not _is_number(merged[key]):
-            parser.error(f"{key} must be a number, got {merged[key]!r}")
-    for key in ("algo", "cost"):
-        for value in merged[key]:
-            if not isinstance(value, str):
-                parser.error(f"{key} values must be strings, got {value!r}")
-    for key in ("m_frac", "noise_p"):
-        for value in merged[key]:
-            if not _is_number(value):
-                parser.error(f"{key} values must be numbers, got {value!r}")
-    for key, spec in (("algo", ""), ("cost", ""), ("m_frac", "g"), ("noise_p", "g")):
+        if not isinstance(loaded, dict):
+            parser.error(f"config file must hold a JSON object, got {loaded!r}")
+        for raw, value in loaded.items():
+            if raw.replace("-", "_") not in _BY_KEY:
+                parser.error(f"unknown config key {raw!r}")
+            given.append((_BY_KEY[raw.replace("-", "_")], value, f"config key {raw}"))
+    given += [(s, getattr(args, s.key), s.flag) for s in _SETTINGS if getattr(args, s.key) is not None]
+    merged = {s.key: [s.initial] if s.axis else s.initial for s in _SETTINGS}
+    for setting, value, label in given:
+        values = value if setting.axis and isinstance(value, list) else [value]  # an axis may take one value
+        if not values:
+            parser.error(f"{label} needs at least one value")
         named: dict[str, object] = {}  # a value as a cell stem spells it -> the value
-        for value in merged[key]:
-            name = format(value, spec)
+        for one in values:
+            problem = _problem(setting, one)
+            if problem:
+                parser.error(f"{label} {problem}")
+            name = format(one, "g" if setting.kind is float else "")
             if name in named:
-                parser.error(f"--{key.replace('_', '-')} values {named[name]!r} and {value!r} "
+                parser.error(f"{setting.flag} values {named[name]!r} and {one!r} "
                              f"name the same cells ({name}); give each value once")
-            named[name] = value
-    if merged["workers"] is not None and merged["workers"] < 1:
-        parser.error(f"workers must be >= 1, got {merged['workers']}")
-    if merged["repeats"] < 1:
-        parser.error("--repeats must be >= 1")
-    for frac in merged["m_frac"]:
-        if not 0.0 < frac <= 1.0:
-            parser.error(f"--m-frac must lie in (0, 1], got {frac}")
-    for noise_p in merged["noise_p"]:
-        if not 0.0 <= noise_p <= 1.0:
-            parser.error(f"--noise-p must lie in [0, 1], got {noise_p}")
-    if merged["limit"] is not None and merged["limit"] < 1:
-        parser.error(f"--limit must be >= 1, got {merged['limit']}")
-    for name in merged["cost"]:
-        if name not in available_costs():
-            parser.error(f"unknown cost {name!r}; available: {available_costs()}")
-    for algo in merged["algo"]:
-        if algo not in ALGORITHMS:
-            parser.error(f"unknown algorithm {algo!r}; available: {list(ALGORITHMS)}")
+            named[name] = one
+        merged[setting.key] = values if setting.axis else value
     return merged
 
 
@@ -224,7 +230,7 @@ def _execute(jobs: list[dict], workers: int) -> list[tuple]:
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    merged = _merge_config(args, parser)
+    merged = _resolve_settings(args, parser)
     workers = merged["workers"]
     if workers is None:
         env_workers = os.environ.get("CSDPP_WORKERS", "1")
@@ -269,26 +275,20 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 1
+    fed = {LearnerConfig: {}, StreamConfig: {}}  # each config's keyword arguments from the non-axis settings
+    for s in _SETTINGS:
+        if s.feeds and not s.axis:
+            fed[s.feeds[0]][s.feeds[1]] = merged[s.key]
     # a repeat's stream depends only on (seed + repeat, noise_p, limit): every cell shares it
     streams = {
         (noise_p, repeat): build_stream(
-            instances, StreamConfig(seed=merged["seed"] + repeat, noise_p=noise_p, limit=merged["limit"])
+            instances, StreamConfig(**fed[StreamConfig], seed=merged["seed"] + repeat, noise_p=noise_p)
         )
         for noise_p in merged["noise_p"]
         for repeat in range(merged["repeats"])
     }
-    base_config = LearnerConfig(
-        lam=merged["lam"],
-        eta_scale=merged["eta"],
-        engine=merged["engine"],
-        sgd_step_scale=merged["sgd_step"],
-        label_order=merged["label_order"],
-        order_seed=merged["order_seed"],
-    )
-    base_header = {
-        "lambda": merged["lam"],
-        **{key: merged[key] for key in ("eta", "engine", "sgd_step", "label_order", "order_seed", "normalize")},
-    }
+    base_config = LearnerConfig(**fed[LearnerConfig])
+    base_header = {s.key: merged[s.key] for s in _SETTINGS if s.recorded}
     plays: dict[tuple, dict] = {}  # (trajectory, noise_p, repeat) -> the job that plays it
     served = []  # (stem, repeat, play key, slot in the play's cells), in grid order
     for algo, cost, m_frac, noise_p in itertools.product(
@@ -298,7 +298,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for repeat in range(merged["repeats"]):
             seed = merged["seed"] + repeat
             cell = {"algorithm": algo, "cost": cost, "m_frac": m_frac, "seed": seed}
-            key = (trajectory(replace(base_config, **cell)), noise_p, repeat)
+            key = (trajectory(replace(base_config, **cell), k), noise_p, repeat)
             job = plays.setdefault(
                 key,
                 {
@@ -328,14 +328,11 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"error: {len(failed)} of {len(results)} cell repeats failed", file=sys.stderr)
         return 1
 
-    by_stem: dict[str, list] = {}
-    for stem, repeat, final, _ in results:
-        by_stem.setdefault(stem, []).append((repeat, final))
+    by_stem: dict[str, list] = {}  # results run in grid order, so each stem's repeats in order
+    for stem, _, final, _ in results:
+        by_stem.setdefault(stem, []).append(final)
     for stem, finals in by_stem.items():
-        finals.sort()
-        summary = evaluation.summarize_finals([f for _, f in finals])
-        summary["cell"] = stem
-        summary["seed_base"] = merged["seed"]
+        summary = {**evaluation.summarize_finals(finals), "cell": stem, "seed_base": merged["seed"]}
         path = os.path.join(out_dir, f"{stem}_summary.json")
         try:
             evaluation.write_json(path, summary)
@@ -350,6 +347,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     for name in args.suites:
         if name not in verify.SUITES:
             parser.error(f"unknown suite {name!r}; available: {sorted(verify.SUITES)}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.trials is not None and args.trials < 1:
         parser.error(f"--trials must be >= 1, got {args.trials}")
     for name in args.cost or []:

@@ -86,16 +86,21 @@ _PLANS = {
 }
 
 
-def trajectory(config: LearnerConfig) -> LearnerConfig:
+def trajectory(config: LearnerConfig, k: int | None = None) -> LearnerConfig:
     """A config whose learner makes the same prediction as config's at every step.
 
     Only a "cost" weighting reads the cost beyond pricing the prediction, so any
     other plan's trajectory is keyed with cost hamming.  Under hamming every exact
     cost weight is 1/K, the uniform weight (criterion 07), so a cs-dpp-* learner
-    plays its dpp-* twin.  Configs with equal trajectories, played over one
-    stream, differ only in the price they put on each prediction.
+    plays its dpp-* twin.  Given K, the code dimension is keyed as the M the
+    learner uses: two fractions that round to one M play alike, and the identity
+    encoder, whose M is K, ignores them.  Configs with equal trajectories, played
+    over one stream, differ only in the price they put on each prediction.
     """
     encoder, weighting, head = _PLANS[config.algorithm]
+    if k is not None:
+        m = k if encoder == "identity" else config.resolve_m(k)
+        config = replace(config, m=m, m_frac=LearnerConfig.m_frac)
     if weighting != "cost":
         return replace(config, cost="hamming")
     if config.cost == "hamming":

@@ -229,6 +229,53 @@ class TestRunCommand:
         assert len(os.listdir(out)) == 28
         assert capsys.readouterr().out == f"wrote 14 cost traces and 14 summaries to {out}\n"
 
+    def test_plays_are_keyed_on_the_resolved_m(self, dataset, tmp_path, monkeypatch):
+        built = []
+        make_learner = cli.make_learner
+
+        def counting(config, d, k):
+            built.append(config.algorithm)
+            return make_learner(config, d, k)
+
+        monkeypatch.setattr(cli, "make_learner", counting)
+        monkeypatch.delenv("CSDPP_WORKERS", raising=False)
+        common = ["run", "--dataset", dataset, "--seed", "2", "--limit", "40"]
+        grid = tmp_path / "grid"
+        assert run_cli(*common, "--algo", "o-br", "--algo", "dpp-pbc", "--m-frac", "0.25", "--m-frac", "0.3",
+                       "--output", str(grid)) == 0
+        # K = 8: o-br ignores M, and 0.25 * 8 and 0.3 * 8 both round to M = 2
+        assert sorted(built) == ["dpp-pbc", "o-br"]
+        single = tmp_path / "single"
+        for algo in ("o-br", "dpp-pbc"):
+            for m_frac in ("0.25", "0.3"):
+                assert run_cli(*common, "--algo", algo, "--m-frac", m_frac, "--output", str(single)) == 0
+        assert len(built) == 6
+        expected = read_all(single)
+        assert len(expected) == 8
+        assert read_all(grid) == expected
+        assert b"# m_frac = 0.3\n" in expected["o-br_hamming_mf0.3_p0_r0.csv"]
+
+    def test_config_file_matches_flags_byte_for_byte(self, dataset, tmp_path):
+        values = {"algo": ["cs-dpp-pbt", "o-br"], "cost": ["f1", "hamming"], "m_frac": [0.25, 0.5],
+                  "noise_p": [0.0, 0.1], "repeats": 2, "seed": 3, "limit": 40, "eta": 1.5, "engine": "ridge",
+                  "sgd_step": 0.5, "label_order": "random", "order_seed": 9, "workers": 1}
+        flags = [arg for key, value in values.items() for one in (value if isinstance(value, list) else [value])
+                 for arg in (f"--{key.replace('_', '-')}", str(one))]
+        out = tmp_path / "flags"
+        assert run_cli("run", "--dataset", dataset, *flags, "--lambda", "0.5", "--no-normalize",
+                       "--output", str(out)) == 0
+        expected = read_all(out)
+        assert len(expected) == 16 * 3
+        assert b"# normalize = False\n# order_seed = 9\n" in expected["o-br_f1_mf0.5_p0.1_r1.csv"]
+        # underscored keys with "lam", then dashed keys with "lambda"
+        for spelling, config in (("lam", values), ("lambda", {k.replace("_", "-"): v for k, v in values.items()})):
+            out = tmp_path / spelling
+            cfg = tmp_path / f"{spelling}.json"
+            cfg.write_text(json.dumps({**config, spelling: 0.5, "normalize": False, "output": str(out)}),
+                           encoding="utf-8")
+            assert run_cli("run", "--dataset", dataset, "--config", str(cfg)) == 0
+            assert read_all(out) == expected
+
     def test_dataset_is_normalized_once(self, dataset, tmp_path, monkeypatch):
         calls = []
         normalize = csdpp.stream.normalize_features
@@ -322,6 +369,50 @@ class TestRunCommand:
         assert json.loads(runs[0][1])["head"]["acc"]["pending"] == rows % 32
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("algo, cost, k", [("dpp-pbc", "hamming", 400), ("cs-dpp-pbt", "f1", 200)])
+    def test_wide_tracked_cell_identical_across_blas_thread_counts(self, tmp_path, algo, cost, k):
+        # M = K/4: the widest tracked cells the README's thread-count promise names; the frame
+        # rotation ((M+2) x (M+2) x K) and the rotated head's M x K x M product are large enough
+        # here for OpenBLAS to split them across threads, and the bits must not move
+        rng = np.random.default_rng(40)
+        d, rows = 10, 40
+        insts = [Instance(rng.standard_normal(d), np.where(rng.random(k) < 0.05, 1, -1).astype(np.int8))
+                 for _ in range(rows)]
+        data = tmp_path / "tracked.txt"
+        data.write_text(serialize_sparse_labels(insts, d, k), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(csdpp.__file__)))
+        script = (
+            "import json, sys\n"
+            "from csdpp import cli, learners, stream\n"
+            "data, out, snap, algo, cost = sys.argv[1:]\n"
+            "assert cli.main(['run', '--dataset', data, '--algo', algo, '--cost', cost, '--seed', '5',\n"
+            "                 '--output', out]) == 0\n"
+            "insts, d, k = stream.parse_dataset(open(data, encoding='utf-8').read())\n"
+            "config = learners.LearnerConfig(algorithm=algo, cost=cost, seed=5)\n"
+            "learner = learners.make_learner(config, d, k)\n"
+            "learners.play(learner, insts)\n"
+            "open(snap, 'w', encoding='utf-8').write(json.dumps(learners.to_snapshot(learner)))\n"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            snap = tmp_path / f"snapshot{threads}.json"
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "CSDPP_WORKERS": "1",
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(data), str(out), str(snap), algo, cost],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append((read_all(out), snap.read_bytes()))
+        assert len(runs[0][0]) == 2
+        assert len(json.loads(runs[0][1])["basis"]) == k // 4
+        assert runs[0] == runs[1]
 
 class TestRunErrors:
     def test_unknown_cost_is_usage_error(self, dataset):
@@ -543,6 +634,40 @@ class TestRunErrors:
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["--seed", "-1"], None, "--seed must be >= 0, got -1"),
+        (None, {"seed": -1}, "config key seed must be >= 0, got -1"),
+        (["--order-seed", "-3"], None, "--order-seed must be >= 0, got -3"),
+        (None, {"order-seed": -3}, "config key order-seed must be >= 0, got -3"),
+        (None, {"output": 5}, "config key output must be a string, got 5"),
+        (None, [1, 2], "config file must hold a JSON object, got [1, 2]"),
+        (None, {"engine": "bogus"}, "config key engine must be one of ['ridge', 'sgd', 'auto'], got 'bogus'"),
+        (None, {"label_order": "bogus"}, "config key label_order must be one of ['native', 'random'], got 'bogus'"),
+        (None, {"normalize": "no"}, "config key normalize must be true or false, got 'no'"),
+        (["--lambda", "0"], None, "--lambda must be > 0, got 0.0"),
+        (None, {"lambda": 0}, "config key lambda must be > 0, got 0"),
+        (None, {"lam": 0}, "config key lam must be > 0, got 0"),
+        (["--eta", "-1"], None, "--eta must be >= 0, got -1.0"),
+        (None, {"eta": -1}, "config key eta must be >= 0, got -1"),
+        (["--eta", "nan"], None, "--eta must be a finite number, got nan"),
+        (None, {"eta": float("nan")}, "config key eta must be a finite number, got nan"),
+        (["--lambda", "inf"], None, "--lambda must be a finite number, got inf"),
+        (None, {"lambda": float("inf")}, "config key lambda must be a finite number, got inf"),
+        (["--sgd-step", "-1"], None, "--sgd-step must be >= 0, got -1.0"),
+        (None, {"sgd_step": float("-inf")}, "config key sgd_step must be a finite number, got -inf"),
+        (None, {"algo": []}, "config key algo needs at least one value"),
+    ])
+    def test_bad_setting_is_usage_error_before_any_output(self, dataset, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv = ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", dataset, *argv, "--output", str(tmp_path / "res"))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_non_positive_worker_env_is_runtime_error(self, dataset, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CSDPP_WORKERS", "0")
         assert run_cli("run", "--dataset", dataset, "--output", str(tmp_path / "res")) == 1
@@ -586,6 +711,12 @@ class TestVerifyCommand:
             run_cli("verify", "lemma1", "--trials", trials)
         assert exc.value.code == 2
         assert f"--trials must be >= 1, got {trials}" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "projection", "--seed", "-1")
+        assert exc.value.code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
