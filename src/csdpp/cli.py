@@ -12,14 +12,21 @@ stream per (noise, repeat), which every algorithm/cost/m-frac cell shares.
 Cells whose learners predict alike share one play: a cost-blind plan (all but
 the cost-weighted cs-dpp-* ones) plays once per (algorithm, M, noise, repeat),
 o-br once per (noise, repeat), and a cs-dpp-* cell under hamming joins its
-dpp-* twin (criterion 07).  A job plays one trajectory and prices its
-predictions under every cost it serves, with the cost call the learner makes,
-so no output byte depends on the grouping.  A job carries only its stream, its
-LearnerConfig and its cells' CSV headers, so jobs may run in a worker pool
-(--workers or CSDPP_WORKERS).  Given the same spec and seed the outputs are
-byte-identical.  A failed cell repeat (an unwritable CSV and a crashed pool
-worker included) is named on stderr, once for every cell a failed play served;
-the CSVs of finished repeats stay on disk and no summaries are written.
+dpp-* twin (criterion 07).  A play prices its predictions under every cost it
+serves, with the cost call the learner makes.  A job plays every trajectory of
+one stream in lockstep (`learners.Lockstep`): each step updates the ridge
+accumulator once for every ridge head and the uniform-weighted tracker once
+per M for dpp-pbc, dpp-pbt and dpp-naive.  When there are fewer streams than
+workers, each stream's plays are cut into at most ceil(workers / streams)
+jobs, so that the spare workers get work; the cut never splits the plays of
+one tracker.  No output byte depends on the grouping or on the cut.  A job carries its stream once,
+its plays' LearnerConfigs and their cells' CSV headers, so jobs may run in a
+worker pool (--workers or CSDPP_WORKERS).  Given the same spec and seed the
+outputs are byte-identical.  A failed cell repeat is named on stderr, once for
+every cell a failed play served: a learner that cannot be built or whose step
+fails fails its own play's cells, an unwritable CSV its own cell, and a crashed
+pool worker every cell of its job.  The CSVs of finished repeats stay on disk
+and no summaries are written.
 
 Each `run` setting is one row of `_SETTINGS`.  A --config JSON object sets it
 by its flag's name ("_" or "-" alike, "lam" for "lambda", "normalize": false
@@ -28,7 +35,8 @@ flag takes and gets the same usage error, before any output is written; a grid
 axis also takes one value, and limit, workers and order_seed null (unset).
 Ranges: repeats, limit, workers >= 1; seed, order_seed >= 0; eta, sgd_step >= 0
 and lambda > 0, all finite; m_frac in (0, 1]; noise_p in [0, 1].  Two grid
-axis values naming one cell are a usage error too.
+axis values naming one cell, and two config keys naming one setting, are usage
+errors too.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -46,7 +54,7 @@ from dataclasses import dataclass, replace
 
 from . import evaluation, stream, verify
 from .costs import available_costs, get_cost
-from .learners import ALGORITHMS, LearnerConfig, make_learner, play, trajectory
+from .learners import ALGORITHMS, LearnerConfig, Lockstep, make_learner, play, tracker_key, trajectory
 from .stream import StreamConfig, build_stream, parse_dataset
 
 
@@ -163,10 +171,16 @@ def _resolve_settings(args: argparse.Namespace, parser: argparse.ArgumentParser)
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(loaded, dict):
             parser.error(f"config file must hold a JSON object, got {loaded!r}")
+        spelled: dict[str, str] = {}  # setting key -> the config key that set it
         for raw, value in loaded.items():
-            if raw.replace("-", "_") not in _BY_KEY:
+            setting = _BY_KEY.get(raw.replace("-", "_"))
+            if setting is None:
                 parser.error(f"unknown config key {raw!r}")
-            given.append((_BY_KEY[raw.replace("-", "_")], value, f"config key {raw}"))
+            if setting.key in spelled:
+                parser.error(f"config keys {spelled[setting.key]!r} and {raw!r} both set {setting.flag}; "
+                             f"give it once")
+            spelled[setting.key] = raw
+            given.append((setting, value, f"config key {raw}"))
     given += [(s, getattr(args, s.key), s.flag) for s in _SETTINGS if getattr(args, s.key) is not None]
     merged = {s.key: [s.initial] if s.axis else s.initial for s in _SETTINGS}
     for setting, value, label in given:
@@ -187,18 +201,49 @@ def _resolve_settings(args: argparse.Namespace, parser: argparse.ArgumentParser)
     return merged
 
 
-def _run_repeat(payload: dict) -> list[tuple]:
-    """Play one learner trajectory over its prebuilt stream; a worker process may run it.
+def _lockstep_groups(keys: list, parts: int, k: int) -> list[list]:
+    """Cut one stream's play keys into at most `parts` lockstep groups.
 
-    Returns one (final average cost, error) pair per cell the play serves, in
-    order, so that a CSV that cannot be written fails only its own cell.
+    Plays that share a tracker stay together; the units are dealt, largest
+    first, to the group with the fewest plays (the first of equals), so the
+    cut depends only on the keys.
     """
-    config = payload["config"]
-    learner = make_learner(config, *payload["shape"])
-    records = play(learner, payload["stream"])
-    played = {"m": learner.m, "steps": len(records)}
-    return [_outcome(_write_cell, cell, records, payload["stream"], config.cost, played)
-            for cell in payload["cells"]]
+    units: dict = {}  # a shared tracker's key, or a play's index -> the plays of one unit
+    for i, key in enumerate(keys):
+        units.setdefault(tracker_key(key[0], k) or i, []).append(key)
+    groups: list[list] = [[] for _ in range(min(parts, len(units)))]
+    for unit in sorted(units.values(), key=len, reverse=True):
+        min(groups, key=len).extend(unit)
+    return groups
+
+
+def _run_repeat(payload: dict) -> list[list[tuple]]:
+    """Play a job's learner trajectories in lockstep over its prebuilt stream; a worker process may run it.
+
+    Returns, per play, one (final average cost, error) pair per cell it serves,
+    in order: a learner that cannot be built or whose step fails fails only its
+    own play's cells, and a CSV that cannot be written only its own cell.
+    """
+    instances, plays = payload["stream"], payload["plays"]
+    bundle = Lockstep()
+    slots, errors = [], []  # per play: its learner's slot in the bundle, the error that kept it out
+    for spec in plays:
+        learner, exc = _outcome(make_learner, spec["config"], *payload["shape"])
+        slots.append(None if learner is None else bundle.join(learner))
+        errors.append(exc)
+    steps = play(bundle, instances)
+    outcomes = []
+    for spec, slot, exc in zip(plays, slots, errors):
+        if slot is not None:
+            exc = bundle.errors[slot]
+        if exc is not None:
+            outcomes.append([(None, exc)] * len(spec["cells"]))
+            continue
+        records = [step[slot] for step in steps]
+        played = {"m": bundle.learners[slot].m, "steps": len(records)}
+        outcomes.append([_outcome(_write_cell, cell, records, instances, spec["config"].cost, played)
+                         for cell in spec["cells"]])
+    return outcomes
 
 
 def _write_cell(cell: dict, records: list, instances: list, played_cost: str, played: dict) -> float:
@@ -289,7 +334,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     }
     base_config = LearnerConfig(**fed[LearnerConfig])
     base_header = {s.key: merged[s.key] for s in _SETTINGS if s.recorded}
-    plays: dict[tuple, dict] = {}  # (trajectory, noise_p, repeat) -> the job that plays it
+    plays: dict[tuple, dict] = {}  # (trajectory, noise_p, repeat) -> the play of it
     served = []  # (stem, repeat, play key, slot in the play's cells), in grid order
     for algo, cost, m_frac, noise_p in itertools.product(
         merged["algo"], merged["cost"], merged["m_frac"], merged["noise_p"]
@@ -299,28 +344,28 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             seed = merged["seed"] + repeat
             cell = {"algorithm": algo, "cost": cost, "m_frac": m_frac, "seed": seed}
             key = (trajectory(replace(base_config, **cell), k), noise_p, repeat)
-            job = plays.setdefault(
-                key,
-                {
-                    "stream": streams[noise_p, repeat],
-                    "shape": (d, k),
-                    "config": replace(key[0], cost=cost),
-                    "cells": [],
-                },
-            )
-            served.append((stem, repeat, key, len(job["cells"])))
-            job["cells"].append(
+            spec = plays.setdefault(key, {"config": replace(key[0], cost=cost), "cells": []})
+            served.append((stem, repeat, key, len(spec["cells"])))
+            spec["cells"].append(
                 {
                     "cost": cost,
                     "header": {**base_header, **cell, "noise_p": noise_p, "repeat": repeat},
                     "csv": os.path.join(out_dir, f"{stem}_r{repeat}.csv"),
                 }
             )
-    outcomes = dict(zip(plays, _execute(list(plays.values()), workers)))
-    results = []  # (stem, repeat, final, error) per cell repeat
-    for stem, repeat, key, slot in served:
-        cell_outcomes, exc = outcomes[key]
-        results.append((stem, repeat, *(cell_outcomes[slot] if exc is None else (None, exc))))
+    by_stream: dict[tuple, list] = {}  # (noise_p, repeat) -> the keys of its plays
+    for key in plays:
+        by_stream.setdefault(key[1:], []).append(key)
+    groups = [group for keys in by_stream.values()
+              for group in _lockstep_groups(keys, -(-workers // len(by_stream)), k)]
+    jobs = [{"stream": streams[group[0][1:]], "shape": (d, k), "plays": [plays[key] for key in group]}
+            for group in groups]
+    outcomes = {}  # play key -> one (final, error) pair per cell it serves
+    for group, (per_play, exc) in zip(groups, _execute(jobs, workers)):
+        for i, key in enumerate(group):  # a failed job fails every cell of its plays
+            outcomes[key] = per_play[i] if exc is None else [(None, exc)] * len(plays[key]["cells"])
+    # (stem, repeat, final, error) per cell repeat
+    results = [(stem, repeat, *outcomes[key][slot]) for stem, repeat, key, slot in served]
     failed = [(stem, repeat, exc) for stem, repeat, _, exc in results if exc is not None]
     for stem, repeat, exc in failed:
         print(f"error: cell {stem} repeat {repeat}: {exc}", file=sys.stderr)

@@ -27,6 +27,13 @@ head.  All tracked variants consume identical randomness (one sampler draw
 per step plus one at construction), so seed-matched runs are paired
 comparisons.
 
+Learners fed one stream may run in lockstep (`Lockstep`): a step then makes
+once, for all of them, what none of them steers -- the ridge accumulator's
+update, which depends on the features alone, and the tracker update and basis
+draw of the uniform-weighted learners, which never read their predictions --
+and each learner's own step reuses it.  Each learner still predicts exactly
+what it predicts alone.
+
 The per-step audit (opt-in, tracked encoder only) checks the decoding cost bound
 cost <= ||code - P C y||^2 + ||(I - P^T P) C y||^2 with C the weight
 diagonal actually used, and counts violations beyond tolerance.
@@ -53,10 +60,12 @@ from .stream import (
 __all__ = [
     "ALGORITHMS",
     "LearnerConfig",
+    "Lockstep",
     "PredictionRecord",
     "decode",
     "make_learner",
     "play",
+    "tracker_key",
     "trajectory",
     "Learner",
     "to_snapshot",
@@ -107,6 +116,20 @@ def trajectory(config: LearnerConfig, k: int | None = None) -> LearnerConfig:
         twin = next(name for name, plan in _PLANS.items() if plan == (encoder, "uniform", head))
         return replace(config, algorithm=twin)
     return config
+
+
+def tracker_key(config: LearnerConfig, k: int) -> tuple | None:
+    """(M, seed, eta scale) of a uniform-weighted tracked learner; None for any other.
+
+    Uniform weights never read the prediction, so such a learner's tracker and
+    basis draws follow only the labels and this key: over one stream, learners
+    with equal keys track alike.  A cost-weighted tracker reads its own
+    learner's predictions.
+    """
+    encoder, weighting, _ = _PLANS[config.algorithm]
+    if (encoder, weighting) != ("tracked", "uniform"):
+        return None
+    return config.resolve_m(k), config.seed, config.eta_scale
 
 
 def decode(basis: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -168,6 +191,15 @@ class AuditTrail:
         self.max_gap = max(self.max_gap, gap)
         if gap > TOL.bound_audit:
             self.violations += 1
+
+
+def _track(msg: CappedMsgState, rng: np.random.Generator, target: np.ndarray, t: int) -> np.ndarray:
+    """Step the tracker at index t with the weighted label direction; returns the next basis."""
+    norm = math.sqrt(target @ target)  # np.linalg.norm of a contiguous vector, bit for bit
+    if norm > 1.0 + TOL.unit_norm_slack:  # weight mass can exceed 1 for some costs
+        target = target / norm
+    msg.update(target, t)
+    return msg.sample_projection(rng)
 
 
 def _resolve_order(config: LearnerConfig, k: int) -> np.ndarray:
@@ -259,7 +291,16 @@ class Learner:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self._decode(self.predict_code(x))
 
-    def step(self, x: np.ndarray, y: np.ndarray) -> PredictionRecord:
+    def step(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        gain: tuple[np.ndarray, float] | None = None,
+        drawn: np.ndarray | None = None,
+    ) -> PredictionRecord:
+        """One instance.  In a `Lockstep`, ``gain`` is the shared accumulator's
+        update for x and ``drawn`` the shared tracker's next basis; a learner
+        that owns its accumulator and tracker steps them itself."""
         self.t += 1
         basis = new_basis = self.basis
         code = self.predict_code(x)
@@ -279,18 +320,15 @@ class Learner:
             lhs = incurred if self.weighted else costs_mod.hamming_loss(y, y_hat)
             self.audit.observe(lhs - rhs)
 
-        if self.msg is not None:
-            direction = target
-            norm = math.sqrt(direction @ direction)  # np.linalg.norm of a contiguous vector, bit for bit
-            if norm > 1.0 + TOL.unit_norm_slack:  # weight mass can exceed 1 for some costs
-                direction = direction / norm
-            self.msg.update(direction, self.t)
-            new_basis = self.msg.sample_projection(self.rng_sampler)
+        if drawn is not None:
+            new_basis = drawn
+        elif self.msg is not None:
+            new_basis = _track(self.msg, self.rng_sampler, target, self.t)
 
         if self.label_head:
-            self.head.update(x, target)
+            self.head.update(x, target, gain=gain)
         else:  # a rotated head encodes with the basis it is turned onto, a plain one with the old
-            self.head.update(x, target, new_basis if self.head.basis is not None else basis)
+            self.head.update(x, target, new_basis if self.head.basis is not None else basis, gain)
         self.basis = new_basis
         return PredictionRecord(self.t, y_hat, incurred)
 
@@ -303,6 +341,68 @@ class Learner:
             "sigma": self.msg.sigma.copy(),
             "h": self.head.w.copy(),
         }
+
+
+class Lockstep:
+    """Learners played together over one stream, sharing the work none of them steers.
+
+    Ridge heads of equal (d, lambda, refresh cadence) read one accumulator, and
+    uniform-weighted tracked learners of equal `tracker_key` one tracker and its
+    draws.  Each step first updates every shared accumulator and tracker once,
+    outside every learner, then runs each learner's own step with the results,
+    so each learner makes the predictions it makes alone.  A learner whose step
+    raises ValueError or RuntimeError stops, its error kept in ``errors``; the
+    shared work and the other learners go on.
+    """
+
+    def __init__(self) -> None:
+        self.learners: list[Learner] = []
+        self.errors: list[Exception | None] = []
+        self.t = 0
+        self._accs: dict[tuple, RidgeAccumulator] = {}
+        self._trackers: dict[tuple, Learner] = {}  # key -> the learner whose tracker the others read
+        self._keys: list[tuple] = []  # per learner: its accumulator's and its tracker's key, or None
+
+    def join(self, learner: Learner) -> int:
+        """Add a fresh learner and return its slot in each step's records.
+
+        The learner gives up its ridge accumulator and uniform tracker for the
+        bundle's equal ones, built alike.
+        """
+        if learner.t or self.t:
+            raise ValueError("a learner joins a lockstep bundle before either has stepped")
+        acc_key = None
+        acc = learner.head.acc
+        if acc is not None:
+            acc_key = (acc.d, acc.lam, acc.refresh_every)
+            learner.head.acc = self._accs.setdefault(acc_key, acc)
+        tracker = tracker_key(learner.config, learner.k)
+        if tracker is not None:
+            lead = self._trackers.setdefault(tracker, learner)
+            learner.msg, learner.rng_sampler, learner.basis = lead.msg, lead.rng_sampler, lead.basis
+        self.learners.append(learner)
+        self.errors.append(None)
+        self._keys.append((acc_key, tracker))
+        return len(self.learners) - 1
+
+    def step(self, x: np.ndarray, y: np.ndarray) -> list[PredictionRecord | None]:
+        """One instance for every learner; a stopped learner's record is None."""
+        self.t += 1
+        gains = {key: acc.update(x) for key, acc in self._accs.items()}
+        draws = {
+            key: _track(lead.msg, lead.rng_sampler, lead._sqrt_w * y, self.t)
+            for key, lead in self._trackers.items()
+        }
+        records: list[PredictionRecord | None] = []
+        for i, (learner, (acc_key, tracker)) in enumerate(zip(self.learners, self._keys)):
+            record = None
+            if self.errors[i] is None:
+                try:
+                    record = learner.step(x, y, gains.get(acc_key), draws.get(tracker))
+                except (ValueError, RuntimeError) as exc:
+                    self.errors[i] = exc
+            records.append(record)
+        return records
 
 
 _STATEFUL = (CappedMsgState, Head, RidgeAccumulator)
@@ -366,6 +466,9 @@ def make_learner(config: LearnerConfig, d: int, k: int) -> Learner:
     return Learner(config, d, k)
 
 
-def play(learner, instances: list[Instance]) -> list[PredictionRecord]:
-    """Run the learner over the stream in order; one record per step."""
+def play(learner, instances: list[Instance]) -> list:
+    """Run the learner, or a `Lockstep` of learners, over the stream in order; one record per step.
+
+    A lockstep's record of a step is the list of its learners' records.
+    """
     return [learner.step(inst.features, inst.labels) for inst in instances]

@@ -24,6 +24,13 @@ enough that BLAS keeps it on one thread, so a flush rounds the same at any
 BLAS thread count.  The exact A is recomputed into the inverse on a fixed
 cadence (after a flush) to stop fp drift on long streams.
 
+The accumulator depends only on the feature stream, lambda and the refresh
+cadence, never on the targets, so any number of ridge heads fed the same
+features can share one: a head holds its accumulator by reference, and whoever
+owns a shared one steps it once per instance (`RidgeAccumulator.update`) and
+hands the resulting (A_prev_inv x, gamma) to every head's update.  A head that
+owns its accumulator steps it itself.
+
 One head class covers every algorithm through three settings: its width (K for
 a head on label-space targets, M for a head on codes), whether it is rotated by
 P_old P_new^T whenever the encoder basis changes, and its step rule (the ridge
@@ -113,6 +120,16 @@ class RidgeAccumulator:
         if refresh:
             self.a_inv = np.linalg.solve(self.a, np.eye(self.d))
 
+    def update(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """One instance: `peek` then `absorb`; returns the peeked (A_prev_inv x, gamma).
+
+        Absorbing copies the pair into the panel, so every head fed x may step
+        with it afterwards.
+        """
+        ainv_x, gamma = self.peek(x)
+        self.absorb(x, ainv_x, gamma)
+        return ainv_x, gamma
+
 
 class Head:
     """Linear head W (d x width) with prediction W^T x and one of two step rules.
@@ -126,6 +143,9 @@ class Head:
     changes: each update first rotates it, W <- W (P_old P_new^T), so its
     predictions chase the new code coordinates instead of stale ones; the
     ridge accumulator itself is basis-free and untouched.
+
+    ``acc`` is the head's ridge accumulator; a head that shares one (see
+    `learners.Lockstep`) is handed its update's (A_prev_inv x, gamma).
     """
 
     def __init__(
@@ -166,10 +186,19 @@ class Head:
         self.w = self.w @ (self.basis @ new_basis.T)
         self.basis = new_basis.copy()
 
-    def update(self, x: np.ndarray, target: np.ndarray, basis: np.ndarray | None = None) -> None:
+    def update(
+        self,
+        x: np.ndarray,
+        target: np.ndarray,
+        basis: np.ndarray | None = None,
+        gain: tuple[np.ndarray, float] | None = None,
+    ) -> None:
         """Step toward ``target``, or toward ``basis @ target`` when a basis is given.
 
-        A head that follows basis changes is rotated onto ``basis`` first.
+        A head that follows basis changes is rotated onto ``basis`` first.  A
+        ridge head steps with ``gain``, the (A_prev_inv x, gamma) of its shared
+        accumulator's update for x; without it, it peeks its own accumulator
+        and absorbs x after its step.
         """
         if basis is not None:
             if self.basis is not None:
@@ -182,7 +211,8 @@ class Head:
             step = self.sgd_step_scale / np.sqrt(self.t)
             self.w -= step * np.outer(x, self.w.T @ x - target)
             return
-        ainv_x, gamma = self.acc.peek(x)
+        ainv_x, gamma = self.acc.peek(x) if gain is None else gain
         resid = self.w.T @ x - target
         self.w -= np.outer(ainv_x, resid) / (1.0 + gamma)
-        self.acc.absorb(x, ainv_x, gamma)
+        if gain is None:
+            self.acc.absorb(x, ainv_x, gamma)

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,17 +13,20 @@ import csdpp
 from csdpp import cli
 from csdpp.cli import main
 from csdpp.costs import available_costs
-from csdpp.learners import ALGORITHMS
+from csdpp.learners import ALGORITHMS, Learner
+from csdpp.online_pca import CappedMsgState
+from csdpp.regressor import RidgeAccumulator
 from csdpp.stream import Instance, planted_subspace_stream, serialize_sparse_labels
 
 _RUN_REPEAT = cli._run_repeat
 
 
 def _crash_o_rand_cell(payload):
-    """Stand-in for the job runner: the o-rand play kills its worker once the o-br CSV exists."""
-    if payload["config"].algorithm != "o-rand":
+    """Stand-in for the job runner: a job with the o-rand play kills its worker once the o-br CSV exists."""
+    o_rand = [spec for spec in payload["plays"] if spec["config"].algorithm == "o-rand"]
+    if not o_rand:
         return _RUN_REPEAT(payload)
-    finished = payload["cells"][0]["csv"].replace("o-rand", "o-br")
+    finished = o_rand[0]["cells"][0]["csv"].replace("o-rand", "o-br")
     deadline = time.monotonic() + 60
     while not os.path.exists(finished) and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -414,6 +418,111 @@ class TestRunCommand:
         assert len(json.loads(runs[0][1])["basis"]) == k // 4
         assert runs[0] == runs[1]
 
+
+ALL_ALGOS = [arg for algo in ALGORITHMS for arg in ("--algo", algo)]
+
+
+class TestLockstepJobs:
+    @pytest.mark.parametrize("repeats", ["1", "2"])
+    def test_bytes_do_not_depend_on_workers(self, dataset, tmp_path, repeats):
+        # K = 8: m-frac 0.25 and 0.5 give M = 2 and M = 4, so each stream has two shared trackers
+        common = ["run", "--dataset", dataset, *ALL_ALGOS, "--cost", "hamming", "--cost", "f1",
+                  "--m-frac", "0.25", "--m-frac", "0.5", "--repeats", repeats, "--seed", "6", "--limit", "40"]
+        single = tmp_path / "single"
+        for algo in ALGORITHMS:
+            for m_frac in ("0.25", "0.5"):
+                assert run_cli("run", "--dataset", dataset, "--algo", algo, "--cost", "hamming", "--cost", "f1",
+                               "--m-frac", m_frac, "--repeats", repeats, "--seed", "6", "--limit", "40",
+                               "--workers", "1", "--output", str(single)) == 0
+        expected = read_all(single)
+        assert len(expected) == 28 * (int(repeats) + 1)
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"workers{workers}"
+            assert run_cli(*common, "--workers", workers, "--output", str(out)) == 0
+            assert read_all(out) == expected
+
+    @pytest.mark.parametrize("m_fracs, trackers", [(["0.25"], 3), (["0.25", "0.5"], 6)])
+    def test_shared_work_runs_once_per_step(self, dataset, tmp_path, monkeypatch, m_fracs, trackers):
+        calls = Counter()
+        for cls, name in ((RidgeAccumulator, "peek"), (CappedMsgState, "update"),
+                          (CappedMsgState, "sample_projection")):
+            def counting(*args, _original=getattr(cls, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting)
+        out = tmp_path / "res"
+        axes = [arg for m_frac in m_fracs for arg in ("--m-frac", m_frac)]
+        assert run_cli("run", "--dataset", dataset, *ALL_ALGOS, "--cost", "hamming", "--cost", "f1", *axes,
+                       "--limit", "40", "--workers", "1", "--output", str(out)) == 0
+        assert len(os.listdir(out)) == 28 * len(m_fracs)
+        # one accumulator for all 7 (or 11) plays; per M one tracker for dpp-pbc, dpp-pbt, dpp-naive and
+        # the cs-dpp-* cells under hamming, and one each for cs-dpp-pbc/f1 and cs-dpp-pbt/f1
+        assert calls["peek"] == 40
+        assert calls["update"] == trackers * 40
+        built = 5 * len(m_fracs)  # each tracked learner draws its first basis when it is built
+        assert calls["sample_projection"] == built + trackers * 40
+
+    def test_failing_learner_fails_only_the_cells_of_its_play(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("CSDPP_WORKERS", raising=False)
+        common = ["run", "--dataset", dataset, "--cost", "hamming", "--cost", "f1", "--repeats", "2"]
+        others = [arg for algo in ALGORITHMS if algo != "dpp-pbc" for arg in ("--algo", algo)]
+        alone = tmp_path / "alone"
+        assert run_cli(*common, *others, "--output", str(alone)) == 0
+        expected = {name: data for name, data in read_all(alone).items() if name.endswith(".csv")}
+        step = Learner.step
+
+        def failing(self, x, y, *shared):  # dpp-pbc leads the shared tracker and accumulator
+            if self.config.algorithm == "dpp-pbc" and self.t == 49:
+                raise RuntimeError("step 50 failed")
+            return step(self, x, y, *shared)
+
+        monkeypatch.setattr(Learner, "step", failing)
+        out = tmp_path / "res"
+        assert run_cli(*common, *ALL_ALGOS, "--output", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        # cs-dpp-pbc under hamming plays as dpp-pbc
+        assert err == [f"error: cell {stem}_mf0.25_p0 repeat {r}: step 50 failed"
+                       for stem in ("dpp-pbc_hamming", "dpp-pbc_f1", "cs-dpp-pbc_hamming") for r in (0, 1)] + [
+            "error: 6 of 28 cell repeats failed"]
+        got = read_all(out)
+        assert got == {name: data for name, data in expected.items() if not name.startswith("cs-dpp-pbc_hamming")}
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_unbuildable_learner_fails_only_its_cells(self, dataset, tmp_path, capsys, workers):
+        # M = K: legal for o-br and o-rand, not for a tracked learner
+        out = tmp_path / "res"
+        code = run_cli("run", "--dataset", dataset, "--algo", "dpp-pbc", "--algo", "o-br", "--algo", "o-rand",
+                       "--m-frac", "1", "--workers", workers, "--output", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cell dpp-pbc_hamming_mf1_p0 repeat 0: code dimension must satisfy 1 <= M < K, got M=8 K=8",
+            "error: 1 of 3 cell repeats failed"]
+        assert sorted(os.listdir(out)) == ["o-br_hamming_mf1_p0_r0.csv", "o-rand_hamming_mf1_p0_r0.csv"]
+
+    @pytest.mark.parametrize("workers, repeats, jobs", [(1, 2, 2), (2, 2, 2), (2, 1, 2), (3, 1, 3), (8, 1, 5)])
+    def test_one_job_per_stream_cut_for_idle_workers(self, dataset, tmp_path, monkeypatch, workers, repeats, jobs):
+        seen = []
+        execute = cli._execute
+
+        def recording(job_list, pool_size):
+            seen.extend([spec["config"].algorithm for spec in job["plays"]] for job in job_list)
+            return execute(job_list, 1)
+
+        monkeypatch.setattr(cli, "_execute", recording)
+        assert run_cli("run", "--dataset", dataset, *ALL_ALGOS, "--cost", "hamming", "--cost", "f1",
+                       "--repeats", str(repeats), "--limit", "20", "--workers", str(workers),
+                       "--output", str(tmp_path / "res")) == 0
+        assert len(seen) == jobs
+        assert sorted(algo for job in seen for algo in job) == sorted(
+            ["dpp-pbc", "dpp-pbt", "dpp-naive", "cs-dpp-pbc", "cs-dpp-pbt", "o-br", "o-rand"] * repeats)
+        # the plays of one shared tracker never land in different jobs
+        shared = [job for job in seen if "dpp-pbc" in job]
+        assert all({"dpp-pbt", "dpp-naive"} <= set(job) for job in shared)
+        if workers <= repeats:
+            assert all(len(job) == 7 for job in seen)
+
+
 class TestRunErrors:
     def test_unknown_cost_is_usage_error(self, dataset):
         with pytest.raises(SystemExit) as exc:
@@ -512,6 +621,22 @@ class TestRunErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--dataset", dataset, "--repeats", "0")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("config, message", [
+        ({"m_frac": 0.5, "m-frac": 0.25, "lam": 2.0, "lambda": 3.0},
+         "config keys 'm_frac' and 'm-frac' both set --m-frac; give it once"),
+        ({"lam": 2.0, "lambda": 3.0}, "config keys 'lam' and 'lambda' both set --lambda; give it once"),
+        ({"order-seed": 1, "seed": 2, "order_seed": 1},
+         "config keys 'order-seed' and 'order_seed' both set --order-seed; give it once"),
+    ])
+    def test_setting_named_twice_in_config_is_usage_error(self, dataset, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", dataset, "--config", str(cfg), "--output", str(tmp_path / "res"))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_unknown_config_key_is_usage_error(self, dataset, tmp_path):
         cfg = tmp_path / "cfg.json"

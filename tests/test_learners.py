@@ -10,11 +10,13 @@ from csdpp.learners import (
     ALGORITHMS,
     Learner,
     LearnerConfig,
+    Lockstep,
     decode,
     from_snapshot,
     make_learner,
     play,
     to_snapshot,
+    tracker_key,
     trajectory,
 )
 from csdpp.regressor import Head
@@ -154,6 +156,93 @@ class TestDeterminism:
         stream = small_stream(t=10, seed=4)
         recs = play(make_learner(LearnerConfig(algorithm="o-br"), 8, 6), stream)
         assert [r.t for r in recs] == list(range(1, 11))
+
+
+def _lockstep_configs():
+    # every algorithm under a cost-blind and a cost-weighted cost, at two M, and an SGD head
+    configs = [LearnerConfig(algorithm=algo, cost=cost, m=m, seed=5)
+               for algo in ALGORITHMS for cost in ("hamming", "f1") for m in (2, 3)]
+    return configs + [LearnerConfig(algorithm="dpp-pbt", m=2, seed=5, engine="sgd")]
+
+
+class TestLockstep:
+    def test_every_learner_predicts_as_it_does_alone(self):
+        stream = small_stream(t=150, seed=8)
+        configs = _lockstep_configs()
+        alone = [make_learner(cfg, 8, 6) for cfg in configs]
+        alone_records = [play(learner, stream[:70]) for learner in alone]
+        bundle = Lockstep()
+        assert [bundle.join(make_learner(cfg, 8, 6)) for cfg in configs] == list(range(len(configs)))
+        steps = play(bundle, stream[:70])
+        for slot, (learner, records) in enumerate(zip(alone, alone_records)):
+            for step, record in zip(steps, records):
+                np.testing.assert_array_equal(step[slot].y_hat, record.y_hat)
+                assert step[slot].incurred_cost == record.incurred_cost
+            # mid-panel, the snapshot of a learner in the bundle is the one it would take alone
+            assert to_snapshot(bundle.learners[slot]) == to_snapshot(learner)
+        for learner, records in zip(alone, alone_records):
+            records += play(learner, stream[70:])
+        steps += play(bundle, stream[70:])
+        for slot, records in enumerate(alone_records):
+            assert [s[slot].y_hat.tobytes() for s in steps] == [r.y_hat.tobytes() for r in records]
+        assert bundle.errors == [None] * len(configs)
+
+    def test_shared_pieces_are_one_object_each(self):
+        configs = _lockstep_configs()
+        bundle = Lockstep()
+        for cfg in configs:
+            bundle.join(make_learner(cfg, 8, 6))
+        ridge = [learner.head.acc for learner in bundle.learners if learner.head.acc is not None]
+        assert len(ridge) == len(configs) - 1 and all(acc is ridge[0] for acc in ridge)
+        trackers = {}
+        for learner in bundle.learners:
+            key = tracker_key(learner.config, 6)
+            if key is not None:
+                assert trackers.setdefault(key, learner.msg) is learner.msg
+        assert sorted(trackers) == [(2, 5, 2.0), (3, 5, 2.0)]
+        own = [learner.msg for learner in bundle.learners if learner.weighted]
+        assert len({id(msg) for msg in own}) == len(own) == 8
+
+    def test_a_failing_learner_leaves_the_others_untouched(self, monkeypatch):
+        stream = small_stream(t=90, seed=9)
+        configs = _lockstep_configs()
+        expected = [play(make_learner(cfg, 8, 6), stream) for cfg in configs]
+        step = Learner.step
+        lead = configs.index(LearnerConfig(algorithm="dpp-pbc", cost="hamming", m=2, seed=5))
+
+        def failing(self, x, y, *shared):
+            if self.config == configs[lead] and self.t == 49:
+                raise RuntimeError("step 50 failed")
+            return step(self, x, y, *shared)
+
+        monkeypatch.setattr(Learner, "step", failing)
+        bundle = Lockstep()
+        for cfg in configs:
+            bundle.join(make_learner(cfg, 8, 6))
+        steps = play(bundle, stream)
+        assert [str(exc) if exc else None for exc in bundle.errors] == [
+            "step 50 failed" if slot == lead else None for slot in range(len(configs))]
+        assert all(s[lead] is None for s in steps[49:]) and steps[48][lead].t == 49
+        for slot, records in enumerate(expected):
+            if slot != lead:
+                assert [s[slot].y_hat.tobytes() for s in steps] == [r.y_hat.tobytes() for r in records]
+
+    def test_join_before_any_step(self):
+        stream = small_stream(t=3, seed=1)
+        stepped = make_learner(LearnerConfig(algorithm="o-br"), 8, 6)
+        play(stepped, stream)
+        with pytest.raises(ValueError, match="before either has stepped"):
+            Lockstep().join(stepped)
+        bundle = Lockstep()
+        bundle.join(make_learner(LearnerConfig(algorithm="o-br"), 8, 6))
+        play(bundle, stream)
+        with pytest.raises(ValueError, match="before either has stepped"):
+            bundle.join(make_learner(LearnerConfig(algorithm="o-rand"), 8, 6))
+
+    def test_tracker_key_names_the_uniform_tracked_learners(self):
+        assert tracker_key(LearnerConfig(algorithm="dpp-naive", m_frac=0.5, seed=3, eta_scale=1.5), 8) == (4, 3, 1.5)
+        for algo in ("cs-dpp-pbc", "cs-dpp-pbt", "o-br", "o-rand"):
+            assert tracker_key(LearnerConfig(algorithm=algo, cost="hamming"), 8) is None
 
 
 class TestCostWeightingEquivalence:

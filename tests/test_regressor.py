@@ -114,6 +114,57 @@ class TestAccumulator:
             np.testing.assert_array_equal(getattr(resumed.acc, name), getattr(whole.acc, name))
         assert resumed.acc.pending == whole.acc.pending == 150 % 32
 
+    def test_shared_accumulator_heads_resume_bit_for_bit(self):
+        # two heads on one accumulator, stepped the way a lockstep bundle steps them
+        rng = np.random.default_rng(22)
+        xs = rng.standard_normal((150, 6))
+        ys = rng.standard_normal((150, 4))
+
+        def pair():
+            acc = RidgeAccumulator(6, lam=0.5)
+            heads = (Head(6, 4, lam=0.5), Head(6, 2, lam=0.5))
+            for head in heads:
+                head.acc = acc
+            return acc, heads
+
+        def steps(acc, heads, rows):
+            for x, y in rows:
+                gain = acc.update(x)
+                heads[0].update(x, y, gain=gain)
+                heads[1].update(x, y[:2], gain=gain)
+
+        whole_acc, whole = pair()
+        first_acc, first = pair()
+        steps(whole_acc, whole, zip(xs[:45], ys[:45]))
+        steps(first_acc, first, zip(xs[:45], ys[:45]))
+        assert first_acc.pending == 13 and first_acc.steps == 45
+        snaps = [json.loads(json.dumps(to_snapshot(head))) for head in first]
+        assert all(snap["acc"] == to_snapshot(first_acc) for snap in snaps)
+        acc, resumed = pair()
+        for head, snap in zip(resumed, snaps):
+            from_snapshot(head, snap)
+        assert resumed[0].acc is resumed[1].acc is acc
+        steps(acc, resumed, zip(xs[45:], ys[45:]))  # crosses the flushes at steps 64, 96 and 128
+        steps(whole_acc, whole, zip(xs[45:], ys[45:]))
+        for got, want in zip(resumed, whole):
+            np.testing.assert_array_equal(got.w, want.w)
+        for name in ("a", "a_inv", "panel_u", "panel_c", "panel_x"):
+            np.testing.assert_array_equal(getattr(acc, name), getattr(whole_acc, name))
+        assert acc.pending == whole_acc.pending == 150 % 32
+
+    def test_shared_gain_steps_as_an_own_accumulator(self):
+        rng = np.random.default_rng(23)
+        xs = rng.standard_normal((70, 5))
+        ys = rng.standard_normal((70, 3))
+        alone, shared, acc = Head(5, 3), Head(5, 3), RidgeAccumulator(5)
+        shared.acc = acc
+        for x, y in zip(xs, ys):
+            alone.update(x, y)
+            shared.update(x, y, gain=acc.update(x))
+        np.testing.assert_array_equal(shared.w, alone.w)
+        for name in ("a", "a_inv", "panel_u", "panel_c", "panel_x"):
+            np.testing.assert_array_equal(getattr(acc, name), getattr(alone.acc, name))
+
     def test_refresh_after_long_sparse_stream(self):
         # 10,000 rows at d=200 with 5% nonzeros: the refresh at step 10,000 solves the
         # dense accumulated A, which equals lambda I + X^T X, and agrees with the
