@@ -13,10 +13,14 @@ Cells whose learners predict alike share one play: a cost-blind plan (all but
 the cost-weighted cs-dpp-* ones) plays once per (algorithm, M, noise, repeat),
 o-br once per (noise, repeat), and a cs-dpp-* cell under hamming joins its
 dpp-* twin (criterion 07).  A play prices its predictions under every cost it
-serves, with the cost call the learner makes.  A job plays every trajectory of
-one stream in lockstep (`learners.Lockstep`): each step updates the ridge
-accumulator once for every ridge head and the uniform-weighted tracker once
-per M for dpp-pbc, dpp-pbt and dpp-naive.  When there are fewer streams than
+serves: the cost it was played under by the learner's own call, each other
+one by one batch call over the whole play (`CostFunction.each`).  A job plays
+every trajectory of one stream in lockstep (`learners.Lockstep`): each step
+updates the ridge accumulator once for every ridge head and the
+uniform-weighted tracker once per M for dpp-pbc, dpp-pbt and dpp-naive.  A
+dataset that fails to parse, has no instances or has a feature whose max - min
+overflows float64 stops the run with one error line before any output is
+written.  When there are fewer streams than
 workers, each stream's plays are cut into at most ceil(workers / streams)
 jobs, so that the spare workers get work; the cut never splits the plays of
 one tracker.  No output byte depends on the grouping or on the cut.  A job carries its stream once,
@@ -54,7 +58,7 @@ from dataclasses import dataclass, replace
 
 from . import evaluation, stream, verify
 from .costs import available_costs, get_cost
-from .learners import ALGORITHMS, LearnerConfig, Lockstep, make_learner, play, tracker_key, trajectory
+from .learners import ALGORITHMS, LearnerConfig, Lockstep, play, tracker_key, trajectory
 from .stream import StreamConfig, build_stream, parse_dataset
 
 
@@ -228,8 +232,8 @@ def _run_repeat(payload: dict) -> list[list[tuple]]:
     bundle = Lockstep()
     slots, errors = [], []  # per play: its learner's slot in the bundle, the error that kept it out
     for spec in plays:
-        learner, exc = _outcome(make_learner, spec["config"], *payload["shape"])
-        slots.append(None if learner is None else bundle.join(learner))
+        slot, exc = _outcome(bundle.add, spec["config"], *payload["shape"])
+        slots.append(slot)
         errors.append(exc)
     steps = play(bundle, instances)
     outcomes = []
@@ -248,10 +252,14 @@ def _run_repeat(payload: dict) -> list[list[tuple]]:
 
 def _write_cell(cell: dict, records: list, instances: list, played_cost: str, played: dict) -> float:
     """Write one cell's CSV; the learner priced its predictions under played_cost only."""
-    price = None if cell["cost"] == played_cost else get_cost(cell["cost"])
+    if cell["cost"] == played_cost:
+        costs = [rec.incurred_cost for rec in records]
+    else:  # every step of the play re-priced at once
+        truth = [inst.labels for inst in instances]
+        costs = get_cost(cell["cost"]).each(truth, [rec.y_hat for rec in records])
     trace = evaluation.CostTrace()
-    for rec, inst in zip(records, instances):
-        trace.track(rec.incurred_cost if price is None else price(inst.labels, rec.y_hat))
+    for cost in costs:
+        trace.track(cost)
     evaluation.write_cost_csv(cell["csv"], trace, {**cell["header"], **played})
     return trace.final_average
 
@@ -312,7 +320,11 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print("error: the dataset has no instances", file=sys.stderr)
         return 1
     if merged["normalize"]:
-        instances = stream.normalize_features(instances)
+        try:
+            instances = stream.normalize_features(instances)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     out_dir = merged["output"]
     try:

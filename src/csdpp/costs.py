@@ -66,12 +66,19 @@ def _validate_pair(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
     """Check that y and yhat are {-1,+1} vectors of one shape; return their (tp, fp, fn, tn)."""
     if y.shape != yhat.shape or y.ndim != 1 or y.size == 0:
         raise ValueError(f"label vectors must share a non-empty 1-d shape, got {y.shape} vs {yhat.shape}")
+    pos, pos_hat, n_pos, n_hat = _positives(y, yhat)
+    tp = np.count_nonzero(pos & pos_hat)
+    return np.array([tp, n_hat - tp, n_pos - tp, y.size - n_pos - n_hat + tp], dtype=np.int64)
+
+
+def _positives(y: np.ndarray, yhat: np.ndarray) -> tuple:
+    """The +1 masks of two label arrays of one shape and their counts, after
+    checking that every entry is -1 or +1."""
     pos, pos_hat = y == 1, yhat == 1
     n_pos, n_hat = np.count_nonzero(pos), np.count_nonzero(pos_hat)
     if n_pos + n_hat + np.count_nonzero(y == -1) + np.count_nonzero(yhat == -1) != 2 * y.size:
         raise ValueError("label vectors must take values in {-1,+1}")
-    tp = np.count_nonzero(pos & pos_hat)
-    return np.array([tp, n_hat - tp, n_pos - tp, y.size - n_pos - n_hat + tp], dtype=np.int64)
+    return pos, pos_hat, n_pos, n_hat
 
 
 def _category(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
@@ -94,6 +101,22 @@ class CostFunction:
     def __call__(self, y: np.ndarray, yhat: np.ndarray) -> float:
         num, den = _priced(self, _validate_pair(np.asarray(y), np.asarray(yhat)))
         return int(num) / int(den)  # int true division rounds correctly: the double nearest raw()
+
+    def each(self, y, yhat) -> list[float]:
+        """The cost of every row pair of two (T, K) label arrays, as `__call__` prices each.
+
+        One validation, one count of the confusion categories and one
+        ``counts`` call serve every row.
+        """
+        y, yhat = np.asarray(y), np.asarray(yhat)
+        if y.shape != yhat.shape or y.ndim != 2 or y.shape[1] == 0:
+            raise ValueError(f"label arrays must share a (T, K) shape with K >= 1, got {y.shape} vs {yhat.shape}")
+        _positives(y, yhat)
+        rows = len(y)
+        at = _category(y, yhat) + 4 * np.arange(rows)[:, None]  # row r's category c counts at 4 r + c
+        confusion = np.bincount(at.ravel(), minlength=4 * rows).reshape(rows, 4).T
+        num, den = _priced(self, confusion)
+        return [n / d for n, d in zip(num.tolist(), den.tolist())]  # Python ints, as __call__ divides
 
 
 def _priced(cost: CostFunction, confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

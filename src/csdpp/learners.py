@@ -226,7 +226,7 @@ def _resolve_cost(config: LearnerConfig, k: int) -> costs_mod.CostFunction:
 class Learner:
     """One streaming learner; `_PLANS` maps each algorithm to its three parts."""
 
-    def __init__(self, config: LearnerConfig, d: int, k: int):
+    def __init__(self, config: LearnerConfig, d: int, k: int, acc: RidgeAccumulator | None = None):
         try:
             encoder, weighting, head = _PLANS[config.algorithm]
         except KeyError:
@@ -271,6 +271,7 @@ class Learner:
             refresh_every=config.refresh_every,
             sgd_step_scale=config.sgd_step_scale,
             basis=self.basis if head == "rotated" else None,
+            acc=acc,
         )
 
     def predict_code(self, x: np.ndarray) -> np.ndarray:
@@ -384,6 +385,12 @@ class Lockstep:
         self.errors.append(None)
         self._keys.append((acc_key, tracker))
         return len(self.learners) - 1
+
+    def add(self, config: LearnerConfig, d: int, k: int) -> int:
+        """Build a learner and join it; a ridge head is built on the bundle's
+        equal accumulator where there is one, so none is built to be dropped."""
+        acc = self._accs.get((d, config.lam, config.refresh_every))  # 1 and 1.0 hash and compare alike
+        return self.join(Learner(config, d, k, acc))
 
     def step(self, x: np.ndarray, y: np.ndarray) -> list[PredictionRecord | None]:
         """One instance for every learner; a stopped learner's record is None."""

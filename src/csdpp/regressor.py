@@ -86,8 +86,10 @@ class RidgeAccumulator:
         self.d = d
         self.lam = float(lam)
         self.refresh_every = int(refresh_every)
-        self.a_inv = np.eye(d) / lam
-        self.a = np.eye(d) * lam
+        self.a_inv = np.zeros((d, d))  # the bits of np.eye(d) / lam and np.eye(d) * lam, no d x d temporary
+        np.fill_diagonal(self.a_inv, 1.0 / self.lam)
+        self.a = np.zeros((d, d))
+        np.fill_diagonal(self.a, self.lam)
         self.panel_u = np.zeros((_PANEL, d))
         self.panel_c = np.zeros(_PANEL)
         self.panel_x = np.zeros((_PANEL, d))
@@ -145,7 +147,9 @@ class Head:
     ridge accumulator itself is basis-free and untouched.
 
     ``acc`` is the head's ridge accumulator; a head that shares one (see
-    `learners.Lockstep`) is handed its update's (A_prev_inv x, gamma).
+    `learners.Lockstep`) is handed its update's (A_prev_inv x, gamma).  A ridge
+    head given ``acc``, one built with its d, lambda and refresh cadence, reads
+    it instead of building its own.
     """
 
     def __init__(
@@ -157,9 +161,10 @@ class Head:
         refresh_every: int = DEFAULT_REFRESH_EVERY,
         sgd_step_scale: float = 1.0,
         basis: np.ndarray | None = None,
+        acc: RidgeAccumulator | None = None,
     ):
         if rule == "ridge":
-            self.acc = RidgeAccumulator(d, lam, refresh_every)
+            self.acc = RidgeAccumulator(d, lam, refresh_every) if acc is None else acc
         elif rule == "sgd":
             if sgd_step_scale < 0:
                 raise ValueError(f"step size must be non-negative, got {sgd_step_scale}")

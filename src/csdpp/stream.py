@@ -10,15 +10,19 @@ line endings, ``#`` starts a comment line:
 
 All indices are 0-based.  Absent features are 0; non-finite values (nan, inf)
 are rejected with their line number.  Labels materialize as dense vectors in
-{-1,+1}.  ``parse_dataset`` also reads a small ARFF subset (numeric
-attributes, dense or sparse data rows) with labels named by a companion list,
-which is how Mulan-style corpora are distributed.
+{-1,+1}.  `parse_sparse_labels` converts the whole file at once into one
+(N, d) feature matrix and one (N, K) label matrix, whose rows become the
+instances; a file that fails a whole-file check is parsed again line by line,
+so an error names the first bad line.  ``parse_dataset`` also reads a small
+ARFF subset (numeric attributes, dense or sparse data rows) with labels named
+by a companion list, which is how Mulan-style corpora are distributed.
 
 Dataset-level feature normalization (min-max to [0,1], then division by
 sqrt(d), so ||x|| <= 1) is `normalize_features`, applied once to the parsed
-dataset by the caller.  Stream construction (`build_stream`) then applies, in
-order: seeded permutation, truncation to a step budget, and seeded one-sided
-label noise (each positive flips to negative independently with probability p).
+dataset by the caller; it rejects a feature whose max - min overflows
+float64.  Stream construction (`build_stream`) then applies, in order: seeded
+permutation, truncation to a step budget, and seeded one-sided label noise
+(each positive flips to negative independently with probability p).
 
 All randomness in the package flows through `substream(seed, purpose)`:
 independent named substreams of a single seed, so components never share or
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -98,7 +103,78 @@ class StreamConfig:
 
 
 def parse_sparse_labels(text: str) -> tuple[list[Instance], int, int]:
-    """Parse the native format; returns (instances, d, K)."""
+    """Parse the native format; returns (instances, d, K).
+
+    The whole file is converted at once (`_parse_bulk`).  A file that fails any
+    of its checks is parsed again line by line (`_parse_lines`), which is the
+    one source of parse errors, so an error names the first bad line.
+    """
+    parsed = _parse_bulk(text)
+    return _parse_lines(text) if parsed is None else parsed
+
+
+def _parse_bulk(text: str) -> tuple[list[Instance], int, int] | None:
+    """`_parse_lines`'s result for a file it accepts, or None where it might raise.
+
+    Each row's label and feature fields are split with str methods, every
+    index and value of the file converted by one int and one float map (the
+    conversions `_parse_lines` makes), and the checks are whole-file NumPy
+    reductions.  The feature text must be ASCII without control characters,
+    so its only whitespace is " ", and its ":" and " " must alternate, so that
+    every token is one idx:value pair; a file that is not is left to the checker.
+    """
+    rows = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
+    try:
+        k, d, n = map(int, rows[0].split())
+    except (IndexError, ValueError):
+        return None
+    if k <= 0 or d <= 0 or n != len(rows) - 1:
+        return None
+    if n == 0:
+        return [], d, k
+    label_fields, bars, feature_fields = zip(*map(str.partition, rows[1:], repeat("|")))
+    if "" in bars:
+        return None
+    labels = list(map(str.strip, label_fields))
+    features = list(map(str.strip, feature_fields))
+    feature_text = " ".join(filter(None, features))
+    if not feature_text.isascii():
+        return None
+    raw = np.frombuffer(feature_text.encode(), dtype=np.uint8)
+    seps = raw[(raw == ord(":")) | (raw == ord(" "))]
+    if np.count_nonzero(raw < ord(" ")) or np.count_nonzero(seps[0::2] != ord(":")) \
+            or np.count_nonzero(seps[1::2] != ord(" ")):
+        return None
+    pieces = feature_text.replace(":", " ").split(" ") if feature_text else []
+    per_row = [field.count(":") for field in features]  # one colon per idx:value token
+    pairs = sum(per_row)
+    if len(pieces) != 2 * pairs:  # a last token without a colon
+        return None
+    label_tokens = ",".join(filter(None, labels)).split(",") if any(labels) else []
+    labels_per_row = [field.count(",") + 1 if field else 0 for field in labels]
+    try:
+        idx = np.fromiter(map(int, pieces[0::2]), np.int64, pairs)
+        values = np.fromiter(map(float, pieces[1::2]), np.float64, pairs)
+        positive = np.fromiter(map(int, label_tokens), np.int64, len(label_tokens))
+    except (ValueError, OverflowError):
+        return None
+    if np.count_nonzero((idx < 0) | (idx >= d)) or np.count_nonzero((positive < 0) | (positive >= k)) \
+            or not np.isfinite(values).all():
+        return None
+    at = np.repeat(np.arange(n) * d, per_row) + idx
+    seen = np.zeros(n * d, dtype=bool)
+    seen[at] = True
+    if np.count_nonzero(seen) != at.size:  # a duplicate feature index
+        return None
+    x = np.zeros((n, d))
+    x.reshape(-1)[at] = values
+    y = np.full((n, k), -1, dtype=np.int8)
+    y.reshape(-1)[np.repeat(np.arange(n) * k, labels_per_row) + positive] = 1
+    return [Instance(row, row_labels) for row, row_labels in zip(x, y)], d, k
+
+
+def _parse_lines(text: str) -> tuple[list[Instance], int, int]:
+    """`parse_sparse_labels` one line at a time, raising the error of the first bad line."""
     header = None
     declared_n = 0
     instances: list[Instance] = []
@@ -284,15 +360,26 @@ def inject_noise(instances: list[Instance], p: float, seed: int) -> list[Instanc
 
 
 def normalize_features(instances: list[Instance]) -> list[Instance]:
-    """Dataset-level min-max to [0,1] per feature, then division by sqrt(d)."""
+    """Dataset-level min-max to [0,1] per feature, then division by sqrt(d).
+
+    Returns new instances whose features are the rows of one scaled matrix;
+    the input is left untouched.  A feature whose max - min is not finite in
+    float64 (finite values too far apart) is rejected with a ValueError.
+    """
     if not instances:
         return []
     x = np.stack([inst.features for inst in instances])
     lo = x.min(axis=0)
-    span = x.max(axis=0) - lo
+    with np.errstate(over="ignore"):
+        span = x.max(axis=0) - lo
+    wide = np.flatnonzero(~np.isfinite(span))
+    if wide.size:
+        raise ValueError(f"feature {wide[0]} cannot be normalized: its max - min is not finite in float64")
     span[span == 0.0] = 1.0  # constant features map to 0
-    scaled = (x - lo) / span / np.sqrt(x.shape[1])
-    return [Instance(scaled[i].copy(), inst.labels) for i, inst in enumerate(instances)]
+    x -= lo
+    x /= span
+    x /= np.sqrt(x.shape[1])
+    return [Instance(row, inst.labels) for row, inst in zip(x, instances)]
 
 
 def build_stream(instances: list[Instance], config: StreamConfig) -> list[Instance]:

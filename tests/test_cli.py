@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ import csdpp
 from csdpp import cli
 from csdpp.cli import main
 from csdpp.costs import available_costs
-from csdpp.learners import ALGORITHMS, Learner
+from csdpp.learners import ALGORITHMS, Learner, Lockstep
 from csdpp.online_pca import CappedMsgState
 from csdpp.regressor import RidgeAccumulator
 from csdpp.stream import Instance, planted_subspace_stream, serialize_sparse_labels
@@ -212,13 +213,13 @@ class TestRunCommand:
 
     def test_cost_blind_cells_share_one_play(self, dataset, tmp_path, monkeypatch, capsys):
         built = []
-        make_learner = cli.make_learner
+        add = Lockstep.add
 
-        def counting(config, d, k):
+        def counting(bundle, config, d, k):
             built.append((config.algorithm, config.cost))
-            return make_learner(config, d, k)
+            return add(bundle, config, d, k)
 
-        monkeypatch.setattr(cli, "make_learner", counting)
+        monkeypatch.setattr(Lockstep, "add", counting)
         monkeypatch.delenv("CSDPP_WORKERS", raising=False)
         out = tmp_path / "res"
         axes = [arg for algo in ALGORITHMS for arg in ("--algo", algo)]
@@ -235,13 +236,13 @@ class TestRunCommand:
 
     def test_plays_are_keyed_on_the_resolved_m(self, dataset, tmp_path, monkeypatch):
         built = []
-        make_learner = cli.make_learner
+        add = Lockstep.add
 
-        def counting(config, d, k):
+        def counting(bundle, config, d, k):
             built.append(config.algorithm)
-            return make_learner(config, d, k)
+            return add(bundle, config, d, k)
 
-        monkeypatch.setattr(cli, "make_learner", counting)
+        monkeypatch.setattr(Lockstep, "add", counting)
         monkeypatch.delenv("CSDPP_WORKERS", raising=False)
         common = ["run", "--dataset", dataset, "--seed", "2", "--limit", "40"]
         grid = tmp_path / "grid"
@@ -558,6 +559,19 @@ class TestRunErrors:
                        "--repeats", "2", "--output", str(tmp_path / "res"))
         assert code == 1
         assert capsys.readouterr().err == "error: the dataset has no instances\n"
+        assert not (tmp_path / "res").exists()
+
+    def test_overflowing_feature_range_is_one_runtime_error(self, tmp_path, capsys):
+        # finite values whose max - min overflows float64 used to normalize to nan
+        data = tmp_path / "wide.txt"
+        data.write_text("2 2 3\n0 | 0:1e308 1:1.0\n1 | 0:-1e308 1:2.0\n0,1 | 0:0.5\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", "--dataset", str(data), "--algo", "o-br", "--algo", "dpp-pbc",
+                           "--m-frac", "0.5", "--output", str(tmp_path / "res"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: feature 0 cannot be normalized: its max - min is not finite in float64\n")
         assert not (tmp_path / "res").exists()
 
     def test_unwritable_csv_fails_only_its_cell(self, dataset, tmp_path, monkeypatch, capsys):

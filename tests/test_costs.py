@@ -32,6 +32,31 @@ class TestCostValues:
         # pairs (0,1) and (2,1): one tie at 0.5, one misorder at 1 -> 0.75
         assert rank_loss(Y, YHAT) == pytest.approx(0.75, abs=1e-15)
 
+    @pytest.mark.parametrize("name", available_costs())
+    def test_each_prices_every_row_as_the_pair_call_does(self, name):
+        cost = get_cost(name)
+        rng = np.random.default_rng(12)
+        signs = np.array([-1, 1], dtype=np.int8)
+        for k in (1, 3, 20):
+            y, yhat = rng.choice(signs, size=(50, k)), rng.choice(signs, size=(50, k))
+            yhat[::7] = y[::7]
+            yhat[1::9] = -1
+            got = cost.each(y, yhat)
+            assert all(type(value) is float for value in got)
+            assert got == [cost(a, b) for a, b in zip(y, yhat)]
+            assert cost.each(list(y), list(yhat)) == got  # a list of rows stacks alike
+
+    def test_each_checks_its_arrays(self):
+        y = np.ones((4, 3), dtype=np.int8)
+        with pytest.raises(ValueError, match="share a \\(T, K\\) shape"):
+            get_cost("f1").each(y, y[:3])
+        with pytest.raises(ValueError, match="share a \\(T, K\\) shape"):
+            get_cost("f1").each(y[0], y[0])
+        bad = y.copy()
+        bad[2, 1] = 0
+        with pytest.raises(ValueError, match="values in"):
+            get_cost("f1").each(y, bad)
+
     def test_perfect_prediction_is_free(self):
         rng = np.random.default_rng(0)
         for _ in range(30):

@@ -19,7 +19,7 @@ from csdpp.learners import (
     tracker_key,
     trajectory,
 )
-from csdpp.regressor import Head
+from csdpp.regressor import Head, RidgeAccumulator
 from csdpp.stream import planted_subspace_stream
 
 
@@ -186,6 +186,31 @@ class TestLockstep:
         for slot, records in enumerate(alone_records):
             assert [s[slot].y_hat.tobytes() for s in steps] == [r.y_hat.tobytes() for r in records]
         assert bundle.errors == [None] * len(configs)
+
+    def test_add_builds_one_accumulator_per_ridge_key(self, monkeypatch):
+        # lam=2 and lam=2.0 share one accumulator, as join would pair them
+        configs = _lockstep_configs() + [LearnerConfig(algorithm="o-br", lam=2.0), LearnerConfig(algorithm="o-br", lam=2)]
+        built = []
+        init = RidgeAccumulator.__init__
+
+        def counting(acc, *args):
+            built.append(acc)
+            init(acc, *args)
+
+        monkeypatch.setattr(RidgeAccumulator, "__init__", counting)
+        bundle = Lockstep()
+        assert [bundle.add(cfg, 8, 6) for cfg in configs] == list(range(len(configs)))
+        monkeypatch.undo()
+        assert [acc.lam for acc in built] == [1.0, 2.0]
+        assert {id(learner.head.acc) for learner in bundle.learners if learner.head.acc is not None} == set(map(id, built))
+        stream = small_stream(t=40, seed=2)
+        steps = play(bundle, stream)
+        for slot, cfg in enumerate(configs):
+            alone = make_learner(cfg, 8, 6)
+            records = play(alone, stream)
+            assert [s[slot].y_hat.tobytes() for s in steps] == [r.y_hat.tobytes() for r in records]
+            assert [s[slot].incurred_cost for s in steps] == [r.incurred_cost for r in records]
+            assert to_snapshot(bundle.learners[slot]) == to_snapshot(alone)
 
     def test_shared_pieces_are_one_object_each(self):
         configs = _lockstep_configs()

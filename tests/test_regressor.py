@@ -47,6 +47,12 @@ class TestAccumulator:
         with pytest.raises(ValueError, match="ridge strength"):
             RidgeAccumulator(3, lam=0.0)
 
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 7, 1e-300])
+    def test_initial_state_is_the_scaled_identity(self, lam):
+        acc = RidgeAccumulator(5, lam=lam)
+        assert acc.a_inv.tobytes() == (np.eye(5) / lam).tobytes()
+        assert acc.a.tobytes() == (np.eye(5) * lam).tobytes()
+
     def test_inverse_tracks_exact_matrix(self):
         rng = np.random.default_rng(0)
         acc = RidgeAccumulator(4, lam=0.7, refresh_every=0)

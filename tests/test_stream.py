@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from csdpp import stream
 from csdpp.stream import (
     Instance,
     ParseError,
@@ -88,6 +91,120 @@ class TestSparseLabelsFormat:
         instances = [Instance(rng.standard_normal(4), np.array([1, -1, 1], dtype=np.int8))]
         back, _, _ = parse_sparse_labels(serialize_sparse_labels(instances, 4, 3))
         assert np.array_equal(instances[0].features, back[0].features)
+
+
+MALFORMED = [  # (file, exception type, its exact message)
+    ("2 3 1\n0 | 1\n", ParseError, "line 2: bad feature token '1', expected idx:value"),
+    ("2 3 1\n0 | 1:2:3\n", ParseError, "line 2: bad feature token '1:2:3'"),
+    ("2 5 1\n0 | 1:2:3 4\n", ParseError, "line 2: bad feature token '1:2:3'"),
+    ("2 3 1\n0 | 1\t:0.5\n", ParseError, "line 2: bad feature token '1', expected idx:value"),
+    ("2 3 1\n0 | 1\u00a0:0.5\n", ParseError, "line 2: bad feature token '1', expected idx:value"),
+    ("2 3 1\n0 | 1:0.5 2\n", ParseError, "line 2: bad feature token '2', expected idx:value"),
+    ("2 3 1\n0 | :2\n", ParseError, "line 2: bad feature token ':2'"),
+    ("2 3 1\n0 | 2:\n", ParseError, "line 2: bad feature token '2:'"),
+    ("3 3 1\n1,,2 | 0:1.0\n", ParseError, "line 2: bad label index ''"),
+    ("2 3 2\n0 | 0:1.0\n2 | 1:1.0\n", SchemaError, "line 3: label index 2 outside [0, 2)"),
+    ("2 3 2\n0 | 0:1.0\n-1 | 1:1.0\n", SchemaError, "line 3: label index -1 outside [0, 2)"),
+    ("2 3 2\n0 | 0:1.0\n1 | 3:1.0\n", SchemaError, "line 3: feature index 3 outside [0, 3)"),
+    ("2 3 2\n0 | 0:1.0\n1 | -1:1.0\n", SchemaError, "line 3: feature index -1 outside [0, 3)"),
+    ("2 3 1\n0 | 99999999999999999999:1.0\n", SchemaError,
+     "line 2: feature index 99999999999999999999 outside [0, 3)"),
+    ("2 3 1\n0 | 1:1.0 2:0.5 1:2.0\n", ParseError, "line 2: duplicate feature index 1"),
+    ("2 3 1\n0 | 0:nan\n", ParseError, "line 2: non-finite feature value in '0:nan'"),
+    ("2 3 1\n0 | 0:1.0 1:inf\n", ParseError, "line 2: non-finite feature value in '1:inf'"),
+    ("2 3 1\n0 | 2:1e400\n", ParseError, "line 2: non-finite feature value in '2:1e400'"),
+    ("2 3 1\n0 0:1.0\n", ParseError, "line 2: missing '|' separator between labels and features"),
+    ("2 3 1\n1\n", ParseError, "line 2: missing '|' separator between labels and features"),
+    ("2 3 3\n0 | 0:1\n1 | 1:1\n", SchemaError, "header declares N=3 instances, found 2"),
+    ("2 3 1\n0 | 0:1\n1 | 1:1\n", SchemaError, "header declares N=1 instances, found 2"),
+    ("2 3 x\n", ParseError, "line 1: header fields must be integers, got '2 3 x'"),
+    ("# only a comment\n", SchemaError, "empty dataset: no header line found"),
+    # two bad lines: the earlier one is named, whichever check each fails
+    ("2 3 3\n0 | 0:1\n1 | 1:nan\n5 | 0:1\n", ParseError, "line 3: non-finite feature value in '1:nan'"),
+    ("2 3 3\n0 | 0:1\n5 | 0:1\n1 | 1:nan\n", SchemaError, "line 3: label index 5 outside [0, 2)"),
+    ("2 3 3\n# note\n0 | 0:1 0:2\n1 | 7:1\n1 | 1:1\n", ParseError, "line 3: duplicate feature index 0"),
+]
+
+
+def random_corpus(seed, n=60):
+    """Random instances in the native format: some rows without labels or features, any finite value."""
+    rng = np.random.default_rng(seed)
+    d, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+    instances = []
+    for _ in range(n):
+        features = np.zeros(d)
+        at = rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False)
+        features[at] = rng.standard_normal(at.size) * 10.0 ** rng.integers(-300, 300, size=at.size)
+        labels = np.where(rng.random(k) < rng.random(), 1, -1).astype(np.int8)
+        instances.append(Instance(features, labels))
+    return instances, d, k
+
+
+def grid_sparse_text(seed, rows=300, d=500, k=20, nnz=25):
+    """A file shaped like the benchmark's grid-sparse corpus: 1 to 4 positives, 4-digit values."""
+    rng = np.random.default_rng(seed)
+    lines = [f"{k} {d} {rows}"]
+    for _ in range(rows):
+        labels = np.sort(rng.choice(k, size=int(rng.integers(1, 5)), replace=False))
+        feats = " ".join(f"{i}:{v:.4f}" for i, v in zip(np.sort(rng.choice(d, nnz, replace=False)), rng.random(nnz)))
+        lines.append(",".join(map(str, labels)) + " | " + feats)
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_parse(got, want):
+    (instances, d, k), (expected, d2, k2) = got, want
+    assert (d, k, len(instances)) == (d2, k2, len(expected))
+    for a, b in zip(instances, expected):
+        assert a.features.dtype == b.features.dtype and a.features.tobytes() == b.features.tobytes()
+        assert a.labels.dtype == b.labels.dtype and a.labels.tobytes() == b.labels.tobytes()
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("text, error, message", MALFORMED)
+    def test_malformed_file_names_its_first_bad_line(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_sparse_labels(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bulk_path_matches_the_line_checker_bit_for_bit(self, seed):
+        instances, d, k = random_corpus(seed)
+        text = serialize_sparse_labels(instances, d, k)
+        bulk = stream._parse_bulk(text)
+        assert bulk is not None
+        assert_same_parse(bulk, stream._parse_lines(text))
+        assert_same_parse(bulk, (instances, d, k))
+
+    @pytest.mark.parametrize("text", [
+        "2 3 1\n0 | 0:1_0\n",             # literals int() and float() accept
+        "2 3 1\n+1 , 0 |\t2:+.5   0:-0.0\n",
+        "2 3 1\n1 | 0:1\u00a02:3\n",      # a non-ASCII space separates tokens too
+        "# head\n\n2 3 0\n",
+    ])
+    def test_literals_parse_as_the_line_checker_parses_them(self, text):
+        assert_same_parse(parse_sparse_labels(text), stream._parse_lines(text))
+
+    def test_underscored_value_parses_as_float_reads_it(self):
+        (inst,), _, _ = parse_sparse_labels("2 3 1\n0 | 0:1_0\n")
+        assert inst.features[0] == 10.0
+
+    def test_valid_file_never_enters_the_line_checker(self, monkeypatch):
+        calls = []
+        check = stream._parse_lines
+
+        def counting(text):
+            calls.append(text)
+            return check(text)
+
+        monkeypatch.setattr(stream, "_parse_lines", counting)
+        text = grid_sparse_text(3)
+        instances, d, k = parse_dataset(text, "sparse-labels")
+        assert (len(instances), d, k) == (300, 500, 20)
+        assert calls == []
+        with pytest.raises(ParseError):
+            parse_sparse_labels(text.replace(":0.", ":nan", 1))
+        assert len(calls) == 1
 
 
 ARFF = """\
@@ -197,6 +314,25 @@ class TestStreamOps:
                      Instance(np.array([2.0, 3.0]), np.array([1], dtype=np.int8))]
         out = normalize_features(instances)
         assert out[0].features[0] == 0.0 == out[1].features[0]
+
+    def test_normalization_leaves_its_input_untouched(self):
+        instances = self._instances()
+        before = [(inst.features.copy(), inst.labels.copy()) for inst in instances]
+        out = normalize_features(instances)
+        for inst, (features, labels) in zip(instances, before):
+            assert inst.features.tobytes() == features.tobytes() and inst.labels.tobytes() == labels.tobytes()
+        x = np.stack([f for f, _ in before])
+        lo = x.min(axis=0)
+        expected = (x - lo) / (x.max(axis=0) - lo) / np.sqrt(x.shape[1])
+        assert np.stack([inst.features for inst in out]).tobytes() == expected.tobytes()
+
+    def test_normalization_rejects_a_range_that_overflows(self):
+        instances = [Instance(np.array([1.0, 1e308, 1.0]), np.array([1], dtype=np.int8)),
+                     Instance(np.array([2.0, -1e308, 0.0]), np.array([1], dtype=np.int8))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^feature 1 cannot be normalized: its max - min is not finite"):
+                normalize_features(instances)
 
     def test_build_stream_limit(self):
         out = build_stream(self._instances(), StreamConfig(seed=0, limit=7))
