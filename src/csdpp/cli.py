@@ -411,8 +411,9 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     for name in args.cost or []:
         if name not in available_costs():
             parser.error(f"unknown cost {name!r}; available: {available_costs()}")
-    if args.mutant is not None and args.mutant not in verify.MUTANTS.values():
-        parser.error(f"unknown mutant {args.mutant!r}; available: {sorted(verify.MUTANTS.values())}")
+    mutants = sorted({*verify.MUTANTS.values(), *verify.FAST_PATH_MUTANTS.values()})
+    if args.mutant is not None and args.mutant not in mutants:
+        parser.error(f"unknown mutant {args.mutant!r}; available: {mutants}")
     kwargs: dict = {"seed": args.seed, "mutant": args.mutant}
     if args.trials is not None:
         kwargs.update(

@@ -18,13 +18,18 @@ earlier labels already corrected.  Summed over the disagreement set these
 weights reproduce the full cost exactly (telescoping), provided forcing a label
 wrong never lowers the cost -- `check_condition` probes that hypothesis.
 
-The predicted confusion counts plus a prefix sum of each label's change when
-corrected give every position's forced-right counts, and one more change
-forces the label wrong; each gap is then one float64
-division of integers below 2**53, the double nearest the exact rational (as
-the rational walk `verify.walk_gaps` gives).  So every hamming weight is the
-exact double 1/K, and the cost-weighted learner degenerates bit for bit to the
-unweighted one.
+One pass over a (truth, prediction) pair (`_validate_pair`) checks it and
+classifies it: each label's confusion category and the (tp, fp, fn, tn)
+counts, from one `bincount`.  The counts price the prediction, and the
+weights start from them: the predicted counts plus a prefix sum of each
+label's change when corrected (looked up from its category) give every
+position's forced-right counts, and one more change forces the label wrong;
+each gap is then one float64 division of integers below 2**53, the double
+nearest the exact rational (as the rational walk `verify.walk_gaps` gives).
+So every hamming weight is the exact double 1/K, and the cost-weighted
+learner degenerates bit for bit to the unweighted one.  A learner step
+classifies its pair once and hands the result to `label_weights`; the public
+entry points classify, and so check, what they are given.
 """
 
 from __future__ import annotations
@@ -55,35 +60,42 @@ __all__ = [
 ]
 
 _ONE_HOT = np.eye(4, dtype=np.int64)
-# column c, for a label of confusion category c (0 tp, 1 fp, 2 fn, 3 tn), of three
-# (tp, fp, fn, tn) tables: the label as predicted, the change when it is corrected
-# (to tp or tn), and the change when, corrected, it is forced wrong (to fn or fp)
+# column c, for a label of confusion category c (0 tp, 1 fp, 2 fn, 3 tn), of two
+# (tp, fp, fn, tn) tables: the change when the label is corrected (to tp or tn),
+# and the change when, corrected, it is forced wrong (to fn or fp)
 _CORRECTED, _FORCED = _ONE_HOT[:, [0, 3, 0, 3]], _ONE_HOT[:, [2, 1, 2, 1]]
-_MOVES = np.stack((_ONE_HOT, _CORRECTED - _ONE_HOT, _FORCED - _CORRECTED))
+_MOVES = np.stack((_CORRECTED - _ONE_HOT, _FORCED - _CORRECTED))
 
 
-def _validate_pair(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
-    """Check that y and yhat are {-1,+1} vectors of one shape; return their (tp, fp, fn, tn)."""
-    if y.shape != yhat.shape or y.ndim != 1 or y.size == 0:
-        raise ValueError(f"label vectors must share a non-empty 1-d shape, got {y.shape} vs {yhat.shape}")
-    pos, pos_hat, n_pos, n_hat = _positives(y, yhat)
-    tp = np.count_nonzero(pos & pos_hat)
-    return np.array([tp, n_hat - tp, n_pos - tp, y.size - n_pos - n_hat + tp], dtype=np.int64)
+_SHAPE_ERRORS = {
+    1: "label vectors must share a non-empty 1-d shape, got {} vs {}",
+    2: "label arrays must share a (T, K) shape with K >= 1, got {} vs {}",
+}
 
 
-def _positives(y: np.ndarray, yhat: np.ndarray) -> tuple:
-    """The +1 masks of two label arrays of one shape and their counts, after
-    checking that every entry is -1 or +1."""
-    pos, pos_hat = y == 1, yhat == 1
-    n_pos, n_hat = np.count_nonzero(pos), np.count_nonzero(pos_hat)
-    if n_pos + n_hat + np.count_nonzero(y == -1) + np.count_nonzero(yhat == -1) != 2 * y.size:
+def _validate_pair(y: np.ndarray, yhat: np.ndarray, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Check that y and yhat are {-1,+1} arrays of one ``ndim``-d shape with K >= 1
+    labels in the last axis, and classify them in one pass.
+
+    Returns each label's confusion category (0 tp, 1 fp, 2 fn, 3 tn) and the
+    int64 (tp, fp, fn, tn) counts of each label vector, shaped (4, T) for T
+    rows and (4,) for one vector.
+    """
+    if y.shape != yhat.shape or y.ndim != ndim or y.shape[-1] == 0:
+        raise ValueError(_SHAPE_ERRORS[ndim].format(y.shape, yhat.shape))
+    category = 2 * (yhat != 1)
+    category += y != 1
+    if ndim == 1:
+        counts = total = np.bincount(category, minlength=4)
+    else:  # row r's category c counts at 4 r + c
+        rows = len(y)
+        at = category + 4 * np.arange(rows)[:, None]
+        counts = np.bincount(at.ravel(), minlength=4 * rows).reshape(rows, 4).T
+        total = counts.sum(axis=1)
+    _, fp, fn, tn = total.tolist()  # the entries other than +1 in y, then in yhat, must all be -1
+    if np.count_nonzero(y == -1) != fp + tn or np.count_nonzero(yhat == -1) != fn + tn:
         raise ValueError("label vectors must take values in {-1,+1}")
-    return pos, pos_hat, n_pos, n_hat
-
-
-def _category(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
-    """Each label's confusion category: 0 tp, 1 fp, 2 fn, 3 tn."""
-    return 2 * (yhat != 1) + (y != 1)
+    return category, counts
 
 
 @dataclass(frozen=True)
@@ -95,41 +107,43 @@ class CostFunction:
     condition_verified: bool = False  # weight-decomposition hypothesis known to hold
 
     def raw(self, y: np.ndarray, yhat: np.ndarray) -> Fraction:
-        num, den = _priced(self, np.bincount(_category(y, yhat), minlength=4))
+        num, den = _priced(self, _validate_pair(np.asarray(y), np.asarray(yhat))[1])
         return Fraction(int(num), int(den))
 
     def __call__(self, y: np.ndarray, yhat: np.ndarray) -> float:
-        num, den = _priced(self, _validate_pair(np.asarray(y), np.asarray(yhat)))
-        return int(num) / int(den)  # int true division rounds correctly: the double nearest raw()
+        return _price(self, _validate_pair(np.asarray(y), np.asarray(yhat))[1])
 
     def each(self, y, yhat) -> list[float]:
         """The cost of every row pair of two (T, K) label arrays, as `__call__` prices each.
 
-        One validation, one count of the confusion categories and one
-        ``counts`` call serve every row.
+        One classification pass and one ``counts`` call serve every row.
         """
-        y, yhat = np.asarray(y), np.asarray(yhat)
-        if y.shape != yhat.shape or y.ndim != 2 or y.shape[1] == 0:
-            raise ValueError(f"label arrays must share a (T, K) shape with K >= 1, got {y.shape} vs {yhat.shape}")
-        _positives(y, yhat)
-        rows = len(y)
-        at = _category(y, yhat) + 4 * np.arange(rows)[:, None]  # row r's category c counts at 4 r + c
-        confusion = np.bincount(at.ravel(), minlength=4 * rows).reshape(rows, 4).T
-        num, den = _priced(self, confusion)
+        num, den = _priced(self, _validate_pair(np.asarray(y), np.asarray(yhat), 2)[1])
         return [n / d for n, d in zip(num.tolist(), den.tolist())]  # Python ints, as __call__ divides
+
+
+def _price(cost: CostFunction, counts: np.ndarray) -> float:
+    """The cost of one label vector with (tp, fp, fn, tn) ``counts``, as a double."""
+    num, den = _priced(cost, counts)
+    return int(num) / int(den)  # int true division rounds correctly: the double nearest the exact cost
 
 
 def _priced(cost: CostFunction, confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``cost.counts`` of the (4, ...) int64 array of (tp, fp, fn, tn), checked, shaped like one count."""
     num, den = cost.counts(*confusion)
-    if isinstance(num, np.integer) and isinstance(den, np.integer) and den >= 1:
+    shape = confusion.shape[1:]
+    if type(num) is np.ndarray and type(den) is np.ndarray:
+        if num.dtype == den.dtype == np.int64 and num.shape == den.shape == shape:
+            if np.count_nonzero(den < 1):
+                raise ValueError(f"cost {cost.name!r}: counts returned a denominator below 1")
+            return num, den  # the built-ins' arrays, used as they are
+    elif isinstance(num, np.integer) and isinstance(den, np.integer) and den >= 1:
         return num, den  # one pair's counts, priced by scalar arithmetic
     num, den = np.asarray(num), np.asarray(den)
     if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
         raise ValueError(f"cost {cost.name!r}: counts must return integers, got {num.dtype} / {den.dtype}")
     if np.count_nonzero(den < 1):
         raise ValueError(f"cost {cost.name!r}: counts returned a denominator below 1")
-    shape = confusion.shape[1:]
     if num.shape != shape or den.shape != shape:  # e.g. a constant cost
         num, den = np.broadcast_to(num, shape), np.broadcast_to(den, shape)
     return num.astype(np.int64, copy=False), den.astype(np.int64, copy=False)
@@ -201,25 +215,29 @@ class WeightDiagonal:
     sqrt_deltas: np.ndarray
 
 
-def _gaps(cost: CostFunction, y: np.ndarray, yhat: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Each label's signed gap c(forced wrong) - c(forced right), walking ``order`` along the last axis."""
-    at = order if order.ndim == 1 else (np.arange(order.shape[0])[:, None], order)  # each row in its order
-    predicted, correct, force = _MOVES[:, :, _category(y, yhat)[at]]
+def _gaps(cost: CostFunction, category: np.ndarray, counts: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """Each label's signed gap c(forced wrong) - c(forced right), walking ``order``
+    (native order when None) along the last axis, from `_validate_pair`'s classification."""
+    at = order if order is None or order.ndim == 1 else (np.arange(order.shape[0])[:, None], order)
+    correct, force = _MOVES.take(category if at is None else category[at], axis=-1)
     # the counts with the label at p forced right (labels up to p corrected,
     # labels after p as predicted), then with it forced wrong
-    walk = np.empty((4, 2, *order.shape), dtype=np.int64)
+    walk = np.empty((4, 2, *category.shape), dtype=np.int64)
     right, wrong = walk[:, 0], walk[:, 1]
     correct.cumsum(axis=-1, out=right)
-    right += predicted.sum(axis=-1, keepdims=True)
+    right += counts[..., None]
     np.add(right, force, out=wrong)
     num, den = _priced(cost, walk)  # rows: forced right, forced wrong
     # bounds |n_w| d_r, |n_r| d_w and d_w d_r: integers below 2**53 are exact doubles
-    peak_r, peak_w = np.maximum(abs(num), den).reshape(2, -1).max(axis=1)
-    if int(peak_r) * int(peak_w) >= 2**53:
+    peak_r, peak_w = np.maximum(abs(num), den).reshape(2, -1).max(axis=1).tolist()
+    if peak_r * peak_w >= 2**53:
         raise ValueError(f"cost {cost.name!r}: count products reach 2**53, the weights would be inexact")
     cross = num * den[::-1]  # n_r d_w, n_w d_r
-    gaps = np.empty(order.shape)
-    gaps[at] = (cross[1] - cross[0]) / (den[1] * den[0])
+    gaps = (cross[1] - cross[0]) / (den[1] * den[0])
+    if at is None:
+        return gaps
+    walked, gaps = gaps, np.empty(gaps.shape)
+    gaps[at] = walked
     return gaps
 
 
@@ -229,26 +247,28 @@ def label_weights(
     yhat: np.ndarray,
     order: np.ndarray | None = None,
     *,
-    _checked: bool = False,
-) -> WeightDiagonal:
+    _classified: tuple[np.ndarray, np.ndarray] | None = None,
+) -> WeightDiagonal | np.ndarray:
     """Sequential per-label cost weights for truth y against prediction yhat.
 
     Walks ``order`` (native order by default) from yhat, correcting one label
     at a time; the weight of label j is the cost gap between forcing j wrong
-    and forcing j right at that point.  ``_checked`` is for the learner, which
-    has already priced (and so validated) the pair and built the order itself.
+    and forcing j right at that point.  ``_classified`` is for the learner,
+    which has already classified (and so validated) the pair with
+    `_validate_pair` and built the order itself: given its (category, counts),
+    only the square roots of the weights come back, as one array.
     """
+    if _classified is not None:
+        gaps = _gaps(cost, *_classified, order)
+        return np.sqrt(np.abs(gaps, out=gaps), out=gaps)
     y = np.asarray(y)
     yhat = np.asarray(yhat)
-    k = y.size
-    if order is None:
-        order = native_order(k)
-    if not _checked:
-        _validate_pair(y, yhat)
+    category, counts = _validate_pair(y, yhat)
+    if order is not None:
         order = np.asarray(order)
-        if order.shape != (k,) or not np.array_equal(np.sort(order), np.arange(k)):
+        if order.shape != (y.size,) or not np.array_equal(np.sort(order), np.arange(y.size)):
             raise ValueError("order must be a permutation of range(K)")
-    deltas = np.abs(_gaps(cost, y, yhat, order))
+    deltas = np.abs(_gaps(cost, category, counts, order))
     return WeightDiagonal(deltas, np.sqrt(deltas))
 
 
@@ -279,7 +299,7 @@ def check_condition(cost: CostFunction, trials: int, k_max: int, seed: int = 0) 
         y = rng.choice(signs, size=(n, k))
         yhat = rng.choice(signs, size=(n, k))
         order = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
-        gaps = _gaps(cost, y, yhat, order)
+        gaps = _gaps(cost, *_validate_pair(y, yhat, 2), order)
         report.checked += gaps.size
         for i, j in np.argwhere(gaps < 0)[: 20 - len(report.violations)]:
             witness = {"y": y[i].tolist(), "yhat": yhat[i].tolist(), "order": order[i].tolist()}

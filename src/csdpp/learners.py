@@ -194,11 +194,15 @@ class AuditTrail:
 
 
 def _track(msg: CappedMsgState, rng: np.random.Generator, target: np.ndarray, t: int) -> np.ndarray:
-    """Step the tracker at index t with the weighted label direction; returns the next basis."""
+    """Step the tracker at index t with the weighted label direction; returns the next basis.
+
+    The target, weights times a validated label vector, is finite and of shape
+    (K,), and of norm <= 1 once scaled here: the update need not check it.
+    """
     norm = math.sqrt(target @ target)  # np.linalg.norm of a contiguous vector, bit for bit
     if norm > 1.0 + TOL.unit_norm_slack:  # weight mass can exceed 1 for some costs
         target = target / norm
-    msg.update(target, t)
+    msg.update(target, t, _checked=False)
     return msg.sample_projection(rng)
 
 
@@ -242,6 +246,7 @@ class Learner:
         self.m = m
         self.cost = _resolve_cost(config, k)
         self.order = _resolve_order(config, k)
+        self._native = config.label_order == "native"  # the weights then walk the labels as they lie
         self.t = 0
 
         # label encoder: basis (M x K) encodes, decoder (K x M, Gaussian only) decodes
@@ -275,10 +280,13 @@ class Learner:
         )
 
     def predict_code(self, x: np.ndarray) -> np.ndarray:
-        code = self.head.predict(x)
+        return self._code(self.head.predict(x))
+
+    def _code(self, raw: np.ndarray) -> np.ndarray:
+        # a width-K head predicts labels, which the basis encodes
         if self.label_head and self.basis is not None:
-            return self.basis @ code
-        return code
+            return self.basis @ raw
+        return raw
 
     def _decode(self, code: np.ndarray) -> np.ndarray:
         # decode(B, code) is sign(B^T code): orthonormal tracked rows are their own
@@ -301,16 +309,24 @@ class Learner:
     ) -> PredictionRecord:
         """One instance.  In a `Lockstep`, ``gain`` is the shared accumulator's
         update for x and ``drawn`` the shared tracker's next basis; a learner
-        that owns its accumulator and tracker steps them itself."""
+        that owns its accumulator and tracker steps them itself.
+
+        The (y, y_hat) pair is classified once: its confusion counts price the
+        prediction, and a cost-weighted learner walks its categories for the weights.
+        """
         self.t += 1
         basis = new_basis = self.basis
-        code = self.predict_code(x)
+        raw = self.head.predict(x)
+        code = self._code(raw)
+        y = np.asarray(y)
         y_hat = self._decode(code)
-        incurred = self.cost(y, y_hat)
+        category, counts = costs_mod._validate_pair(y, y_hat)
+        incurred = costs_mod._price(self.cost, counts)
 
         if self.weighted:
-            weights = costs_mod.label_weights(self.cost, y, y_hat, self.order, _checked=True)
-            sqrt_w = weights.sqrt_deltas
+            sqrt_w = costs_mod.label_weights(
+                self.cost, y, y_hat, None if self._native else self.order, _classified=(category, counts)
+            )
         else:
             sqrt_w = self._sqrt_w
         target = sqrt_w * y
@@ -318,7 +334,7 @@ class Learner:
             enc = basis @ target
             residual = target - basis.T @ enc
             rhs = float(np.sum((code - enc) ** 2) + np.sum(residual**2))
-            lhs = incurred if self.weighted else costs_mod.hamming_loss(y, y_hat)
+            lhs = incurred if self.weighted else costs_mod._price(costs_mod.HAMMING, counts)
             self.audit.observe(lhs - rhs)
 
         if drawn is not None:
@@ -327,9 +343,11 @@ class Learner:
             new_basis = _track(self.msg, self.rng_sampler, target, self.t)
 
         if self.label_head:
-            self.head.update(x, target, gain=gain)
-        else:  # a rotated head encodes with the basis it is turned onto, a plain one with the old
-            self.head.update(x, target, new_basis if self.head.basis is not None else basis, gain)
+            self.head.update(x, target, gain=gain, raw=raw)
+        elif self.head.basis is None:  # a plain code head encodes with the old basis
+            self.head.update(x, target, basis, gain, raw)
+        else:  # a rotated head is turned onto the new basis, and encodes with it
+            self.head.update(x, target, new_basis, gain)
         self.basis = new_basis
         return PredictionRecord(self.t, y_hat, incurred)
 
@@ -353,7 +371,9 @@ class Lockstep:
     outside every learner, then runs each learner's own step with the results,
     so each learner makes the predictions it makes alone.  A learner whose step
     raises ValueError or RuntimeError stops, its error kept in ``errors``; the
-    shared work and the other learners go on.
+    shared work and the other learners go on.  A label vector outside
+    {-1,+1}, which every learner rejects, stops them all before any shared
+    tracker reads it.
     """
 
     def __init__(self) -> None:
@@ -395,6 +415,13 @@ class Lockstep:
     def step(self, x: np.ndarray, y: np.ndarray) -> list[PredictionRecord | None]:
         """One instance for every learner; a stopped learner's record is None."""
         self.t += 1
+        y = np.asarray(y)
+        if self._trackers:  # the shared trackers read y before any learner checks it
+            try:
+                costs_mod._validate_pair(y, y)
+            except ValueError as exc:
+                self.errors = [exc if error is None else error for error in self.errors]
+                return [None] * len(self.learners)
         gains = {key: acc.update(x) for key, acc in self._accs.items()}
         draws = {
             key: _track(lead.msg, lead.rng_sampler, lead._sqrt_w * y, self.t)

@@ -100,11 +100,16 @@ def project_capped_simplex(v: np.ndarray, budget: int) -> np.ndarray:
     sum_i clip(v_i - tau, 0, 1) = budget.  That sum is a piecewise-linear,
     non-increasing function of tau whose breakpoints are {v_i - 1} and {v_i},
     so tau is found exactly by sorting the 2n breakpoints, evaluating the sum
-    at every one of them (a 2n x n clip, so O(n^2) time and memory) and
-    interpolating on the bracketing segment; no iteration.  A sort-based
-    O(n log n) sweep giving the same bits only wins for large n: against this
-    code it took 83 vs 29 us at n=5, 91 vs 33 us at n=26 and 0.12 vs 1.49 ms
-    at n=251 (2-CPU Xeon, NumPy 2.4 with one OpenBLAS thread).
+    at every one of them and interpolating on the bracketing segment; no
+    iteration (see `projection_sweep`).
+
+    Below n = 8 the same sweep runs on Python floats, which skips about ten
+    NumPy calls that dominate at the tracker's sizes (n = M+1).  It gives the
+    sweep's bits: NumPy sums a contiguous row of fewer than 8 entries in
+    order, as the scalar loop does, and the scalar clip keeps ``np.clip``'s
+    -0.0.  A finite input with no zero entry has no -0.0 breakpoint, so its
+    tied breakpoints are equal bits whatever order either sort leaves them
+    in; any other input takes the NumPy sweep.
 
     Args:
         v: real vector.
@@ -119,14 +124,43 @@ def project_capped_simplex(v: np.ndarray, budget: int) -> np.ndarray:
     n = v.size
     if not 0 < budget <= n:
         raise ValueError(f"budget must satisfy 0 < budget <= {n}, got {budget}")
+    if n >= 8 or 0.0 in (values := v.tolist()) or not all(map(math.isfinite, values)):
+        return projection_sweep(v, budget)
+    target = float(budget)
+    bps = sorted([x - 1.0 for x in values] + values)
+    sums = []
+    for b in bps:  # the sums at the breakpoints, up to the first one below target
+        total = 0.0
+        for x in values:
+            d = x - b
+            total += 0.0 if d < 0.0 else (1.0 if d > 1.0 else d)
+        sums.append(total)
+        if total < target:
+            break
+    tau = _shift(bps, sums, max(len(sums) - 2 if sums[-1] < target else len(sums) - 1, 0), target)
+    return np.array([0.0 if d < 0.0 else (1.0 if d > 1.0 else d) for d in (x - tau for x in values)])
+
+
+def _shift(bps, sums, i: int, target: float) -> float:
+    """tau from breakpoint i, the last whose sum reaches target (or the first), by interpolation."""
+    if sums[i] <= target or i == len(bps) - 1:
+        return bps[i]
+    return bps[i] + (sums[i] - target) * (bps[i + 1] - bps[i]) / (sums[i] - sums[i + 1])
+
+
+def projection_sweep(v: np.ndarray, budget: int) -> np.ndarray:
+    """`project_capped_simplex` of a float64 vector as one NumPy sweep.
+
+    Sums clip(v - b, 0, 1) at every breakpoint b at once (a 2n x n clip, so
+    O(n^2) time and memory).  A sort-based O(n log n) sweep giving the same
+    bits only wins for large n: against this code it took 83 vs 29 us at n=5,
+    91 vs 33 us at n=26 and 0.12 vs 1.49 ms at n=251 (2-CPU Xeon, NumPy 2.4
+    with one OpenBLAS thread).  It is the exact path for n >= 8 and the
+    oracle of the scalar path below that.
+    """
     target = float(budget)
     bps = np.sort(np.concatenate((v - 1.0, v)))
     sums = np.clip(v[None, :] - bps[:, None], 0.0, 1.0).sum(axis=1)
     # sums is non-increasing from n down to 0; locate the last bp with sum >= target
     i = int(np.searchsorted(-sums, -target, side="right")) - 1
-    i = max(i, 0)
-    if sums[i] <= target or i == 2 * n - 1:
-        tau = bps[i]
-    else:
-        tau = bps[i] + (sums[i] - target) * (bps[i + 1] - bps[i]) / (sums[i] - sums[i + 1])
-    return np.clip(v - tau, 0.0, 1.0)
+    return np.clip(v - _shift(bps, sums, max(i, 0), target), 0.0, 1.0)

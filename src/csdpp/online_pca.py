@@ -47,7 +47,7 @@ class EtaSchedule:
     def __call__(self, t: int) -> float:
         if t < 1:
             raise ValueError(f"step index must be >= 1, got {t}")
-        return self.scale / np.sqrt(t) * (self.m / self.k)
+        return self.scale / math.sqrt(t) * (self.m / self.k)  # np.sqrt's bits: both round correctly
 
 
 def default_eta_schedule(m: int, k: int, scale: float = 2.0) -> EtaSchedule:
@@ -89,22 +89,28 @@ class CappedMsgState:
             schedule = default_eta_schedule(m, k)
         return cls(frame.T, sigma, m, schedule)
 
-    def update(self, y: np.ndarray, t: int) -> None:
-        """Rank-one step with observation y at step index t (1-based)."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.k,):
-            raise ValueError(f"observation must have shape ({self.k},), got {y.shape}")
-        y = np.ascontiguousarray(y)
-        peak = float(np.abs(y).max())  # ||y|| >= max|y_i|, so past this check the norm cannot overflow
-        if not math.isfinite(peak):
-            raise ValueError("observation must be finite")
-        if peak > 1.0 + TOL.unit_norm_slack:
-            raise ValueError(f"observation entry {peak} exceeds 1")
+    def update(self, y: np.ndarray, t: int, *, _checked: bool = True) -> None:
+        """Rank-one step with observation y at step index t (1-based).
+
+        ``_checked=False`` is for the learner, whose observation is a contiguous
+        float64 vector of shape (K,), finite and of norm <= 1 by construction:
+        it skips the checks of y and of the step size, which then change no bit.
+        """
+        if _checked:
+            y = np.asarray(y, dtype=np.float64)
+            if y.shape != (self.k,):
+                raise ValueError(f"observation must have shape ({self.k},), got {y.shape}")
+            y = np.ascontiguousarray(y)
+            peak = float(np.abs(y).max())  # ||y|| >= max|y_i|, so past this check the norm cannot overflow
+            if not math.isfinite(peak):
+                raise ValueError("observation must be finite")
+            if peak > 1.0 + TOL.unit_norm_slack:
+                raise ValueError(f"observation entry {peak} exceeds 1")
         ynorm = math.sqrt(y @ y)  # np.linalg.norm of a contiguous real vector, bit for bit
-        if ynorm > 1.0 + TOL.unit_norm_slack:
+        if _checked and ynorm > 1.0 + TOL.unit_norm_slack:
             raise ValueError(f"observation norm {ynorm} exceeds 1")
         eta = float(self.schedule(t))
-        if eta < 0:
+        if _checked and eta < 0:
             raise ValueError(f"step size must be non-negative, got {eta}")
 
         # split y = Q^T a + rho * q_new; the second classical Gram-Schmidt pass

@@ -197,13 +197,15 @@ class Head:
         target: np.ndarray,
         basis: np.ndarray | None = None,
         gain: tuple[np.ndarray, float] | None = None,
+        raw: np.ndarray | None = None,
     ) -> None:
         """Step toward ``target``, or toward ``basis @ target`` when a basis is given.
 
         A head that follows basis changes is rotated onto ``basis`` first.  A
         ridge head steps with ``gain``, the (A_prev_inv x, gamma) of its shared
         accumulator's update for x; without it, it peeks its own accumulator
-        and absorbs x after its step.
+        and absorbs x after its step.  ``raw`` is the prediction ``W^T x`` the
+        caller has just made with the unrotated W, or None to make it here.
         """
         if basis is not None:
             if self.basis is not None:
@@ -212,12 +214,14 @@ class Head:
         if target.shape != (self.w.shape[1],):
             raise ValueError(f"target must have shape ({self.w.shape[1]},), got {target.shape}")
         self.t += 1
+        resid = (self.w.T @ x if raw is None else raw) - target
         if self.acc is None:
             step = self.sgd_step_scale / np.sqrt(self.t)
-            self.w -= step * np.outer(x, self.w.T @ x - target)
+            self.w -= step * np.outer(x, resid)
             return
         ainv_x, gamma = self.acc.peek(x) if gain is None else gain
-        resid = self.w.T @ x - target
-        self.w -= np.outer(ainv_x, resid) / (1.0 + gamma)
+        step = np.multiply.outer(ainv_x, resid)  # np.outer / (1 + gamma), without a second d x width array
+        step /= 1.0 + gamma
+        self.w -= step
         if gain is None:
             self.acc.absorb(x, ainv_x, gamma)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,12 +21,12 @@ import numpy as np
 from . import costs as costs_mod
 from .evaluation import expected_regret, offline_plst, run_with_snapshots, theorem2_bound
 from .learners import LearnerConfig, decode, make_learner
-from .linalg import TOL, project_capped_simplex, symmetric_eigen
-from .online_pca import CappedMsgState, default_eta_schedule
+from .linalg import TOL, project_capped_simplex, projection_sweep, symmetric_eigen
+from .online_pca import CappedMsgState, EtaSchedule, default_eta_schedule
 from .regressor import Head
 from .stream import planted_subspace_stream, substream
 
-__all__ = ["SUITES", "MUTANTS", "SuiteReport", "run_suite", "run_suites"]
+__all__ = ["SUITES", "MUTANTS", "FAST_PATH_MUTANTS", "SuiteReport", "run_suite", "run_suites"]
 
 MUTANTS = {
     "lemma1": "keep-probabilities",      # removal probs read sigma instead of 1-sigma
@@ -35,6 +36,12 @@ MUTANTS = {
     "bounds": "drop-residual",           # bound omits the out-of-span term
     "regret": "inverted-spectrum",       # online losses reconstruct U from 1-sigma
     "tracker": "skip-residual",          # every observation treated as in-span
+}
+# a defect in a fast path that its suite checks bit for bit against the exact path it replaced
+FAST_PATH_MUTANTS = {
+    "lemma3": "native-walk",             # the learner's weights walk native order whatever the order
+    "projection": "reversed-sum",        # the small-n projection sums each clipped row last to first
+    "tracker": "reassociated-eta",       # the unchecked step's step size taken as scale (m/k) / sqrt(t)
 }
 
 
@@ -106,7 +113,8 @@ def checked_tracker_step(state: CappedMsgState, y: np.ndarray, t: int) -> None:
 
     It takes the norms with ``np.linalg.norm``, builds the small matrix with
     ``np.diag``/``np.append``/``np.outer`` and the grown frame with ``np.vstack``,
-    and solves it through the public, checked ``symmetric_eigen``.
+    solves it through the public, checked ``symmetric_eigen`` and projects the
+    spectrum with the NumPy sweep.
     """
     y = np.asarray(y, dtype=np.float64)
     ynorm = float(np.linalg.norm(y))
@@ -125,7 +133,7 @@ def checked_tracker_step(state: CappedMsgState, y: np.ndarray, t: int) -> None:
         small = np.diag(np.append(state.sigma, 0.0)) + eta * np.outer(aug, aug)
         frame = np.vstack((state.q, r / rho))
     eig = symmetric_eigen(small)
-    state.sigma = project_capped_simplex(eig.values[: state.m + 1], state.m)
+    state.sigma = projection_sweep(eig.values[: state.m + 1], state.m)
     state.q = eig.vectors[:, : state.m + 1].T @ frame
 
 
@@ -147,8 +155,17 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _reassociated(schedule: EtaSchedule):
+    """The ``reassociated-eta`` defect: ``schedule`` one rounding off at some steps."""
+    return lambda t: schedule.scale * (schedule.m / schedule.k) / math.sqrt(t)
+
+
 def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str | None = None) -> SuiteReport:
-    """Factored tracker updates against the dense K x K step, and bit for bit against the checked step."""
+    """Factored tracker updates against the dense K x K step, and bit for bit against the checked step.
+
+    The checked step is the oracle of both update paths: the public one and
+    the unchecked one the learner takes.
+    """
     report = SuiteReport("tracker", True, params={"trials": trials, "steps": steps, "seed": seed})
     rng = substream(seed, 109)
     worst = 0.0
@@ -161,6 +178,8 @@ def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str 
         init_seed = int(rng.integers(0, 2**31))
         state = CappedMsgState.initialize(k, m, init_seed, default_eta_schedule(m, k))
         ref = CappedMsgState(state.q, state.sigma, m, state.schedule)  # keeps the frame's memory order
+        lean_schedule = _reassociated(state.schedule) if mutant == "reassociated-eta" else state.schedule
+        lean = CappedMsgState(state.q, state.sigma, m, lean_schedule)
         fast_rng, ref_rng = np.random.default_rng(init_seed), np.random.default_rng(init_seed)
         u = state.reconstruct()
         for step in range(1, steps + 1):
@@ -170,9 +189,16 @@ def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str 
             seen = state.q.T @ (state.q @ y) if mutant == "skip-residual" else y
             basis, ref_basis = state.sample_projection(fast_rng), sequential_draw(ref, ref_rng)
             state.update(seen, step)
+            lean.update(seen, step, _checked=False)  # seen is contiguous float64 of norm <= 1
             checked_tracker_step(ref, seen, step)
             if not differs:
-                parts = {"basis": (basis, ref_basis), "q": (state.q, ref.q), "sigma": (state.sigma, ref.sigma)}
+                parts = {
+                    "basis": (basis, ref_basis),
+                    "q": (state.q, ref.q),
+                    "sigma": (state.sigma, ref.sigma),
+                    "unchecked-q": (lean.q, ref.q),
+                    "unchecked-sigma": (lean.sigma, ref.sigma),
+                }
                 bad = [name for name, (a, b) in parts.items() if not _same_bits(a, b)]
                 if bad:
                     differs = {"k": k, "m": m, "step": step, "parts": bad}
@@ -220,6 +246,30 @@ def _weights_for(cost, y, yhat, order, mutant):
     return costs_mod.label_weights(cost, y, yhat, order).deltas
 
 
+def _learner_weights(cost, y, yhat, order, mutant) -> np.ndarray:
+    """The learner's path: square-rooted weights from one classification of the pair,
+    walking ``order``, or native order directly when it is None."""
+    walk = None if mutant == "native-walk" else order
+    return costs_mod.label_weights(cost, y, yhat, walk, _classified=costs_mod._validate_pair(y, yhat))
+
+
+def _walk_agrees(cost, y, yhat, order, weights, drawn: bool, mutant) -> bool:
+    """The public weights and the learner's path against the rational walk, bit for bit.
+
+    The learner walks native order directly where ``order`` is the identity,
+    and a ``drawn`` triple is also walked in native order that way.
+    """
+    native = np.arange(y.size)
+    gaps = np.abs(walk_gaps(cost, y, yhat, order))
+    if np.array_equal(order, native):
+        order = None
+    elif drawn:
+        walked = np.sqrt(np.abs(walk_gaps(cost, y, yhat, native)))
+        if not _same_bits(_learner_weights(cost, y, yhat, None, mutant), walked):
+            return False
+    return np.array_equal(weights, gaps) and _same_bits(_learner_weights(cost, y, yhat, order, mutant), np.sqrt(gaps))
+
+
 def suite_lemma3(
     random_trials: int = 10_000,
     condition_trials: int = 0,
@@ -228,7 +278,8 @@ def suite_lemma3(
     cost_names: list[str] | None = None,
     mutant: str | None = None,
 ) -> SuiteReport:
-    """Weights reproduce the cost on the disagreement set and equal the rational walk bit for bit."""
+    """Weights reproduce the cost on the disagreement set and equal the rational walk bit for bit,
+    through the public `label_weights` and through the learner's classified path."""
     names = cost_names or ["hamming", "rank", "f1", "accuracy"]
     walk_trials = max(1, random_trials // 50)  # the walk is O(K^2) per triple, at K up to 64
     params = {"random_trials": random_trials, "walk_trials": walk_trials, "condition_trials": condition_trials}
@@ -257,7 +308,11 @@ def suite_lemma3(
             if gap > worst:
                 worst, witness = gap, _triple(y, yhat, order)
         _check(report, f"decomposition-{name}", worst <= 1e-12, max_abs_gap=worst, **witness)
-        bad = [t for t, w in zip(walked, weights) if not np.array_equal(w, np.abs(walk_gaps(cost, *t)))]
+        bad = [
+            t
+            for i, (t, w) in enumerate(zip(walked, weights))
+            if not _walk_agrees(cost, *t, w, i >= len(exhaustive), mutant)
+        ]
         witness = _triple(*bad[0]) if bad else {}
         _check(report, f"walk-agreement-{name}", not bad, triples=len(walked), **witness)
         if condition_trials:
@@ -329,18 +384,41 @@ def grid_projection_oracle(v: np.ndarray, budget: int) -> np.ndarray:
     return np.clip(v - taus[idx], 0.0, 1.0)
 
 
+# small-n projection inputs whose sweep meets ties, breakpoints that coincide or sit
+# exactly on the box edges, zero entries and -0.0
+_EDGE_VECTORS = (
+    [0.5, 0.5, 0.5, 0.5],
+    [1.5, 0.5, 0.5, -0.5, 1.5],
+    [1.0, 2.0, 0.25, 1.25, -1.0, 0.75, 1.75],
+    [0.0, 0.7, 0.3, 1.0],
+    [-0.0, 0.0, 0.6, 1.0, 0.4],
+    [0.3, -0.0, 0.9],
+    [2.0, -0.0, -1.0],
+)
+
+
+def _small_projection(v: np.ndarray, budget: int, mutant) -> np.ndarray:
+    if mutant == "reversed-sum":
+        return project_capped_simplex(v[::-1], budget)[::-1]
+    return project_capped_simplex(v, budget)
+
+
 def suite_projection(instances: int = 50, seed: int = 0, mutant: str | None = None) -> SuiteReport:
-    """Capped-simplex projection against a brute-force shift grid."""
+    """Capped-simplex projection against a brute-force shift grid, and below
+    n = 8 against the NumPy sweep bit for bit."""
     report = SuiteReport("projection", True, params={"instances": instances, "seed": seed})
     rng = substream(seed, 107)
     worst_feas = 0.0
     worst_vec = 0.0
     worst_dist = 0.0
     box_ok = True
+    small = [(np.array(v), budget) for v in _EDGE_VECTORS for budget in range(1, len(v) + 1)]
     for _ in range(instances):
         n = int(rng.integers(2, 12))
         budget = int(rng.integers(1, n + 1))
         v = rng.uniform(-1.5, 2.5, size=n)
+        if n < 8:
+            small.append((v, budget))
         w = project_capped_simplex(v, budget)
         if mutant == "nearest-breakpoint":
             bps = np.sort(np.concatenate((v - 1.0, v)))
@@ -359,6 +437,14 @@ def suite_projection(instances: int = 50, seed: int = 0, mutant: str | None = No
     feasible = np.array([1.0, 0.6, 0.4, 0.0])
     again = project_capped_simplex(feasible, 2)
     _check(report, "idempotence", float(np.max(np.abs(again - feasible))) <= 1e-12)
+    for _ in range(instances):
+        n = int(rng.integers(1, 8))
+        budget = int(rng.integers(1, n + 1))
+        small.append((rng.integers(-6, 11, size=n) / 4.0, budget))  # the quarter grid: ties, exact breakpoints
+        small.append((rng.uniform(0.0, 1.0, size=n), budget))  # every clip inside the box: rounded sums
+    bad = [(v, b) for v, b in small if not _same_bits(_small_projection(v, b, mutant), projection_sweep(v, b))]
+    witness = {"v": bad[0][0].tolist(), "budget": bad[0][1]} if bad else {}
+    _check(report, "sweep-agreement", not bad, cases=len(small), **witness)
     return report
 
 

@@ -832,6 +832,11 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["passed"] is False
 
+    def test_fast_path_mutant_fails_with_exit_1(self, capsys):
+        assert run_cli("verify", "projection", "--trials", "20", "--mutant", "reversed-sum") == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in payload[0]["checks"] if not c["passed"]] == ["sweep-agreement"]
+
     def test_unknown_cost_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "lemma3", "--cost", "nope")

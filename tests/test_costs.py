@@ -57,6 +57,20 @@ class TestCostValues:
         with pytest.raises(ValueError, match="values in"):
             get_cost("f1").each(y, bad)
 
+    def test_one_pass_classifies_each_label_and_counts_each_row(self):
+        from csdpp.costs import _validate_pair
+
+        rng = np.random.default_rng(13)
+        y = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, 9))
+        yhat = rng.choice(np.array([-1.0, 1.0]), size=(40, 9))
+        category, counts = _validate_pair(y, yhat, 2)
+        np.testing.assert_array_equal(category, 2 * (yhat == -1) + (y == -1))  # 0 tp, 1 fp, 2 fn, 3 tn
+        for row in range(40):
+            one_category, one_counts = _validate_pair(y[row], yhat[row])
+            np.testing.assert_array_equal(one_category, category[row])
+            assert one_counts.dtype == counts.dtype == np.int64
+            assert one_counts.tolist() == counts[:, row].tolist() == np.bincount(category[row], minlength=4).tolist()
+
     def test_perfect_prediction_is_free(self):
         rng = np.random.default_rng(0)
         for _ in range(30):

@@ -499,3 +499,120 @@ class TestLearning:
             "label_weights": 1,
         }
         assert calls["symmetric_eigen"][0][0].shape == (m + 2, m + 2)  # the label left the frame's span
+
+
+class TestLabelChecks:
+    # a label vector outside {-1,+1} is rejected by the step's one classification pass
+    BAD_LABELS = [(0, np.int8), (2, np.int8), (np.nan, np.float64)]
+
+    @staticmethod
+    def _labels(bad, dtype):
+        y = np.array([1, -1, 1, -1, -1, 1], dtype=dtype)
+        y[3] = bad
+        return y
+
+    @pytest.mark.parametrize("bad, dtype", BAD_LABELS)
+    @pytest.mark.parametrize("algorithm", ["dpp-pbc", "cs-dpp-pbc", "o-br"])
+    def test_step_rejects_labels_outside_the_signs(self, algorithm, bad, dtype):
+        learner = make_learner(LearnerConfig(algorithm=algorithm, m=2, cost="f1", seed=2), 8, 6)
+        play(learner, small_stream(t=5, seed=6))
+        with pytest.raises(ValueError, match=r"^label vectors must take values in \{-1,\+1\}$"):
+            learner.step(np.full(8, 0.3), self._labels(bad, dtype))
+
+    @pytest.mark.parametrize("bad, dtype", BAD_LABELS)
+    def test_lockstep_stops_every_learner_before_the_shared_tracker_moves(self, bad, dtype):
+        stream = small_stream(t=12, seed=6)
+        bundle = Lockstep()
+        for algorithm in ("dpp-pbc", "dpp-pbt"):  # one shared tracker and one shared accumulator
+            bundle.add(LearnerConfig(algorithm=algorithm, m=2, seed=2), 8, 6)
+        play(bundle, stream[:6])
+        lead = bundle.learners[0]
+        before = json.dumps([to_snapshot(lead.msg), lead.rng_sampler.bit_generator.state, to_snapshot(lead.head.acc)])
+        assert bundle.step(np.full(8, 0.3), self._labels(bad, dtype)) == [None, None]
+        assert [str(exc) for exc in bundle.errors] == ["label vectors must take values in {-1,+1}"] * 2
+        assert all(isinstance(exc, ValueError) for exc in bundle.errors)
+        after = json.dumps([to_snapshot(lead.msg), lead.rng_sampler.bit_generator.state, to_snapshot(lead.head.acc)])
+        assert after == before
+        assert play(bundle, stream[6:]) == [[None, None]] * 6  # every learner stopped at that step
+
+
+def _benchmark_stream(steps=200, d=50, k=200, seed=15):
+    """Unit-norm features and 5%-positive labels from 24 prototypes, the costed-narrow shape."""
+    rng = np.random.default_rng(seed)
+    protos = np.where(rng.random((24, k)) < 0.05, 1, -1).astype(np.int8)
+    picks = rng.integers(0, 24, size=steps)
+    x = rng.standard_normal((24, d))[picks] + 0.1 * rng.standard_normal((steps, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x, protos[picks]
+
+
+def _reference_head_update(head, x, target):
+    """The ridge head's step as first written: it predicts again and builds np.outer / (1 + gamma)."""
+    head.t += 1
+    ainv_x, gamma = head.acc.peek(x)
+    head.w -= np.outer(ainv_x, head.w.T @ x - target) / (1.0 + gamma)
+    head.acc.absorb(x, ainv_x, gamma)
+
+
+def _reference_step(learner, x, y):
+    """One step of a tracked learner from the public, checked pieces only: the
+    cost's own call, `label_weights` in the learner's order, `verify.checked_tracker_step`
+    (whose projection is the NumPy sweep) and the head's step as first written."""
+    from csdpp.linalg import TOL
+    from csdpp.verify import checked_tracker_step
+
+    learner.t += 1
+    basis = learner.basis
+    raw = learner.head.predict(x)
+    y_hat = decode(basis, basis @ raw if learner.label_head else raw)
+    incurred = learner.cost(y, y_hat)
+    if learner.weighted:
+        sqrt_w = costs.label_weights(learner.cost, y, y_hat, learner.order).sqrt_deltas
+    else:
+        sqrt_w = np.sqrt(np.full(learner.k, 1.0 / learner.k))
+    target = sqrt_w * y
+    norm = float(np.linalg.norm(target))
+    checked_tracker_step(learner.msg, target / norm if norm > 1.0 + TOL.unit_norm_slack else target, learner.t)
+    new_basis = learner.msg.sample_projection(learner.rng_sampler)
+    if not learner.label_head:  # the rotated head, turned onto the new basis
+        learner.head.transform(new_basis)
+        target = new_basis @ target
+    _reference_head_update(learner.head, x, target)
+    learner.basis = new_basis
+    return y_hat, incurred
+
+
+class TestLeanStepBits:
+    @pytest.mark.parametrize("order", ["native", "random"])
+    @pytest.mark.parametrize(
+        "algorithm, cost",
+        [("cs-dpp-pbc", name) for name in ("hamming", "rank", "f1", "accuracy")]
+        + [("cs-dpp-pbt", name) for name in ("rank", "f1")]
+        + [("dpp-pbc", "f1")],
+    )
+    def test_step_matches_the_checked_reference_at_the_benchmark_shape(self, algorithm, cost, order):
+        x, y = _benchmark_stream()
+        config = LearnerConfig(algorithm=algorithm, cost=cost, m=4, label_order=order, seed=21)
+        lean, reference = make_learner(config, 50, 200), make_learner(config, 50, 200)
+        for t in range(len(x)):
+            record = lean.step(x[t], y[t])
+            y_hat, incurred = _reference_step(reference, x[t], y[t])
+            assert record.y_hat.tobytes() == y_hat.tobytes(), f"prediction {t + 1} differs"
+            assert record.incurred_cost == incurred, f"cost {t + 1} differs"
+        same = json.dumps(to_snapshot(lean)) == json.dumps(to_snapshot(reference))
+        assert same, "final snapshots differ"
+
+    @pytest.mark.parametrize("algorithm", ["cs-dpp-pbc", "dpp-naive", "o-br"])
+    @pytest.mark.parametrize("engine", ["ridge", "sgd"])
+    def test_head_step_on_the_step_prediction_matches_predicting_again(self, algorithm, engine, monkeypatch):
+        x, y = _benchmark_stream(steps=100)
+        config = LearnerConfig(algorithm=algorithm, cost="f1", m=4, engine=engine, seed=21)
+        reused = make_learner(config, 50, 200)
+        records = [reused.step(x[t], y[t]) for t in range(len(x))]
+        update = Head.update
+        monkeypatch.setattr(Head, "update", lambda self, x, target, basis=None, gain=None, raw=None:
+                            update(self, x, target, basis, gain))  # raw=None: the head predicts again
+        again = make_learner(config, 50, 200)
+        assert [again.step(x[t], y[t]).y_hat.tobytes() for t in range(len(x))] == [r.y_hat.tobytes() for r in records]
+        same = json.dumps(to_snapshot(again)) == json.dumps(to_snapshot(reused))
+        assert same, "final snapshots differ"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csdpp import online_pca
-from csdpp.linalg import TOL, project_capped_simplex, symmetric_eigen
+from csdpp.linalg import TOL, project_capped_simplex, projection_sweep, symmetric_eigen
 from csdpp.online_pca import CappedMsgState
 
 
@@ -143,6 +143,20 @@ class TestCappedSimplexProjection:
             assert np.all(w >= -1e-12) and np.all(w <= 1 + 1e-12)
             ref = grid_oracle(v, budget)
             assert np.max(np.abs(w - ref)) <= 1e-6
+
+    def test_small_n_path_gives_the_sweep_bits(self):
+        # below n = 8 Python floats stand in for the NumPy sweep; ties, exact
+        # breakpoints, zeros and -0.0 included (the last two take the sweep itself)
+        rng = np.random.default_rng(7)
+        edges = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1.5, 1e-300, 1.0 + 2**-52, 1.0 - 2**-53]
+        for trial in range(4000):
+            n = int(rng.integers(1, 8))
+            draw = (rng.uniform(-1.5, 2.5, n), rng.uniform(0.0, 1.0, n), rng.choice(edges, n),
+                    rng.integers(-6, 11, n) / 4.0)[trial % 4]
+            budget = int(rng.integers(1, n + 1))
+            assert project_capped_simplex(draw, budget).tobytes() == projection_sweep(draw, budget).tobytes()
+        w = project_capped_simplex(np.array([-0.0, 0.6, 0.4]), 1)
+        assert w.tobytes() == projection_sweep(np.array([-0.0, 0.6, 0.4]), 1).tobytes()
 
     def test_idempotence(self):
         rng = np.random.default_rng(2)

@@ -211,6 +211,23 @@ class TestBitsAgainstCheckedStep:
             assert st.sigma.tobytes() == ref.sigma.tobytes(), t
         assert {m + 1, m + 2} <= set(dims)  # in-span and growing steps both ran
 
+    @pytest.mark.parametrize("k, m", [(3, 1), (30, 7), (200, 4)])
+    def test_unchecked_update_matches_the_checked_step(self, k, m):
+        rng = np.random.default_rng(7 * k + m)
+        lean, ref = CappedMsgState.initialize(k, m, seed=k), CappedMsgState.initialize(k, m, seed=k)
+        for t in range(1, 41):
+            y = random_observation(rng, k)
+            if t % 4 == 0:
+                y = lean.q.T @ (lean.q @ y)
+            lean.update(y, t, _checked=False)
+            checked_tracker_step(ref, y, t)
+            assert lean.q.tobytes() == ref.q.tobytes() and lean.sigma.tobytes() == ref.sigma.tobytes(), t
+
+    def test_schedule_keeps_the_numpy_sqrt_bits(self):
+        for m, k, scale in ((4, 200, 2.0), (25, 100, 2.0), (3, 7, 0.3)):
+            sched = default_eta_schedule(m, k, scale)
+            assert all(sched(t) == scale / np.sqrt(t) * (m / k) for t in range(1, 20_001))
+
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize(
         "sigma, value, dropped",

@@ -6,7 +6,7 @@ import pytest
 from csdpp.linalg import project_capped_simplex
 from csdpp.online_pca import CappedMsgState
 from csdpp.regressor import RidgeAccumulator
-from csdpp.verify import MUTANTS, SUITES, grid_projection_oracle, run_suite, run_suites
+from csdpp.verify import FAST_PATH_MUTANTS, MUTANTS, SUITES, grid_projection_oracle, run_suite, run_suites
 
 # trimmed trial counts: enough signal for the defect injectors, quick in CI
 REDUCED = {
@@ -81,6 +81,18 @@ class TestMutantsFail:
         assert checks["checked-agreement"]["witness"]["parts"] == ["basis"]
         assert checks["dense-agreement"]["passed"]  # only the oracle replay sees a wrong draw
 
+    @pytest.mark.parametrize("name", sorted(FAST_PATH_MUTANTS))
+    def test_fast_path_defect_breaks_its_bit_check(self, name):
+        reduced = dict(random_trials=50, cost_names=["f1"]) if name == "lemma3" else REDUCED[name]
+        report = run_suite(name, mutant=FAST_PATH_MUTANTS[name], **reduced)
+        failed = {c["name"] for c in report.checks if not c["passed"]}
+        assert not report.passed
+        expected = {"lemma3": "walk-agreement-f1", "projection": "sweep-agreement", "tracker": "checked-agreement"}
+        assert expected[name] in failed and not {"decomposition-f1", "grid-agreement", "dense-agreement"} & failed
+        if name == "tracker":  # the public update still matches; only the unchecked one drifts
+            parts = {c["name"]: c for c in report.checks}["checked-agreement"]["witness"]["parts"]
+            assert parts == ["unchecked-q", "unchecked-sigma"]
+
     def test_unknown_mutant_is_inert(self):
         report = run_suite("projection", instances=5, mutant="not-a-real-defect")
         assert report.passed
@@ -107,6 +119,8 @@ class TestRunner:
 
     def test_registry_alignment(self):
         assert sorted(SUITES) == sorted(MUTANTS)
+        assert set(FAST_PATH_MUTANTS) <= set(SUITES)
+        assert not set(FAST_PATH_MUTANTS.values()) & set(MUTANTS.values())
 
 
 class TestGridOracle:
