@@ -2,7 +2,6 @@
 
 from .costs import (
     CostFunction,
-    WeightDiagonal,
     available_costs,
     check_condition,
     get_cost,
@@ -30,7 +29,7 @@ from .learners import (
     to_snapshot,
 )
 from .linalg import TOL, project_capped_simplex, symmetric_eigen
-from .online_pca import CappedMsgState, default_eta_schedule
+from .online_pca import CappedMsgState
 from .stream import (
     Instance,
     StreamConfig,
@@ -57,12 +56,10 @@ __all__ = [
     "RegretReport",
     "StreamConfig",
     "TOL",
-    "WeightDiagonal",
     "available_costs",
     "build_stream",
     "check_condition",
     "decode",
-    "default_eta_schedule",
     "expected_regret",
     "from_snapshot",
     "get_cost",

@@ -44,15 +44,10 @@ from .stream import PURPOSE_LABEL_ORDER, substream
 
 __all__ = [
     "CostFunction",
-    "WeightDiagonal",
     "ConditionReport",
     "get_cost",
     "register_cost",
     "available_costs",
-    "hamming_loss",
-    "rank_loss",
-    "f1_loss",
-    "accuracy_loss",
     "label_weights",
     "check_condition",
     "native_order",
@@ -183,36 +178,12 @@ F1 = _builtin("f1", lambda tp, fp, fn, tn: (fp + fn, np.maximum(2 * tp + fp + fn
 ACCURACY = _builtin("accuracy", lambda tp, fp, fn, tn: (fp + fn, np.maximum(tp + fp + fn, 1)))
 
 
-def hamming_loss(y, yhat) -> float:
-    return HAMMING(y, yhat)
-
-
-def rank_loss(y, yhat) -> float:
-    return RANK(y, yhat)
-
-
-def f1_loss(y, yhat) -> float:
-    return F1(y, yhat)
-
-
-def accuracy_loss(y, yhat) -> float:
-    return ACCURACY(y, yhat)
-
-
 def native_order(k: int) -> np.ndarray:
     return np.arange(k)
 
 
 def random_order(k: int, seed: int) -> np.ndarray:
     return substream(seed, PURPOSE_LABEL_ORDER).permutation(k)
-
-
-@dataclass(frozen=True)
-class WeightDiagonal:
-    """Per-label weights delta and their square roots (the diagonal actually applied)."""
-
-    deltas: np.ndarray
-    sqrt_deltas: np.ndarray
 
 
 def _gaps(cost: CostFunction, category: np.ndarray, counts: np.ndarray, order: np.ndarray | None) -> np.ndarray:
@@ -248,28 +219,25 @@ def label_weights(
     order: np.ndarray | None = None,
     *,
     _classified: tuple[np.ndarray, np.ndarray] | None = None,
-) -> WeightDiagonal | np.ndarray:
+) -> np.ndarray:
     """Sequential per-label cost weights for truth y against prediction yhat.
 
     Walks ``order`` (native order by default) from yhat, correcting one label
-    at a time; the weight of label j is the cost gap between forcing j wrong
-    and forcing j right at that point.  ``_classified`` is for the learner,
-    which has already classified (and so validated) the pair with
-    `_validate_pair` and built the order itself: given its (category, counts),
-    only the square roots of the weights come back, as one array.
+    at a time; the weight of label j is the absolute cost gap between forcing
+    j wrong and forcing j right at that point, and a learner scales label j by
+    its square root.  ``_classified`` is for the learner, which has already
+    classified (and so validated) the pair with `_validate_pair` and built the
+    order itself: given its (category, counts), nothing is checked again.
     """
-    if _classified is not None:
-        gaps = _gaps(cost, *_classified, order)
-        return np.sqrt(np.abs(gaps, out=gaps), out=gaps)
-    y = np.asarray(y)
-    yhat = np.asarray(yhat)
-    category, counts = _validate_pair(y, yhat)
-    if order is not None:
-        order = np.asarray(order)
-        if order.shape != (y.size,) or not np.array_equal(np.sort(order), np.arange(y.size)):
-            raise ValueError("order must be a permutation of range(K)")
-    deltas = np.abs(_gaps(cost, category, counts, order))
-    return WeightDiagonal(deltas, np.sqrt(deltas))
+    if _classified is None:
+        y = np.asarray(y)
+        _classified = _validate_pair(y, np.asarray(yhat))
+        if order is not None:
+            order = np.asarray(order)
+            if order.shape != (y.size,) or not np.array_equal(np.sort(order), np.arange(y.size)):
+                raise ValueError("order must be a permutation of range(K)")
+    gaps = _gaps(cost, *_classified, order)
+    return np.abs(gaps, out=gaps)
 
 
 @dataclass

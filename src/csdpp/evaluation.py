@@ -113,17 +113,21 @@ def offline_plst(instances: list[Instance], m: int, ridge_eps: float = 1e-9) -> 
 def run_with_snapshots(learner, instances: list[Instance], stride: int = 1):
     """Drive the learner, snapshotting (frame, spectrum, head) entering each step.
 
-    Returns (records, snapshots) where snapshots[i] = (t, state_dict) for the
-    strided step indices.  Exact regret accounting wants stride=1; larger
-    strides subsample long streams.
+    The learner must be a ridge dpp-pbc or cs-dpp-pbc one.  Returns (records,
+    snapshots) where snapshots[i] = (t, {"q", "sigma", "h"}) for the strided
+    step indices.  Exact regret accounting wants stride=1; larger strides
+    subsample long streams.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if learner.msg is None or not learner.label_head or learner.head.acc is None:
+        raise ValueError("regret accounting needs the ridge label-space head")
     records = []
     snapshots = []
     for i, inst in enumerate(instances):
         if i % stride == 0:
-            snapshots.append((i + 1, learner.regret_snapshot()))
+            state = {"q": learner.msg.q.copy(), "sigma": learner.msg.sigma.copy(), "h": learner.head.w.copy()}
+            snapshots.append((i + 1, state))
         records.append(learner.step(inst.features, inst.labels))
     return records, snapshots
 

@@ -48,8 +48,8 @@ import numpy as np
 
 from . import costs as costs_mod
 from .linalg import TOL
-from .online_pca import CappedMsgState, default_eta_schedule
-from .regressor import Head, RidgeAccumulator, suggest_engine
+from .online_pca import CappedMsgState, EtaSchedule
+from .regressor import DEFAULT_REFRESH_EVERY, Head, RidgeAccumulator, suggest_engine
 from .stream import (
     PURPOSE_RANDOM_PROJECTION,
     PURPOSE_SAMPLER,
@@ -152,7 +152,6 @@ class LearnerConfig:
     sgd_step_scale: float = 1.0
     label_order: str = "native"     # native | random
     order_seed: int | None = None
-    refresh_every: int = 10_000
     trust_cost: bool = False        # skip the decomposition probe for custom costs
     audit: bool = False             # per-step decoding-bound audit
 
@@ -253,9 +252,7 @@ class Learner:
         self.msg = None
         self.basis = self.decoder = None
         if encoder == "tracked":
-            self.msg = CappedMsgState.initialize(
-                k, m, config.seed, default_eta_schedule(m, k, config.eta_scale)
-            )
+            self.msg = CappedMsgState.initialize(k, m, config.seed, EtaSchedule(config.eta_scale, m, k))
             self.rng_sampler = substream(config.seed, PURPOSE_SAMPLER)
             self.basis = self.msg.sample_projection(self.rng_sampler)
         elif encoder == "gaussian":
@@ -273,14 +270,10 @@ class Learner:
             k if self.label_head else m,
             rule=config.resolve_engine(d, k),
             lam=config.lam,
-            refresh_every=config.refresh_every,
             sgd_step_scale=config.sgd_step_scale,
             basis=self.basis if head == "rotated" else None,
             acc=acc,
         )
-
-    def predict_code(self, x: np.ndarray) -> np.ndarray:
-        return self._code(self.head.predict(x))
 
     def _code(self, raw: np.ndarray) -> np.ndarray:
         # a width-K head predicts labels, which the basis encodes
@@ -298,7 +291,7 @@ class Learner:
         return np.where(code >= 0.0, 1, -1).astype(np.int8)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._decode(self.predict_code(x))
+        return self._decode(self._code(self.head.predict(x)))
 
     def step(
         self,
@@ -327,6 +320,7 @@ class Learner:
             sqrt_w = costs_mod.label_weights(
                 self.cost, y, y_hat, None if self._native else self.order, _classified=(category, counts)
             )
+            np.sqrt(sqrt_w, out=sqrt_w)
         else:
             sqrt_w = self._sqrt_w
         target = sqrt_w * y
@@ -350,16 +344,6 @@ class Learner:
             self.head.update(x, target, new_basis, gain)
         self.basis = new_basis
         return PredictionRecord(self.t, y_hat, incurred)
-
-    def regret_snapshot(self) -> dict:
-        """State entering the next step, for expected-regret accounting."""
-        if self.msg is None or not self.label_head or self.head.acc is None:
-            raise ValueError("regret accounting needs the ridge label-space head")
-        return {
-            "q": self.msg.q.copy(),
-            "sigma": self.msg.sigma.copy(),
-            "h": self.head.w.copy(),
-        }
 
 
 class Lockstep:
@@ -409,7 +393,7 @@ class Lockstep:
     def add(self, config: LearnerConfig, d: int, k: int) -> int:
         """Build a learner and join it; a ridge head is built on the bundle's
         equal accumulator where there is one, so none is built to be dropped."""
-        acc = self._accs.get((d, config.lam, config.refresh_every))  # 1 and 1.0 hash and compare alike
+        acc = self._accs.get((d, config.lam, DEFAULT_REFRESH_EVERY))  # 1 and 1.0 hash and compare alike
         return self.join(Learner(config, d, k, acc))
 
     def step(self, x: np.ndarray, y: np.ndarray) -> list[PredictionRecord | None]:

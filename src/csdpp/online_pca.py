@@ -33,7 +33,7 @@ import numpy as np
 from .linalg import TOL, project_capped_simplex, symmetric_eigen
 from .stream import PURPOSE_ENCODER_INIT, substream
 
-__all__ = ["EtaSchedule", "CappedMsgState", "default_eta_schedule"]
+__all__ = ["EtaSchedule", "CappedMsgState"]
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ class EtaSchedule:
         if t < 1:
             raise ValueError(f"step index must be >= 1, got {t}")
         return self.scale / math.sqrt(t) * (self.m / self.k)  # np.sqrt's bits: both round correctly
-
-
-def default_eta_schedule(m: int, k: int, scale: float = 2.0) -> EtaSchedule:
-    return EtaSchedule(scale, m, k)
 
 
 class CappedMsgState:
@@ -86,7 +82,7 @@ class CappedMsgState:
         frame, _ = np.linalg.qr(gauss)
         sigma = np.full(m + 1, m / (m + 1), dtype=np.float64)
         if schedule is None:
-            schedule = default_eta_schedule(m, k)
+            schedule = EtaSchedule(2.0, m, k)
         return cls(frame.T, sigma, m, schedule)
 
     def update(self, y: np.ndarray, t: int, *, _checked: bool = True) -> None:

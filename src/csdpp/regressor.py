@@ -203,8 +203,8 @@ class Head:
 
         A head that follows basis changes is rotated onto ``basis`` first.  A
         ridge head steps with ``gain``, the (A_prev_inv x, gamma) of its shared
-        accumulator's update for x; without it, it peeks its own accumulator
-        and absorbs x after its step.  ``raw`` is the prediction ``W^T x`` the
+        accumulator's update for x; without it, it updates its own
+        accumulator with x first.  ``raw`` is the prediction ``W^T x`` the
         caller has just made with the unrotated W, or None to make it here.
         """
         if basis is not None:
@@ -219,9 +219,7 @@ class Head:
             step = self.sgd_step_scale / np.sqrt(self.t)
             self.w -= step * np.outer(x, resid)
             return
-        ainv_x, gamma = self.acc.peek(x) if gain is None else gain
+        ainv_x, gamma = self.acc.update(x) if gain is None else gain
         step = np.multiply.outer(ainv_x, resid)  # np.outer / (1 + gamma), without a second d x width array
         step /= 1.0 + gamma
         self.w -= step
-        if gain is None:
-            self.acc.absorb(x, ainv_x, gamma)

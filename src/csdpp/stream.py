@@ -32,6 +32,7 @@ race a generator.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -258,9 +259,11 @@ def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, 
     """Minimal ARFF reader: numeric attributes, labels named in label_names.
 
     Supports dense rows and Mulan-style sparse rows ``{idx val, idx val}``.
-    Label attribute values > 0 map to +1, otherwise -1.
+    Label attribute values > 0 map to +1, otherwise -1.  Attribute names may
+    be quoted.  An attribute declared twice, or a sparse index given twice in
+    one row, is rejected.
     """
-    attr_names: list[str] = []
+    attr_names: dict[str, None] = {}  # in declaration order
     instances: list[Instance] = []
     label_set = {name.strip() for name in label_names if name.strip()}
     if not label_set:
@@ -277,10 +280,13 @@ def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, 
             if low.startswith("@relation"):
                 continue
             if low.startswith("@attribute"):
-                parts = line.split(None, 2)
-                if len(parts) < 3:
+                match = re.match(r"@attribute\s+('[^']*'|\"[^\"]*\"|\S+)\s+\S", line, re.IGNORECASE)
+                if match is None:
                     raise ParseError(line_no, f"bad @attribute line {line!r}")
-                attr_names.append(parts[1].strip("'\""))
+                name = match[1].strip("'\"")
+                if name in attr_names:
+                    raise ParseError(line_no, f"duplicate attribute {name!r}")
+                attr_names[name] = None
                 continue
             if low.startswith("@data"):
                 in_data = True
@@ -296,6 +302,7 @@ def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, 
             if not line.endswith("}"):
                 raise ParseError(line_no, "unterminated sparse row")
             body = line[1:-1].strip()
+            seen: set[int] = set()
             if body:
                 for tok in body.split(","):
                     pair = tok.split()
@@ -308,6 +315,9 @@ def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, 
                         raise ParseError(line_no, f"bad sparse entry {tok!r}") from None
                     if not 0 <= idx < values.size:
                         raise ParseError(line_no, f"sparse index {idx} outside [0, {values.size})")
+                    if idx in seen:
+                        raise ParseError(line_no, f"duplicate sparse index {idx}")
+                    seen.add(idx)
                     values[idx] = val
         else:
             toks = _arff_split_row(line)

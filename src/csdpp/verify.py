@@ -22,7 +22,7 @@ from . import costs as costs_mod
 from .evaluation import expected_regret, offline_plst, run_with_snapshots, theorem2_bound
 from .learners import LearnerConfig, decode, make_learner
 from .linalg import TOL, project_capped_simplex, projection_sweep, symmetric_eigen
-from .online_pca import CappedMsgState, EtaSchedule, default_eta_schedule
+from .online_pca import CappedMsgState, EtaSchedule
 from .regressor import Head
 from .stream import planted_subspace_stream, substream
 
@@ -78,7 +78,7 @@ def suite_lemma1(trials: int = 100, draws: int = 20, seed: int = 0, mutant: str 
     for _ in range(trials):
         k = int(rng.integers(3, 31))
         m = int(rng.integers(1, min(8, k - 1) + 1))
-        state = CappedMsgState.initialize(k, m, int(rng.integers(0, 2**31)), default_eta_schedule(m, k))
+        state = CappedMsgState.initialize(k, m, int(rng.integers(0, 2**31)))
         for step in range(1, 6):  # walk off the uniform initial spectrum
             state.update(_random_unit_cap(rng, k), step)
         probs = state.removal_probabilities()
@@ -176,7 +176,7 @@ def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str 
         k = int(rng.integers(3, 31))
         m = int(rng.integers(1, k))
         init_seed = int(rng.integers(0, 2**31))
-        state = CappedMsgState.initialize(k, m, init_seed, default_eta_schedule(m, k))
+        state = CappedMsgState.initialize(k, m, init_seed)
         ref = CappedMsgState(state.q, state.sigma, m, state.schedule)  # keeps the frame's memory order
         lean_schedule = _reassociated(state.schedule) if mutant == "reassociated-eta" else state.schedule
         lean = CappedMsgState(state.q, state.sigma, m, lean_schedule)
@@ -243,14 +243,15 @@ def _triple(y: np.ndarray, yhat: np.ndarray, order: np.ndarray) -> dict:
 def _weights_for(cost, y, yhat, order, mutant):
     if mutant == "static-context":
         return np.abs(walk_gaps(cost, y, yhat, order, correct=False))
-    return costs_mod.label_weights(cost, y, yhat, order).deltas
+    return costs_mod.label_weights(cost, y, yhat, order)
 
 
 def _learner_weights(cost, y, yhat, order, mutant) -> np.ndarray:
     """The learner's path: square-rooted weights from one classification of the pair,
     walking ``order``, or native order directly when it is None."""
     walk = None if mutant == "native-walk" else order
-    return costs_mod.label_weights(cost, y, yhat, walk, _classified=costs_mod._validate_pair(y, yhat))
+    weights = costs_mod.label_weights(cost, y, yhat, walk, _classified=costs_mod._validate_pair(y, yhat))
+    return np.sqrt(weights, out=weights)
 
 
 def _walk_agrees(cost, y, yhat, order, weights, drawn: bool, mutant) -> bool:
@@ -467,7 +468,7 @@ def suite_bounds(
         r = rng.standard_normal(m) * rng.uniform(0.0, 2.0)
         yhat = decode(p, r)
         cost = costs_mod.get_cost(names[int(rng.integers(0, len(names)))])
-        cy = costs_mod.label_weights(cost, y, yhat).sqrt_deltas * y
+        cy = np.sqrt(costs_mod.label_weights(cost, y, yhat)) * y
         rhs = float(np.sum((r - p @ cy) ** 2))
         if mutant != "drop-residual":
             rhs += float(np.sum((cy - p.T @ (p @ cy)) ** 2))

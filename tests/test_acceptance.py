@@ -52,7 +52,7 @@ def test_criterion_02_weight_decomposition_exact():
                 for yhat in grid:
                     total = float(cost.raw(y, yhat))
                     for order in orders:
-                        deltas = label_weights(cost, y, yhat, order).deltas
+                        deltas = label_weights(cost, y, yhat, order)
                         worst = max(worst, abs(float(deltas[y != yhat].sum()) - total))
     # 10^4 random triples at K <= 12 plus 10^5 condition probes per cost
     rep = suite_lemma3(random_trials=10_000, condition_trials=100_000, k_max=12, seed=0)

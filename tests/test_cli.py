@@ -1,5 +1,8 @@
+import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -875,3 +878,42 @@ class TestVerifyCommand:
         )
         assert proc.returncode == 0
         assert '"suite": "projection"' in proc.stdout
+
+
+def _blas_version() -> str | None:
+    return np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}).get("version")
+
+
+GATE_DIGEST = "b891cd830a9144ffb054f5cba162426c61a93ab4c6ac06e0752a734955e4f77e"
+
+
+class TestPackage:
+    def test_every_exported_name_resolves(self):
+        modules = [csdpp] + [
+            importlib.import_module(f"csdpp.{info.name}") for info in pkgutil.iter_modules(csdpp.__path__)
+        ]
+        for module in modules:
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+    @pytest.mark.skipif(
+        np.__version__ != "2.4.6" or _blas_version() != "0.3.31.188.0",
+        reason="the gate digest pins the bytes of NumPy 2.4.6 over OpenBLAS 0.3.31.188.0; "
+        "other builds may round differently",
+    )
+    def test_gate_grid_digest(self, tmp_path):
+        data = tmp_path / "gate.txt"
+        data.write_text(
+            serialize_sparse_labels(planted_subspace_stream(20, 10, 400, seed=11, n_prototypes=4), 20, 10),
+            encoding="utf-8",
+        )
+        digest = hashlib.sha256()
+        for engine in ("ridge", "sgd"):
+            out = tmp_path / engine
+            argv = ["run", "--dataset", str(data), "--output", str(out), "--engine", engine]
+            argv += [f"--algo={algo}" for algo in ALGORITHMS] + [f"--cost={cost}" for cost in available_costs()]
+            assert run_cli(*argv, "--repeats", "2", "--seed", "3", "--m-frac", "0.3") == 0
+            for name, content in read_all(out).items():
+                digest.update(f"{engine}/{name}".encode())
+                digest.update(content)
+        assert digest.hexdigest() == GATE_DIGEST

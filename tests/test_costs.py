@@ -6,31 +6,29 @@ import pytest
 
 from csdpp.costs import (
     CostFunction,
-    accuracy_loss,
     available_costs,
     check_condition,
-    f1_loss,
     get_cost,
-    hamming_loss,
     label_weights,
     native_order,
     random_order,
-    rank_loss,
     register_cost,
 )
 from csdpp.verify import walk_gaps
 
 Y = np.array([1, -1, 1], dtype=np.int8)
 YHAT = np.array([1, 1, -1], dtype=np.int8)
+hamming, rank, f1, accuracy = (get_cost(name) for name in ("hamming", "rank", "f1", "accuracy"))
+BUILTINS = (hamming, rank, f1, accuracy)
 
 
 class TestCostValues:
     def test_hand_values(self):
-        assert hamming_loss(Y, YHAT) == pytest.approx(2 / 3, abs=1e-15)
-        assert f1_loss(Y, YHAT) == pytest.approx(0.5, abs=1e-15)
-        assert accuracy_loss(Y, YHAT) == pytest.approx(2 / 3, abs=1e-15)
+        assert hamming(Y, YHAT) == pytest.approx(2 / 3, abs=1e-15)
+        assert f1(Y, YHAT) == pytest.approx(0.5, abs=1e-15)
+        assert accuracy(Y, YHAT) == pytest.approx(2 / 3, abs=1e-15)
         # pairs (0,1) and (2,1): one tie at 0.5, one misorder at 1 -> 0.75
-        assert rank_loss(Y, YHAT) == pytest.approx(0.75, abs=1e-15)
+        assert rank(Y, YHAT) == pytest.approx(0.75, abs=1e-15)
 
     @pytest.mark.parametrize("name", available_costs())
     def test_each_prices_every_row_as_the_pair_call_does(self, name):
@@ -75,17 +73,17 @@ class TestCostValues:
         rng = np.random.default_rng(0)
         for _ in range(30):
             y = rng.choice(np.array([-1, 1], dtype=np.int8), size=int(rng.integers(1, 9)))
-            for fn in (hamming_loss, rank_loss, f1_loss, accuracy_loss):
+            for fn in BUILTINS:
                 assert fn(y, y) == 0.0
 
     def test_degenerate_all_negative(self):
         y = -np.ones(4, dtype=np.int8)
-        for fn in (hamming_loss, rank_loss, f1_loss, accuracy_loss):
+        for fn in BUILTINS:
             assert fn(y, y) == 0.0
 
     def test_rank_degenerate_single_class(self):
         y = np.ones(3, dtype=np.int8)
-        assert rank_loss(y, -y) == 0.0
+        assert rank(y, -y) == 0.0
 
     def test_range_and_zero_iff_equal(self):
         rng = np.random.default_rng(1)
@@ -93,12 +91,12 @@ class TestCostValues:
             k = int(rng.integers(1, 10))
             y = rng.choice(np.array([-1, 1], dtype=np.int8), size=k)
             yhat = rng.choice(np.array([-1, 1], dtype=np.int8), size=k)
-            for fn in (hamming_loss, rank_loss, f1_loss, accuracy_loss):
+            for fn in BUILTINS:
                 c = fn(y, yhat)
                 assert 0.0 <= c <= 1.0
         # hamming/f1/accuracy are 0 only on equality; rank can be 0 off-equality
         y = np.array([1, -1], dtype=np.int8)
-        assert hamming_loss(y, -y) > 0 and f1_loss(y, -y) > 0 and accuracy_loss(y, -y) > 0
+        assert hamming(y, -y) > 0 and f1(y, -y) > 0 and accuracy(y, -y) > 0
 
     def test_price_is_the_double_nearest_the_exact_cost(self):
         rng = np.random.default_rng(5)
@@ -112,11 +110,11 @@ class TestCostValues:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
-            hamming_loss(np.array([1, -1]), np.array([1, -1, 1]))
+            hamming(np.array([1, -1]), np.array([1, -1, 1]))
         with pytest.raises(ValueError, match="values"):
-            hamming_loss(np.array([1, 0]), np.array([1, -1]))
+            hamming(np.array([1, 0]), np.array([1, -1]))
         with pytest.raises(ValueError, match="values"):
-            hamming_loss(np.array([1, -1]), np.array([1.0, np.nan]))
+            hamming(np.array([1, -1]), np.array([1.0, np.nan]))
 
     def test_registry(self):
         assert available_costs() == ["accuracy", "f1", "hamming", "rank"]
@@ -144,20 +142,20 @@ class TestLabelWeights:
             yhat = rng.choice(np.array([-1, 1], dtype=np.int8), size=k)
             w = label_weights(get_cost("hamming"), y, yhat, rng.permutation(k))
             # each weight must be the exact double of 1/K
-            assert all(d == 1.0 / k for d in w.deltas)
+            assert all(d == 1.0 / k for d in w)
 
     def test_f1_hand_weight(self):
         y = np.array([1, 1, -1], dtype=np.int8)
         yhat = np.array([1, -1, -1], dtype=np.int8)
         w = label_weights(get_cost("f1"), y, yhat)
-        assert w.deltas[1] == pytest.approx(1 / 3, abs=1e-15)
+        assert w[1] == pytest.approx(1 / 3, abs=1e-15)
         disagreement = y != yhat
-        assert np.sum(w.deltas[disagreement]) == pytest.approx(f1_loss(y, yhat), abs=1e-12)
+        assert np.sum(w[disagreement]) == pytest.approx(f1(y, yhat), abs=1e-12)
 
     def test_weights_can_be_nonzero_on_agreement(self):
         y = np.array([1, -1], dtype=np.int8)
         w = label_weights(get_cost("f1"), y, y)
-        assert w.deltas[0] > 0  # hypothetical flip is priced even when correct
+        assert w[0] > 0  # hypothetical flip is priced even when correct
 
     def test_decomposition_identity_random(self):
         rng = np.random.default_rng(3)
@@ -169,7 +167,7 @@ class TestLabelWeights:
                 yhat = rng.choice(np.array([-1, 1], dtype=np.int8), size=k)
                 order = rng.permutation(k)
                 w = label_weights(cost, y, yhat, order)
-                lhs = float(np.sum(w.deltas[y != yhat]))
+                lhs = float(np.sum(w[y != yhat]))
                 assert lhs == pytest.approx(float(cost.raw(y, yhat)), abs=1e-12)
 
     def test_exact_rational_internals(self):
@@ -178,14 +176,14 @@ class TestLabelWeights:
         assert float(Fraction(1, 7)) == 1.0 / 7
 
     def test_weight_matrix_examples(self):
-        # the weighting matrix C = diag(sqrt(deltas)) is applied as the vector sqrt_deltas
+        # the weighting matrix C = diag(sqrt(weights)) is applied as the vector sqrt(weights)
         w = label_weights(get_cost("hamming"), Y, YHAT)
-        np.testing.assert_allclose(w.sqrt_deltas * Y, Y / np.sqrt(3), atol=1e-15)
+        np.testing.assert_allclose(np.sqrt(w) * Y, Y / np.sqrt(3), atol=1e-15)
         # a cost that prices only missed positives silences the negative label
         false_negatives = CostFunction("false-negatives", lambda tp, fp, fn, tn: (fn, tp + fp + fn + tn))
         wd = label_weights(false_negatives, Y, YHAT)
-        np.testing.assert_array_equal(wd.deltas, [1 / 3, 0.0, 1 / 3])
-        np.testing.assert_allclose(wd.sqrt_deltas * Y, [1 / np.sqrt(3), 0, 1 / np.sqrt(3)], atol=1e-15)
+        np.testing.assert_array_equal(wd, [1 / 3, 0.0, 1 / 3])
+        np.testing.assert_allclose(np.sqrt(wd) * Y, [1 / np.sqrt(3), 0, 1 / np.sqrt(3)], atol=1e-15)
 
     def test_weights_equal_the_rational_walk(self):
         # bit for bit: every order at K <= 4, then random triples at K <= 64
@@ -207,14 +205,13 @@ class TestLabelWeights:
         for name in available_costs():
             cost = get_cost(name)
             for y, yhat, order in triples:
-                got = label_weights(cost, y, yhat, order).deltas
+                got = label_weights(cost, y, yhat, order)
                 np.testing.assert_array_equal(got, np.abs(walk_gaps(cost, y, yhat, order)))
 
     def test_exactness_guard(self):
         # balanced rank denominators are 2 (K/2)^2, so their square reaches 2**53 between K = 13,000 and 14,000
-        rank = get_cost("rank")
         y = np.tile(np.array([1, -1], dtype=np.int8), 6_500)
-        assert label_weights(rank, y, -y).deltas.sum() == pytest.approx(rank(y, -y), abs=1e-9)
+        assert label_weights(rank, y, -y).sum() == pytest.approx(rank(y, -y), abs=1e-9)
         y = np.tile(np.array([1, -1], dtype=np.int8), 7_000)
         with pytest.raises(ValueError, match="'rank'.*2\\*\\*53"):
             label_weights(rank, y, -y)
@@ -233,8 +230,8 @@ class TestLabelWeights:
     def test_zero_weights_silence_every_label(self):
         # the rank cost is 0 when the truth has no positive/negative pair
         wd = label_weights(get_cost("rank"), np.ones(3, dtype=np.int8), YHAT)
-        np.testing.assert_array_equal(wd.deltas, np.zeros(3))
-        np.testing.assert_array_equal(wd.sqrt_deltas * Y, np.zeros(3))
+        np.testing.assert_array_equal(wd, np.zeros(3))
+        np.testing.assert_array_equal(np.sqrt(wd) * Y, np.zeros(3))
 
     def test_order_must_be_permutation(self):
         with pytest.raises(ValueError, match="permutation"):

@@ -133,6 +133,20 @@ class TestRunWithSnapshots:
         np.testing.assert_array_equal(snaps[0][1]["q"], q0)
         assert not np.array_equal(snaps[1][1]["q"], q0)
 
+    def test_needs_the_ridge_label_space_head(self):
+        insts = make_instances(n=3, seed=8)
+        _, snaps = run_with_snapshots(make_learner(LearnerConfig(algorithm="cs-dpp-pbc", m=2), 4, 6), insts)
+        assert all(set(snap) == {"q", "sigma", "h"} for _, snap in snaps)
+        for config in (
+            LearnerConfig(algorithm="dpp-naive", m=2),
+            LearnerConfig(algorithm="o-br"),
+            LearnerConfig(algorithm="dpp-pbc", m=2, engine="sgd"),
+        ):
+            learner = make_learner(config, 4, 6)
+            with pytest.raises(ValueError, match="label-space head"):
+                run_with_snapshots(learner, insts)
+            assert learner.t == 0
+
 
 def perfect_snapshots(reference, n, k, m, h=None):
     """Snapshots whose tracked subspace equals the reference subspace exactly."""

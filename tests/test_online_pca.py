@@ -6,7 +6,7 @@ import pytest
 
 from csdpp import online_pca
 from csdpp.learners import from_snapshot, to_snapshot
-from csdpp.online_pca import CappedMsgState, EtaSchedule, default_eta_schedule
+from csdpp.online_pca import CappedMsgState, EtaSchedule
 from csdpp.verify import checked_tracker_step, dense_tracker_step, sequential_draw
 
 
@@ -123,12 +123,12 @@ class TestUpdate:
         st.validate()
 
     def test_schedule_values(self):
-        sched = default_eta_schedule(4, 10, scale=2.0)
+        sched = EtaSchedule(2.0, 4, 10)
         assert sched(1) == pytest.approx(2.0 * 0.4)
         assert sched(4) == pytest.approx(0.4)
         with pytest.raises(ValueError):
             sched(0)
-        assert isinstance(sched, EtaSchedule)
+        assert CappedMsgState.initialize(10, 4, seed=0).schedule == sched  # the default schedule
 
 
 class TestSampler:
@@ -225,7 +225,7 @@ class TestBitsAgainstCheckedStep:
 
     def test_schedule_keeps_the_numpy_sqrt_bits(self):
         for m, k, scale in ((4, 200, 2.0), (25, 100, 2.0), (3, 7, 0.3)):
-            sched = default_eta_schedule(m, k, scale)
+            sched = EtaSchedule(scale, m, k)
             assert all(sched(t) == scale / np.sqrt(t) * (m / k) for t in range(1, 20_001))
 
     @pytest.mark.parametrize("order", ["C", "F"])

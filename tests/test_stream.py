@@ -245,6 +245,24 @@ class TestArff:
         with pytest.raises(ParseError, match=f"line 8: {message} outside"):
             parse_arff(bad, ["lab_a", "lab_b"])
 
+    def test_duplicate_sparse_index(self):
+        bad = ARFF.replace("0.5,1.5,1,0", "{0 1.5, 0 2.5, 2 1}")
+        with pytest.raises(ParseError, match="line 8: duplicate sparse index 0"):
+            parse_arff(bad, ["lab_a", "lab_b"])
+
+    @pytest.mark.parametrize("name,line", [("f0", 4), ("lab_a", 6)])
+    def test_duplicate_attribute(self, name, line):
+        declared = f"@attribute {name} numeric\n"
+        bad = ARFF.replace(declared, declared + f"@attribute '{name}' numeric\n")
+        with pytest.raises(ParseError, match=f"line {line}: duplicate attribute '{name}'"):
+            parse_arff(bad, ["lab_a", "lab_b"])
+
+    def test_quoted_names_may_hold_spaces(self):
+        spaced = ARFF.replace("f0", "'feat a'").replace("f1", "\"feat b\"").replace("lab_b", "'lab b'")
+        instances, d, k = parse_arff(spaced, ["lab_a", "lab b"])
+        assert (d, k) == (2, 2)
+        np.testing.assert_array_equal(instances[1].labels, [-1, 1])
+
     def test_row_width_mismatch(self):
         bad = ARFF.replace("0.5,1.5,1,0", "0.5,1.5,1")
         with pytest.raises(SchemaError, match="row has 3"):
