@@ -102,7 +102,7 @@ class CostFunction:
     condition_verified: bool = False  # weight-decomposition hypothesis known to hold
 
     def raw(self, y: np.ndarray, yhat: np.ndarray) -> Fraction:
-        num, den = _priced(self, _validate_pair(np.asarray(y), np.asarray(yhat))[1])
+        num, den = _priced(self, _one(self, _validate_pair(np.asarray(y), np.asarray(yhat))[1]))
         return Fraction(int(num), int(den))
 
     def __call__(self, y: np.ndarray, yhat: np.ndarray) -> float:
@@ -119,21 +119,32 @@ class CostFunction:
 
 def _price(cost: CostFunction, counts: np.ndarray) -> float:
     """The cost of one label vector with (tp, fp, fn, tn) ``counts``, as a double."""
-    num, den = _priced(cost, counts)
+    num, den = _priced(cost, _one(cost, counts))
     return int(num) / int(den)  # int true division rounds correctly: the double nearest the exact cost
 
 
-def _priced(cost: CostFunction, confusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cost.counts`` of the (4, ...) int64 array of (tp, fp, fn, tn), checked, shaped like one count."""
+def _one(cost: CostFunction, counts: np.ndarray):
+    """One vector's (4,) int64 counts as ``cost.counts`` takes them: Python ints for a
+    built-in, whose int arithmetic is exact and cheap; a custom cost gets the int64 scalars."""
+    return counts.tolist() if cost.counts in _ON_INTS else counts
+
+
+def _priced(cost: CostFunction, confusion) -> tuple:
+    """``cost.counts`` of the (tp, fp, fn, tn), checked, shaped like one count.
+
+    ``confusion`` is a (4, ...) int64 array, or (`_one`) a built-in's list of
+    four Python ints for one label vector.
+    """
     num, den = cost.counts(*confusion)
-    shape = confusion.shape[1:]
     if type(num) is np.ndarray and type(den) is np.ndarray:
-        if num.dtype == den.dtype == np.int64 and num.shape == den.shape == shape:
+        if num.dtype == den.dtype == np.int64 and num.shape == den.shape == confusion.shape[1:]:
             if np.count_nonzero(den < 1):
                 raise ValueError(f"cost {cost.name!r}: counts returned a denominator below 1")
             return num, den  # the built-ins' arrays, used as they are
-    elif isinstance(num, np.integer) and isinstance(den, np.integer) and den >= 1:
+    elif (type(confusion) is list or confusion.ndim == 1) and (type(num) is int or isinstance(num, np.integer)) \
+            and (type(den) is int or isinstance(den, np.integer)) and den >= 1:
         return num, den  # one pair's counts, priced by scalar arithmetic
+    shape = np.shape(confusion)[1:]
     num, den = np.asarray(num), np.asarray(den)
     if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
         raise ValueError(f"cost {cost.name!r}: counts must return integers, got {num.dtype} / {den.dtype}")
@@ -165,17 +176,24 @@ def available_costs() -> list[str]:
     return sorted(_REGISTRY)
 
 
+_ON_INTS: set[Callable] = set()  # the built-ins' counts, priced on Python ints for one vector
+
+
 def _builtin(name: str, counts: Callable) -> CostFunction:
+    _ON_INTS.add(counts)
     return register_cost(CostFunction(name, counts, condition_verified=True))
+
+
+def _floor(den):
+    """den, with 1 where it is 0: int arithmetic on Python ints, the same int64 array as np.maximum(den, 1)."""
+    return den + (den == 0)
 
 
 # a built-in's numerator is 0 wherever its denominator is, so a floor of 1 prices that case 0
 HAMMING = _builtin("hamming", lambda tp, fp, fn, tn: (fp + fn, tp + fp + fn + tn))
-RANK = _builtin(
-    "rank", lambda tp, fp, fn, tn: (2 * fn * fp + tp * fp + fn * tn, np.maximum(2 * (tp + fn) * (fp + tn), 1))
-)
-F1 = _builtin("f1", lambda tp, fp, fn, tn: (fp + fn, np.maximum(2 * tp + fp + fn, 1)))
-ACCURACY = _builtin("accuracy", lambda tp, fp, fn, tn: (fp + fn, np.maximum(tp + fp + fn, 1)))
+RANK = _builtin("rank", lambda tp, fp, fn, tn: (2 * fn * fp + tp * fp + fn * tn, _floor(2 * (tp + fn) * (fp + tn))))
+F1 = _builtin("f1", lambda tp, fp, fn, tn: (fp + fn, _floor(2 * tp + fp + fn)))
+ACCURACY = _builtin("accuracy", lambda tp, fp, fn, tn: (fp + fn, _floor(tp + fp + fn)))
 
 
 def native_order(k: int) -> np.ndarray:

@@ -10,19 +10,26 @@ line endings, ``#`` starts a comment line:
 
 All indices are 0-based.  Absent features are 0; non-finite values (nan, inf)
 are rejected with their line number.  Labels materialize as dense vectors in
-{-1,+1}.  `parse_sparse_labels` converts the whole file at once into one
-(N, d) feature matrix and one (N, K) label matrix, whose rows become the
-instances; a file that fails a whole-file check is parsed again line by line,
-so an error names the first bad line.  ``parse_dataset`` also reads a small
-ARFF subset (numeric attributes, dense or sparse data rows) with labels named
-by a companion list, which is how Mulan-style corpora are distributed.
+{-1,+1}.  `parse_sparse_labels` converts the file in bulk into a
+`RowStore`: the stored entries as CSR arrays and one (N, K) label matrix, a
+read-only sequence whose instances are built, one dense row each, when they
+are indexed.  A file that fails a bulk check is parsed again line by
+line, so an error names the first bad line.  ``parse_dataset`` also reads a
+small ARFF subset (numeric attributes, dense or sparse data rows) with labels
+named by a companion list, which is how Mulan-style corpora are distributed;
+it gives a list of dense instances.
 
 Dataset-level feature normalization (min-max to [0,1], then division by
 sqrt(d), so ||x|| <= 1) is `normalize_features`, applied once to the parsed
 dataset by the caller; it rejects a feature whose max - min overflows
-float64.  Stream construction (`build_stream`) then applies, in order: seeded
-permutation, truncation to a step budget, and seeded one-sided label noise
-(each positive flips to negative independently with probability p).
+float64.  Of a store it takes the statistics from the stored entries and
+returns a store that scales each row as it is built, bit for bit the row the
+dense path gives.  Stream construction (`build_stream`) then applies, in
+order: seeded permutation, truncation to a step budget, and seeded one-sided
+label noise (each positive flips to negative independently with probability
+p); the permutation is truncated before it is applied, so only the rows a
+stream plays are ever built, and a store keeps each row it builds, so
+streams that play a row share it.
 
 All randomness in the package flows through `substream(seed, purpose)`:
 independent named substreams of a single seed, so components never share or
@@ -34,12 +41,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from collections.abc import Sequence
+from itertools import islice, repeat
 
 import numpy as np
 
 __all__ = [
     "Instance",
+    "RowStore",
     "StreamConfig",
     "ParseError",
     "SchemaError",
@@ -103,26 +112,77 @@ class StreamConfig:
     limit: int | None = None
 
 
-def parse_sparse_labels(text: str) -> tuple[list[Instance], int, int]:
+class RowStore(Sequence[Instance]):
+    """Parsed instances kept compact: CSR feature rows and an (n, K) int8 label matrix.
+
+    A read-only sequence of `Instance`.  Indexing builds that one dense
+    feature row the first time, and keeps it: a row indexed again, by any
+    stream, shares that feature array, as it would in a list, and gets its
+    own copy of its labels.  A store `normalize_features` returned scales
+    each row as it builds it.  Row i's features are
+    ``values[indptr[i]:indptr[i + 1]]`` at ``idx[indptr[i]:indptr[i + 1]]``,
+    no index twice in a row.
+    """
+
+    def __init__(self, indptr: np.ndarray, idx: np.ndarray, values: np.ndarray, labels: np.ndarray, d: int,
+                 scale: tuple[np.ndarray, np.ndarray] | None = None):
+        self.indptr, self.idx, self.values, self.labels, self.d = indptr, idx, values, labels, d
+        self.scale = scale  # (min, span) per feature, from normalize_features
+        self._rows: dict[int, np.ndarray] = {}  # the rows built so far
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # an int or NumPy integer; negative counts from the end
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = self._build(i)
+        return Instance(row, self.labels[i].copy())
+
+    def _build(self, i: int) -> np.ndarray:
+        """Row i's dense features."""
+        row = np.zeros(self.d)
+        start, stop = self.indptr[i], self.indptr[i + 1]
+        row[self.idx[start:stop]] = self.values[start:stop]
+        if self.scale is not None:  # normalize_features' elementwise ops, in its order
+            lo, span = self.scale
+            row -= lo
+            row /= span
+            row /= np.sqrt(self.d)
+        return row
+
+    def _dense(self) -> np.ndarray:
+        """The unscaled (n, d) feature matrix, built in one scatter, no row kept."""
+        x = np.zeros((len(self), self.d))
+        x.reshape(-1)[np.repeat(np.arange(len(self)) * self.d, np.diff(self.indptr)) + self.idx] = self.values
+        return x
+
+
+def parse_sparse_labels(text: str) -> tuple[RowStore, int, int]:
     """Parse the native format; returns (instances, d, K).
 
-    The whole file is converted at once (`_parse_bulk`).  A file that fails any
-    of its checks is parsed again line by line (`_parse_lines`), which is the
+    The file is converted in bulk (`_parse_bulk`).  A file that fails any of
+    its checks is parsed again line by line (`_parse_lines`), which is the
     one source of parse errors, so an error names the first bad line.
     """
     parsed = _parse_bulk(text)
     return _parse_lines(text) if parsed is None else parsed
 
 
-def _parse_bulk(text: str) -> tuple[list[Instance], int, int] | None:
+_BLOCK = 1 << 14  # idx:value entries converted at a time, so the peak holds one block's token strings
+
+
+def _parse_bulk(text: str) -> tuple[RowStore, int, int] | None:
     """`_parse_lines`'s result for a file it accepts, or None where it might raise.
 
-    Each row's label and feature fields are split with str methods, every
-    index and value of the file converted by one int and one float map (the
-    conversions `_parse_lines` makes), and the checks are whole-file NumPy
-    reductions.  The feature text must be ASCII without control characters,
-    so its only whitespace is " ", and its ":" and " " must alternate, so that
-    every token is one idx:value pair; a file that is not is left to the checker.
+    Each row's label and feature fields are split with str methods, and the
+    indices and values converted by an int and a float map (the conversions
+    `_parse_lines` makes), a block of rows with about `_BLOCK` entries at a
+    time (`_convert_block`); the checks are NumPy reductions, so no dense
+    matrix and no list of the whole file's tokens is ever built.
     """
     rows = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
     try:
@@ -132,53 +192,79 @@ def _parse_bulk(text: str) -> tuple[list[Instance], int, int] | None:
     if k <= 0 or d <= 0 or n != len(rows) - 1:
         return None
     if n == 0:
-        return [], d, k
+        return _store([0], [], [], [], d, k), d, k
     label_fields, bars, feature_fields = zip(*map(str.partition, rows[1:], repeat("|")))
+    del rows
     if "" in bars:
         return None
     labels = list(map(str.strip, label_fields))
     features = list(map(str.strip, feature_fields))
-    feature_text = " ".join(filter(None, features))
-    if not feature_text.isascii():
-        return None
-    raw = np.frombuffer(feature_text.encode(), dtype=np.uint8)
-    seps = raw[(raw == ord(":")) | (raw == ord(" "))]
-    if np.count_nonzero(raw < ord(" ")) or np.count_nonzero(seps[0::2] != ord(":")) \
-            or np.count_nonzero(seps[1::2] != ord(" ")):
-        return None
-    pieces = feature_text.replace(":", " ").split(" ") if feature_text else []
-    per_row = [field.count(":") for field in features]  # one colon per idx:value token
-    pairs = sum(per_row)
-    if len(pieces) != 2 * pairs:  # a last token without a colon
-        return None
+    del label_fields, feature_fields
     label_tokens = ",".join(filter(None, labels)).split(",") if any(labels) else []
     labels_per_row = [field.count(",") + 1 if field else 0 for field in labels]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([field.count(":") for field in features], out=indptr[1:])  # one colon per idx:value token
+    idx, values = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+    cuts = np.searchsorted(indptr, np.arange(_BLOCK, indptr[-1], _BLOCK))
+    edges = np.unique(np.concatenate(([0, n], cuts))).tolist()
+    for first, last in zip(edges, edges[1:]):
+        at = slice(indptr[first], indptr[last])
+        if not _convert_block(" ".join(filter(None, features[first:last])), idx[at], values[at]):
+            return None
+    del features
     try:
-        idx = np.fromiter(map(int, pieces[0::2]), np.int64, pairs)
-        values = np.fromiter(map(float, pieces[1::2]), np.float64, pairs)
         positive = np.fromiter(map(int, label_tokens), np.int64, len(label_tokens))
     except (ValueError, OverflowError):
         return None
     if np.count_nonzero((idx < 0) | (idx >= d)) or np.count_nonzero((positive < 0) | (positive >= k)) \
             or not np.isfinite(values).all():
         return None
-    at = np.repeat(np.arange(n) * d, per_row) + idx
-    seen = np.zeros(n * d, dtype=bool)
-    seen[at] = True
-    if np.count_nonzero(seen) != at.size:  # a duplicate feature index
+    at = np.repeat(np.arange(n) * d, np.diff(indptr)) + idx
+    at.sort()
+    if np.count_nonzero(at[1:] == at[:-1]):  # a duplicate feature index
         return None
-    x = np.zeros((n, d))
-    x.reshape(-1)[at] = values
     y = np.full((n, k), -1, dtype=np.int8)
     y.reshape(-1)[np.repeat(np.arange(n) * k, labels_per_row) + positive] = 1
-    return [Instance(row, row_labels) for row, row_labels in zip(x, y)], d, k
+    return RowStore(indptr, idx, values, y, d), d, k
 
 
-def _parse_lines(text: str) -> tuple[list[Instance], int, int]:
+def _convert_block(feature_text: str, idx: np.ndarray, values: np.ndarray) -> bool:
+    """Fill idx and values from some rows' feature fields, joined by " "; False where
+    the checker must read them.
+
+    The text must be ASCII without control characters, so its only whitespace
+    is " ", and its ":" and " " must alternate, so that every token is one
+    idx:value pair, one per entry of idx.
+    """
+    if not feature_text.isascii():
+        return False
+    raw = np.frombuffer(feature_text.encode(), dtype=np.uint8)
+    seps = raw[(raw == ord(":")) | (raw == ord(" "))]
+    if np.count_nonzero(raw < ord(" ")) or np.count_nonzero(seps[0::2] != ord(":")) \
+            or np.count_nonzero(seps[1::2] != ord(" ")):
+        return False
+    pieces = feature_text.replace(":", " ").split(" ") if feature_text else []
+    if len(pieces) != 2 * idx.size:  # a last token without a colon
+        return False
+    try:
+        idx[:] = np.fromiter(map(int, islice(pieces, 0, None, 2)), np.int64, idx.size)
+        values[:] = np.fromiter(map(float, islice(pieces, 1, None, 2)), np.float64, values.size)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _store(indptr: list[int], idx: list[int], values: list[float], labels: list[np.ndarray], d: int,
+           k: int) -> RowStore:
+    return RowStore(np.array(indptr, dtype=np.int64), np.array(idx, dtype=np.int64),
+                    np.array(values, dtype=np.float64), np.array(labels, dtype=np.int8).reshape(-1, k), d)
+
+
+def _parse_lines(text: str) -> tuple[RowStore, int, int]:
     """`parse_sparse_labels` one line at a time, raising the error of the first bad line."""
     header = None
     declared_n = 0
-    instances: list[Instance] = []
+    indptr, feature_idx, feature_values, label_rows = [0], [], [], []
     k = d = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -211,7 +297,6 @@ def _parse_lines(text: str) -> tuple[list[Instance], int, int]:
                 if not 0 <= idx < k:
                     raise SchemaError(f"line {line_no}: label index {idx} outside [0, {k})")
                 labels[idx] = 1
-        features = np.zeros(d, dtype=np.float64)
         seen: set[int] = set()
         for tok in feat_field.split():
             if ":" not in tok:
@@ -229,13 +314,15 @@ def _parse_lines(text: str) -> tuple[list[Instance], int, int]:
             if idx in seen:
                 raise ParseError(line_no, f"duplicate feature index {idx}")
             seen.add(idx)
-            features[idx] = val
-        instances.append(Instance(features, labels))
+            feature_idx.append(idx)
+            feature_values.append(val)
+        indptr.append(len(feature_idx))
+        label_rows.append(labels)
     if header is None:
         raise SchemaError("empty dataset: no header line found")
-    if len(instances) != declared_n:
-        raise SchemaError(f"header declares N={declared_n} instances, found {len(instances)}")
-    return instances, d, k
+    if len(label_rows) != declared_n:
+        raise SchemaError(f"header declares N={declared_n} instances, found {len(label_rows)}")
+    return _store(indptr, feature_idx, feature_values, label_rows, d, k), d, k
 
 
 def serialize_sparse_labels(instances: list[Instance], d: int, k: int) -> str:
@@ -369,36 +456,54 @@ def inject_noise(instances: list[Instance], p: float, seed: int) -> list[Instanc
     return out
 
 
-def normalize_features(instances: list[Instance]) -> list[Instance]:
+def normalize_features(instances: Sequence[Instance]) -> Sequence[Instance]:
     """Dataset-level min-max to [0,1] per feature, then division by sqrt(d).
 
-    Returns new instances whose features are the rows of one scaled matrix;
-    the input is left untouched.  A feature whose max - min is not finite in
-    float64 (finite values too far apart) is rejected with a ValueError.
+    The input is left untouched.  A list gives new instances whose features
+    are the rows of one scaled matrix.  A `RowStore` gives a store that scales
+    each row as it builds it; its statistics come from the stored entries and
+    an implicit 0 for each row a feature is missing from, unless a stored
+    value is -0.0, whose min or max against +0.0 only the dense reduction
+    decides.  A feature whose max - min is not finite in float64 (finite
+    values too far apart) is rejected with a ValueError.
     """
-    if not instances:
+    if not len(instances):
         return []
-    x = np.stack([inst.features for inst in instances])
-    lo = x.min(axis=0)
+    store = instances if isinstance(instances, RowStore) and instances.scale is None else None
+    if store is not None and not np.count_nonzero(np.signbit(store.values) & (store.values == 0.0)):
+        n, idx = len(store), store.idx
+        lo, hi = np.zeros(store.d), np.zeros(store.d)  # a feature missing from some row has a 0 there
+        present = np.bincount(idx, minlength=store.d) == n  # stored in every row
+        lo[present], hi[present] = np.inf, -np.inf
+        np.minimum.at(lo, idx, store.values)
+        np.maximum.at(hi, idx, store.values)
+    else:
+        x = np.stack([inst.features for inst in instances]) if store is None else store._dense()
+        lo, hi = x.min(axis=0), x.max(axis=0)
     with np.errstate(over="ignore"):
-        span = x.max(axis=0) - lo
+        span = hi - lo
     wide = np.flatnonzero(~np.isfinite(span))
     if wide.size:
         raise ValueError(f"feature {wide[0]} cannot be normalized: its max - min is not finite in float64")
     span[span == 0.0] = 1.0  # constant features map to 0
+    if store is not None:
+        return RowStore(store.indptr, store.idx, store.values, store.labels, store.d, (lo, span))
     x -= lo
     x /= span
     x /= np.sqrt(x.shape[1])
     return [Instance(row, inst.labels) for row, inst in zip(x, instances)]
 
 
-def build_stream(instances: list[Instance], config: StreamConfig) -> list[Instance]:
-    """permute -> truncate -> label noise, each step seeded."""
-    out = permute_stream(instances, config.seed)
-    if config.limit is not None:
-        if config.limit < 0:
-            raise ValueError("limit must be non-negative")
-        out = out[: config.limit]
+def build_stream(instances: Sequence[Instance], config: StreamConfig) -> list[Instance]:
+    """permute -> truncate -> label noise, each step seeded.
+
+    The permutation is truncated before it is applied, so a `RowStore`
+    builds only the rows the stream plays.
+    """
+    if config.limit is not None and config.limit < 0:
+        raise ValueError("limit must be non-negative")
+    order = substream(config.seed, PURPOSE_PERMUTE).permutation(len(instances))
+    out = [instances[i] for i in order[: config.limit]]
     if config.noise_p > 0.0:
         out = inject_noise(out, config.noise_p, config.seed)
     return out

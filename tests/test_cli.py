@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -299,6 +300,55 @@ class TestRunCommand:
                        "--repeats", "2", "--output", str(out)) == 0
         assert calls == [80]
         assert len(os.listdir(out)) == 6
+
+    def test_a_run_builds_only_the_rows_its_streams_play(self, tmp_path, monkeypatch):
+        insts = planted_subspace_stream(12, 8, 300, seed=2, n_prototypes=3)
+        data = tmp_path / "data.txt"
+        data.write_text(serialize_sparse_labels(insts, 12, 8), encoding="utf-8")
+        built = []
+        build = csdpp.stream.RowStore._build
+
+        def counting(store, i):
+            built.append(i)
+            return build(store, i)
+
+        monkeypatch.setattr(csdpp.stream.RowStore, "_build", counting)
+        monkeypatch.delenv("CSDPP_WORKERS", raising=False)
+        out = tmp_path / "res"
+        assert run_cli("run", "--dataset", str(data), "--algo", "o-br", "--algo", "cs-dpp-pbc",
+                       "--limit", "20", "--repeats", "2", "--output", str(out)) == 0
+        assert len(os.listdir(out)) == 6
+        assert 0 < len(built) <= 2 * 20
+        assert len(set(built)) == len(built)  # no row is built twice
+
+    def test_a_run_without_a_limit_keeps_one_dense_copy(self, tmp_path, monkeypatch):
+        # every stream plays every row; they share one built row each, as they shared the parsed list's
+        rng = np.random.default_rng(4)
+        n, d, nnz = 1000, 1000, 20
+        lines = [f"5 {d} {n}"]
+        for _ in range(n):
+            columns = np.sort(rng.choice(d, nnz, replace=False))
+            feats = " ".join(f"{i}:{v:.4f}" for i, v in zip(columns, rng.random(nnz)))
+            lines.append(f"{rng.integers(5)} | {feats}")
+        data = tmp_path / "data.txt"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        dense_copy = n * d * 8
+        held = []
+
+        def measured(jobs, workers):  # every stream is built when the jobs start
+            held.append(tracemalloc.get_traced_memory()[0])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_execute", measured)
+        tracemalloc.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_cli("run", "--dataset", str(data), "--algo", "o-br", "--repeats", "3",
+                        "--noise-p", "0", "--noise-p", "0.25", "--output", str(tmp_path / "res"))
+        finally:
+            tracemalloc.stop()
+        # the half copy covers the file's text, its entries and each stream's instances and labels
+        assert dense_copy < held[0] <= 1.5 * dense_copy
 
     def test_worker_env_variable(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setenv("CSDPP_WORKERS", "2")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from csdpp import costs
 from csdpp.costs import (
     CostFunction,
     available_costs,
@@ -107,6 +108,55 @@ class TestCostValues:
             for name in available_costs():
                 cost = get_cost(name)
                 assert cost(y, yhat) == float(cost.raw(y, yhat))
+
+    @pytest.mark.parametrize("name", available_costs())
+    def test_one_vector_prices_on_ints_as_the_array_path_does(self, name):
+        # every (tp, fp, fn, tn) with 1 <= tp + fp + fn + tn <= 8, one column each
+        cost = get_cost(name)
+        table = np.array([c for c in itertools.product(range(9), repeat=4) if 1 <= sum(c) <= 8]).T
+        num, den = costs._priced(cost, table)
+        assert num.dtype == den.dtype == np.int64 and den.min() >= 1
+        for column, n, d in zip(table.T, num.tolist(), den.tolist()):
+            got_num, got_den = costs._priced(cost, column.tolist())
+            assert type(got_num) is int and type(got_den) is int
+            assert (got_num, got_den) == (n, d)
+            assert costs._price(cost, column) == n / d
+        tp, fp, fn, tn = table  # the floor leaves the arrays np.maximum(den, 1) gave
+        floored = {"rank": 2 * (tp + fn) * (fp + tn), "f1": 2 * tp + fp + fn, "accuracy": tp + fp + fn}
+        if name in floored:
+            np.testing.assert_array_equal(den, np.maximum(floored[name], 1))
+
+    def test_custom_cost_may_return_numpy_scalars(self):
+        scalars = CostFunction(
+            "numpy-scalars", lambda tp, fp, fn, tn: (np.int64(fp + fn), np.maximum(tp + fp + fn + tn, 1))
+        )
+        rng = np.random.default_rng(3)
+        signs = np.array([-1, 1], dtype=np.int8)
+        y, yhat = rng.choice(signs, size=(20, 7)), rng.choice(signs, size=(20, 7))
+        for a, b in zip(y, yhat):
+            assert scalars(a, b) == hamming(a, b)
+            assert scalars.raw(a, b) == hamming.raw(a, b)
+            np.testing.assert_array_equal(label_weights(scalars, a, b), label_weights(hamming, a, b))
+        assert scalars.each(y, yhat) == hamming.each(y, yhat)
+
+    def test_custom_cost_gets_numpy_counts(self):
+        # a custom cost may use ndarray methods: it gets int64 arrays, or int64 scalars for one vector
+        seen = set()
+
+        def counts(tp, fp, fn, tn):
+            seen.add(type(tp))
+            return fp + fn, (tp + fp + fn + tn).clip(1).astype(np.int64)
+
+        methods = CostFunction("ndarray-methods", counts)
+        rng = np.random.default_rng(5)
+        signs = np.array([-1, 1], dtype=np.int8)
+        y, yhat = rng.choice(signs, size=(20, 7)), rng.choice(signs, size=(20, 7))
+        for a, b in zip(y, yhat):
+            assert methods(a, b) == hamming(a, b)
+            assert methods.raw(a, b) == hamming.raw(a, b)
+            np.testing.assert_array_equal(label_weights(methods, a, b), label_weights(hamming, a, b))
+        assert methods.each(y, yhat) == hamming.each(y, yhat)
+        assert seen == {np.int64, np.ndarray}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from csdpp import stream
 from csdpp.stream import (
     Instance,
     ParseError,
+    RowStore,
     SchemaError,
     StreamConfig,
     build_stream,
@@ -176,6 +178,21 @@ class TestBulkParse:
         assert_same_parse(bulk, stream._parse_lines(text))
         assert_same_parse(bulk, (instances, d, k))
 
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_any_block_of_entries_converts_alike(self, block, monkeypatch):
+        monkeypatch.setattr(stream, "_BLOCK", block)
+        for seed in range(3):
+            instances, d, k = random_corpus(seed)
+            assert_same_parse(stream._parse_bulk(serialize_sparse_labels(instances, d, k)), (instances, d, k))
+        for text, error, message in MALFORMED:
+            with pytest.raises(error) as exc:
+                parse_sparse_labels(text)
+            assert str(exc.value) == message
+        # the bad token in the last block of a long file
+        text = grid_sparse_text(5, rows=40)
+        bad = text[:-8] + "x" + text[-7:]
+        assert stream._parse_bulk(text) is not None and stream._parse_bulk(bad) is None
+
     @pytest.mark.parametrize("text", [
         "2 3 1\n0 | 0:1_0\n",             # literals int() and float() accept
         "2 3 1\n+1 , 0 |\t2:+.5   0:-0.0\n",
@@ -205,6 +222,114 @@ class TestBulkParse:
         with pytest.raises(ParseError):
             parse_sparse_labels(text.replace(":0.", ":nan", 1))
         assert len(calls) == 1
+
+
+def explicit_corpus(seed, negative_zero, rows=40, d=9, k=5):
+    """A sparse-labels file that writes explicit entries, with the dense rows it stands for.
+
+    Feature 0 is stored in every row, feature 1 in every row with one value,
+    feature 2 in no row; the others take some rows, with explicit 0.0,
+    negative values and, if ``negative_zero``, a -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    dense = []
+    lines = [f"{k} {d} {rows}"]
+    for r in range(rows):
+        tokens = {0: repr(float(rng.standard_normal())), 1: "3.25"}
+        for i in rng.choice(np.arange(3, d), size=int(rng.integers(0, d - 2)), replace=False):
+            tokens[int(i)] = rng.choice(["0.0", "-2.5", repr(float(rng.standard_normal() * 1e3))])
+        if negative_zero and r == rows // 2:
+            tokens[4] = "-0.0"
+        features = np.zeros(d)
+        for i, text in tokens.items():
+            features[i] = float(text)
+        labels = np.where(rng.random(k) < 0.3, 1, -1).astype(np.int8)
+        dense.append(Instance(features, labels))
+        order = rng.permutation(list(tokens))  # a row's entries in any order
+        lines.append(",".join(map(str, np.flatnonzero(labels == 1))) + " | "
+                     + " ".join(f"{i}:{tokens[i]}" for i in order))
+    return "\n".join(lines) + "\n", dense
+
+
+def stream_bytes(instances):
+    return [(inst.features.tobytes(), inst.labels.tobytes()) for inst in instances]
+
+
+class TestRowStore:
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stream_rows_equal_the_dense_path_bit_for_bit(self, seed, negative_zero):
+        text, dense = explicit_corpus(seed, negative_zero)
+        for store, d, k in (parse_sparse_labels(text), stream._parse_lines(text)):
+            assert isinstance(store, RowStore) and (len(store), d, k) == (40, 9, 5)
+            assert stream_bytes(store) == stream_bytes(dense)
+            scaled, reference = normalize_features(store), normalize_features(dense)
+            assert isinstance(scaled, RowStore)
+            for config in (StreamConfig(seed=1), StreamConfig(seed=2, limit=7), StreamConfig(seed=3, noise_p=0.5)):
+                # with normalization, and as --no-normalize plays the parsed rows
+                assert stream_bytes(build_stream(scaled, config)) == stream_bytes(build_stream(reference, config))
+                assert stream_bytes(build_stream(store, config)) == stream_bytes(build_stream(dense, config))
+        columns = np.stack([inst.features for inst in scaled])
+        assert np.all(columns[:, 1:3] == 0.0)  # the constant and the absent feature map to 0
+
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_normalization_builds_no_row(self, negative_zero, monkeypatch):
+        # its statistics come from the entries, or, for a -0.0, from one unscaled matrix
+        text, _ = explicit_corpus(4, negative_zero)
+        store, _, _ = parse_sparse_labels(text)
+        calls = []
+        for name in ("_build", "_dense"):
+            method = getattr(RowStore, name)
+            monkeypatch.setattr(RowStore, name, lambda self, *i, name=name, method=method: calls.append(name)
+                                or method(self, *i))
+        assert isinstance(normalize_features(store), RowStore)
+        assert calls == (["_dense"] if negative_zero else [])
+
+    def test_overflow_names_the_feature_the_dense_path_names(self):
+        text = "1 4 3\n0 | 1:1e308 3:1e308\n | 1:-1e308 3:-1e308\n0 | 0:2\n"
+        store, _, _ = parse_sparse_labels(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as dense_error:
+                normalize_features(list(store))
+            with pytest.raises(ValueError, match="^feature 1 cannot be normalized") as store_error:
+                normalize_features(store)
+        assert str(store_error.value) == str(dense_error.value)
+
+    def test_is_a_read_only_sequence(self):
+        text, dense = explicit_corpus(5, False, rows=6)
+        store, _, _ = parse_sparse_labels(text)
+        assert stream_bytes([store[-1], store[np.int64(2)]]) == stream_bytes([dense[-1], dense[2]])
+        assert stream_bytes(store[1:4]) == stream_bytes(dense[1:4])
+        with pytest.raises(IndexError):
+            store[6]
+        store[0].labels[:] = 1  # an instance's labels are a copy
+        assert stream_bytes([store[0]]) == stream_bytes([dense[0]])
+        assert store[3].features is store[-3].features  # a row is built once and shared
+
+    def test_streams_share_the_rows_they_play(self):
+        text, dense = explicit_corpus(6, False, rows=30)
+        store = normalize_features(parse_sparse_labels(text)[0])
+        streams = [build_stream(store, StreamConfig(seed=seed, noise_p=0.5)) for seed in range(3)]
+        assert len(store._rows) == 30
+        rows = {id(row) for row in store._rows.values()}
+        assert all(id(inst.features) in rows for played in streams for inst in played)
+        assert stream_bytes(streams[2]) == stream_bytes(build_stream(normalize_features(dense),
+                                                                     StreamConfig(seed=2, noise_p=0.5)))
+
+    def test_parse_keeps_no_dense_copy(self):
+        # grid-sparse's shape: 4,000 rows, d = 500, 25 entries a row
+        text = grid_sparse_text(8, rows=4000)
+        dense_copy = 4000 * 500 * 8
+        tracemalloc.start()
+        try:
+            parsed = parse_dataset(text, "sparse-labels")
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(parsed[0]) == 4000
+        assert retained <= dense_copy / 4
+        assert peak <= 1.5 * dense_copy
 
 
 ARFF = """\
