@@ -30,6 +30,11 @@ So every hamming weight is the exact double 1/K, and the cost-weighted
 learner degenerates bit for bit to the unweighted one.  A learner step
 classifies its pair once and hands the result to `label_weights`; the public
 entry points classify, and so check, what they are given.
+
+The built-ins are trusted: their results are used as they are.  A custom
+cost's result is checked -- integers, every denominator at least 1 -- the
+same way for one label vector and for a batch.  A learner probes a custom
+cost's decomposition hypothesis unless its config sets ``trust_cost``.
 """
 
 from __future__ import annotations
@@ -99,10 +104,14 @@ class CostFunction:
 
     name: str
     counts: Callable
-    condition_verified: bool = False  # weight-decomposition hypothesis known to hold
+
+    @property
+    def condition_verified(self) -> bool:
+        """Whether the weight-decomposition hypothesis is known to hold: true of the built-ins."""
+        return self.counts in _BUILTINS
 
     def raw(self, y: np.ndarray, yhat: np.ndarray) -> Fraction:
-        num, den = _priced(self, _one(self, _validate_pair(np.asarray(y), np.asarray(yhat))[1]))
+        num, den = _priced(self, _validate_pair(np.asarray(y), np.asarray(yhat))[1])
         return Fraction(int(num), int(den))
 
     def __call__(self, y: np.ndarray, yhat: np.ndarray) -> float:
@@ -119,37 +128,27 @@ class CostFunction:
 
 def _price(cost: CostFunction, counts: np.ndarray) -> float:
     """The cost of one label vector with (tp, fp, fn, tn) ``counts``, as a double."""
-    num, den = _priced(cost, _one(cost, counts))
+    num, den = _priced(cost, counts)
     return int(num) / int(den)  # int true division rounds correctly: the double nearest the exact cost
 
 
-def _one(cost: CostFunction, counts: np.ndarray):
-    """One vector's (4,) int64 counts as ``cost.counts`` takes them: Python ints for a
-    built-in, whose int arithmetic is exact and cheap; a custom cost gets the int64 scalars."""
-    return counts.tolist() if cost.counts in _ON_INTS else counts
+def _priced(cost: CostFunction, counts: np.ndarray) -> tuple:
+    """``cost.counts`` of the (4, ...) int64 (tp, fp, fn, tn) ``counts``, shaped like one count.
 
-
-def _priced(cost: CostFunction, confusion) -> tuple:
-    """``cost.counts`` of the (tp, fp, fn, tn), checked, shaped like one count.
-
-    ``confusion`` is a (4, ...) int64 array, or (`_one`) a built-in's list of
-    four Python ints for one label vector.
+    A built-in is trusted, its result used as it is: it prices one label
+    vector on Python ints, whose arithmetic is exact and cheap, and a batch on
+    the count arrays.  A custom cost gets the int64 arrays (int64 scalars for
+    one vector), and its result is checked and made int64 alike for both.
     """
-    num, den = cost.counts(*confusion)
-    if type(num) is np.ndarray and type(den) is np.ndarray:
-        if num.dtype == den.dtype == np.int64 and num.shape == den.shape == confusion.shape[1:]:
-            if np.count_nonzero(den < 1):
-                raise ValueError(f"cost {cost.name!r}: counts returned a denominator below 1")
-            return num, den  # the built-ins' arrays, used as they are
-    elif (type(confusion) is list or confusion.ndim == 1) and (type(num) is int or isinstance(num, np.integer)) \
-            and (type(den) is int or isinstance(den, np.integer)) and den >= 1:
-        return num, den  # one pair's counts, priced by scalar arithmetic
-    shape = np.shape(confusion)[1:]
+    if cost.counts in _BUILTINS:
+        return cost.counts(*(counts.tolist() if counts.ndim == 1 else counts))
+    num, den = cost.counts(*counts)
     num, den = np.asarray(num), np.asarray(den)
     if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
         raise ValueError(f"cost {cost.name!r}: counts must return integers, got {num.dtype} / {den.dtype}")
     if np.count_nonzero(den < 1):
         raise ValueError(f"cost {cost.name!r}: counts returned a denominator below 1")
+    shape = counts.shape[1:]
     if num.shape != shape or den.shape != shape:  # e.g. a constant cost
         num, den = np.broadcast_to(num, shape), np.broadcast_to(den, shape)
     return num.astype(np.int64, copy=False), den.astype(np.int64, copy=False)
@@ -176,12 +175,12 @@ def available_costs() -> list[str]:
     return sorted(_REGISTRY)
 
 
-_ON_INTS: set[Callable] = set()  # the built-ins' counts, priced on Python ints for one vector
+_BUILTINS: set[Callable] = set()  # the built-ins' counts: trusted, their results used as they are
 
 
 def _builtin(name: str, counts: Callable) -> CostFunction:
-    _ON_INTS.add(counts)
-    return register_cost(CostFunction(name, counts, condition_verified=True))
+    _BUILTINS.add(counts)
+    return register_cost(CostFunction(name, counts))
 
 
 def _floor(den):

@@ -99,9 +99,6 @@ class Instance:
     features: np.ndarray
     labels: np.ndarray
 
-    def copy(self) -> "Instance":
-        return Instance(self.features.copy(), self.labels.copy())
-
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -438,8 +435,7 @@ def parse_dataset(
 
 
 def permute_stream(instances: list[Instance], seed: int) -> list[Instance]:
-    order = substream(seed, PURPOSE_PERMUTE).permutation(len(instances))
-    return [instances[i] for i in order]
+    return build_stream(instances, StreamConfig(seed=seed))
 
 
 def inject_noise(instances: list[Instance], p: float, seed: int) -> list[Instance]:

@@ -117,7 +117,7 @@ class TestCostValues:
         num, den = costs._priced(cost, table)
         assert num.dtype == den.dtype == np.int64 and den.min() >= 1
         for column, n, d in zip(table.T, num.tolist(), den.tolist()):
-            got_num, got_den = costs._priced(cost, column.tolist())
+            got_num, got_den = costs._priced(cost, column)
             assert type(got_num) is int and type(got_den) is int
             assert (got_num, got_den) == (n, d)
             assert costs._price(cost, column) == n / d
@@ -157,6 +157,25 @@ class TestCostValues:
             np.testing.assert_array_equal(label_weights(methods, a, b), label_weights(hamming, a, b))
         assert methods.each(y, yhat) == hamming.each(y, yhat)
         assert seen == {np.int64, np.ndarray}
+
+    def test_a_custom_cost_is_checked_alike_for_one_vector_and_a_batch(self):
+        wide = CostFunction("wide", lambda tp, fp, fn, tn: (fp + fn, 2**70))
+        unpriced = CostFunction("unpriced", lambda tp, fp, fn, tn: (fp + fn, tp - tp))
+        for cost, message in ((wide, "counts must return integers"), (unpriced, "denominator below 1")):
+            for price in (cost, cost.raw, lambda a, b: label_weights(cost, a, b)):
+                with pytest.raises(ValueError, match=f"'{cost.name}'.*{message}"):
+                    price(Y, YHAT)
+            with pytest.raises(ValueError, match=f"'{cost.name}'.*{message}"):
+                cost.each(np.stack((Y, -Y)), np.stack((YHAT, YHAT)))
+
+    def test_only_the_builtins_are_condition_verified(self):
+        assert [name for name in available_costs() if get_cost(name).condition_verified] == sorted(
+            cost.name for cost in BUILTINS
+        )
+        custom = CostFunction("x", lambda tp, fp, fn, tn: (fp + fn, tp + fp + fn + tn))
+        assert custom.condition_verified is False
+        with pytest.raises(TypeError):
+            CostFunction("x", custom.counts, condition_verified=True)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
