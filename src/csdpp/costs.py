@@ -32,9 +32,9 @@ classifies its pair once and hands the result to `label_weights`; the public
 entry points classify, and so check, what they are given.
 
 The built-ins are trusted: their results are used as they are.  A custom
-cost's result is checked -- integers, every denominator at least 1 -- the
-same way for one label vector and for a batch.  A learner probes a custom
-cost's decomposition hypothesis unless its config sets ``trust_cost``.
+cost's result is checked -- int64 integers, every denominator at least 1 --
+the same way for one label vector and for a batch.  A learner probes a
+custom cost's decomposition hypothesis unless its config sets ``trust_cost``.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def _priced(cost: CostFunction, counts: np.ndarray) -> tuple:
         return cost.counts(*(counts.tolist() if counts.ndim == 1 else counts))
     num, den = cost.counts(*counts)
     num, den = np.asarray(num), np.asarray(den)
-    if num.dtype.kind not in "iu" or den.dtype.kind not in "iu":
-        raise ValueError(f"cost {cost.name!r}: counts must return integers, got {num.dtype} / {den.dtype}")
+    if any(part.dtype.kind not in "iu" or np.count_nonzero(part > np.iinfo(np.int64).max) for part in (num, den)):
+        raise ValueError(f"cost {cost.name!r}: counts must return integers within int64, got {num.dtype} / {den.dtype}")
     if np.count_nonzero(den < 1):
         raise ValueError(f"cost {cost.name!r}: counts returned a denominator below 1")
     shape = counts.shape[1:]

@@ -16,9 +16,10 @@ The tracked sampler draws an orthonormal basis P (M x K) from the capped
 spectral tracker each step and decodes by sign(P^T code); the Gaussian
 projection is fixed and decodes through its pseudo-inverse.  A width-K head
 regresses the (weighted) labels and predicts through the current basis; a
-width-M head regresses encoded targets, and a rotated one is turned onto each
-new basis before its update (see `regressor.Head`).  Cost weights are
-extracted per instance from the configured cost around the current prediction.
+width-M head regresses them encoded with the old basis, or, rotated, is turned
+onto the new basis (`regressor.Head.transform`) and regresses them encoded with
+it.  The learner holds the basis and encodes; a head holds none.  Cost weights
+are taken per instance from the configured cost around the current prediction.
 
 Every step runs: predict with the current basis, decode, price the
 prediction, weight the labels, update the spectral state with the weighted
@@ -265,13 +266,13 @@ class Learner:
         self._sqrt_w = np.sqrt(np.full(k, 1.0 / k)) if weighting == "uniform" else np.ones(k)
 
         self.label_head = head == "label"
+        self.rotated = head == "rotated"
         self.head = Head(
             d,
             k if self.label_head else m,
             rule=config.resolve_engine(d, k),
             lam=config.lam,
             sgd_step_scale=config.sgd_step_scale,
-            basis=self.basis if head == "rotated" else None,
             acc=acc,
         )
 
@@ -336,12 +337,11 @@ class Learner:
         elif self.msg is not None:
             new_basis = _track(self.msg, self.rng_sampler, target, self.t)
 
-        if self.label_head:
-            self.head.update(x, target, gain=gain, raw=raw)
-        elif self.head.basis is None:  # a plain code head encodes with the old basis
-            self.head.update(x, target, basis, gain, raw)
-        else:  # a rotated head is turned onto the new basis, and encodes with it
-            self.head.update(x, target, new_basis, gain)
+        if self.rotated:  # turned onto the new basis, it regresses the targets encoded with it
+            self.head.transform(basis, new_basis)
+            self.head.update(x, new_basis @ target, gain)
+        else:  # a label head regresses the targets, a plain code head them encoded with the old basis
+            self.head.update(x, target if self.label_head else basis @ target, gain, raw)
         self.basis = new_basis
         return PredictionRecord(self.t, y_hat, incurred)
 

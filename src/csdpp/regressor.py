@@ -31,11 +31,12 @@ owns a shared one steps it once per instance (`RidgeAccumulator.update`) and
 hands the resulting (A_prev_inv x, gamma) to every head's update.  A head that
 owns its accumulator steps it itself.
 
-One head class covers every algorithm through three settings: its width (K for
-a head on label-space targets, M for a head on codes), whether it is rotated by
-P_old P_new^T whenever the encoder basis changes, and its step rule (the ridge
-step above, or plain SGD, W <- W - step * x (W^T x - target)^T, for the large
-d*K regime).
+One head class covers every algorithm through two settings: its width (K for
+a head on label-space targets, M for a head on codes) and its step rule (the
+ridge step above, or plain SGD, W <- W - step * x (W^T x - target)^T, for the
+large d*K regime).  A head knows nothing of label encoders: the learner owns
+the basis, encodes the targets it hands over, and turns a *-pbt head onto each
+new basis with `Head.transform`, W <- W (P_old P_new^T).
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ _PANEL = 32  # delayed downdates flushed together
 _TILE = 64
 
 
-def suggest_engine(d: int, k: int, threshold: int = ENGINE_AUTO_THRESHOLD) -> str:
+def suggest_engine(d: int, k: int) -> str:
     """'sgd' when the d*K ridge bookkeeping would be oversized, else 'ridge'."""
-    return "sgd" if d * k > threshold else "ridge"
+    return "sgd" if d * k > ENGINE_AUTO_THRESHOLD else "ridge"
 
 
 def _add_gram(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
@@ -141,15 +142,15 @@ class Head:
     ``rule="sgd"`` takes W <- W - s/sqrt(t) * x (W^T x - target)^T, with s the
     ``sgd_step_scale`` and t the number of updates so far.
 
-    Given an initial ``basis`` (M x K, M = width) the head follows encoder basis
-    changes: each update first rotates it, W <- W (P_old P_new^T), so its
-    predictions chase the new code coordinates instead of stale ones; the
-    ridge accumulator itself is basis-free and untouched.
+    The head regresses the targets it is handed and holds no basis.  When the
+    encoder basis changes the learner may turn it onto the new one
+    (`transform`), so its predictions chase the new code coordinates instead
+    of stale ones; the ridge accumulator is basis-free and untouched.
 
     ``acc`` is the head's ridge accumulator; a head that shares one (see
     `learners.Lockstep`) is handed its update's (A_prev_inv x, gamma).  A ridge
-    head given ``acc``, one built with its d, lambda and refresh cadence, reads
-    it instead of building its own.
+    head given ``acc``, one built with its d and lambda, reads it instead of
+    building its own.
     """
 
     def __init__(
@@ -158,13 +159,11 @@ class Head:
         width: int,
         rule: str = "ridge",
         lam: float = 1.0,
-        refresh_every: int = DEFAULT_REFRESH_EVERY,
         sgd_step_scale: float = 1.0,
-        basis: np.ndarray | None = None,
         acc: RidgeAccumulator | None = None,
     ):
         if rule == "ridge":
-            self.acc = RidgeAccumulator(d, lam, refresh_every) if acc is None else acc
+            self.acc = RidgeAccumulator(d, lam) if acc is None else acc
         elif rule == "sgd":
             if sgd_step_scale < 0:
                 raise ValueError(f"step size must be non-negative, got {sgd_step_scale}")
@@ -174,43 +173,30 @@ class Head:
         self.sgd_step_scale = sgd_step_scale
         self.w = np.zeros((d, width))
         self.t = 0
-        self.basis = None
-        if basis is not None:
-            basis = np.asarray(basis, dtype=np.float64)
-            if basis.ndim != 2 or basis.shape[0] != width:
-                raise ValueError(f"basis must be an M x K matrix with M = width = {width}")
-            self.basis = basis.copy()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.w.T @ x
 
-    def transform(self, new_basis: np.ndarray) -> None:
-        new_basis = np.asarray(new_basis, dtype=np.float64)
-        if new_basis.shape != self.basis.shape:
-            raise ValueError(f"basis shape changed from {self.basis.shape} to {new_basis.shape}")
-        self.w = self.w @ (self.basis @ new_basis.T)
-        self.basis = new_basis.copy()
+    def transform(self, old_basis: np.ndarray, new_basis: np.ndarray) -> None:
+        """W <- W (old_basis new_basis^T): the head turned from one width x K basis onto another."""
+        if old_basis.ndim != 2 or len(old_basis) != self.w.shape[1] or new_basis.shape != old_basis.shape:
+            raise ValueError(f"bases must be M x K, M = {self.w.shape[1]}, got {old_basis.shape} and {new_basis.shape}")
+        self.w = self.w @ (old_basis @ new_basis.T)
 
     def update(
         self,
         x: np.ndarray,
         target: np.ndarray,
-        basis: np.ndarray | None = None,
         gain: tuple[np.ndarray, float] | None = None,
         raw: np.ndarray | None = None,
     ) -> None:
-        """Step toward ``target``, or toward ``basis @ target`` when a basis is given.
+        """Step toward ``target``.
 
-        A head that follows basis changes is rotated onto ``basis`` first.  A
-        ridge head steps with ``gain``, the (A_prev_inv x, gamma) of its shared
-        accumulator's update for x; without it, it updates its own
+        A ridge head steps with ``gain``, the (A_prev_inv x, gamma) of its
+        shared accumulator's update for x; without it, it updates its own
         accumulator with x first.  ``raw`` is the prediction ``W^T x`` the
-        caller has just made with the unrotated W, or None to make it here.
+        caller has just made with the current W, or None to make it here.
         """
-        if basis is not None:
-            if self.basis is not None:
-                self.transform(basis)
-            target = basis @ target
         if target.shape != (self.w.shape[1],):
             raise ValueError(f"target must have shape ({self.w.shape[1]},), got {target.shape}")
         self.t += 1

@@ -168,6 +168,20 @@ class TestCostValues:
             with pytest.raises(ValueError, match=f"'{cost.name}'.*{message}"):
                 cost.each(np.stack((Y, -Y)), np.stack((YHAT, YHAT)))
 
+    def test_a_custom_cost_beyond_int64_is_rejected_not_wrapped(self):
+        # 2**63 comes back as a uint64, which the int64 cast would wrap negative
+        over_den = CostFunction("over-den", lambda tp, fp, fn, tn: (fp + fn, 2**63))
+        over_num = CostFunction("over-num", lambda tp, fp, fn, tn: (np.uint64(2**63), tp + fp + fn + tn))
+        within = CostFunction("within", lambda tp, fp, fn, tn: (np.uint64(2) * (fp + fn > 0), np.uint64(2**63 - 1)))
+        for cost in (over_den, over_num):
+            for price in (cost, cost.raw, lambda a, b: label_weights(cost, a, b)):
+                with pytest.raises(ValueError, match=f"'{cost.name}'.*counts must return integers"):
+                    price(Y, YHAT)
+            with pytest.raises(ValueError, match=f"'{cost.name}'.*counts must return integers"):
+                cost.each(np.stack((Y, -Y)), np.stack((YHAT, YHAT)))
+        assert within.raw(Y, YHAT) == Fraction(2, 2**63 - 1)
+        assert within(Y, YHAT) == 2 / (2**63 - 1)
+
     def test_only_the_builtins_are_condition_verified(self):
         assert [name for name in available_costs() if get_cost(name).condition_verified] == sorted(
             cost.name for cost in BUILTINS

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -88,8 +89,7 @@ class TestConfig:
         for algo, plan in plans.items():
             learner = make_learner(LearnerConfig(algorithm=algo, m=2), 4, 6)
             assert isinstance(learner, Learner)
-            got = (learner.msg is not None, learner.weighted, learner.head.w.shape[1],
-                   learner.head.basis is not None)
+            got = (learner.msg is not None, learner.weighted, learner.head.w.shape[1], learner.rotated)
             assert got == plan, algo
 
     def test_unknown_label_order(self):
@@ -151,6 +151,26 @@ class TestDeterminism:
             np.testing.assert_array_equal(a.y_hat, b.y_hat)
             assert a.incurred_cost == b.incurred_cost
         assert to_snapshot(resumed) == to_snapshot(straight)
+
+    @pytest.mark.parametrize("algo", ["dpp-pbt", "cs-dpp-pbt"])
+    def test_rotated_snapshot_carries_the_basis_once(self, algo):
+        stream = small_stream(t=120, seed=5)
+        cfg = LearnerConfig(algorithm=algo, m=2, cost="f1", seed=7)
+        straight = make_learner(cfg, 8, 6)
+        rec_all = play(straight, stream)
+        first = make_learner(cfg, 8, 6)
+        play(first, stream[:50])
+        snap = json.loads(json.dumps(to_snapshot(first)))
+        assert "basis" in snap and "basis" not in snap["head"]
+        resumed = from_snapshot(make_learner(cfg, 8, 6), snap)
+        rec_tail = play(resumed, stream[50:])
+        assert [(r.y_hat.tobytes(), r.incurred_cost) for r in rec_tail] == [
+            (r.y_hat.tobytes(), r.incurred_cost) for r in rec_all[50:]
+        ]
+        assert json.dumps(to_snapshot(resumed)) == json.dumps(to_snapshot(straight))
+        snap["head"]["basis"] = snap["basis"]  # as an earlier version's head carried its own copy
+        with pytest.raises(ValueError, match="snapshot fields"):
+            from_snapshot(make_learner(cfg, 8, 6), snap)
 
     def test_record_step_indices(self):
         stream = small_stream(t=10, seed=4)
@@ -524,10 +544,11 @@ class TestLabelChecks:
         assert play(bundle, stream[6:]) == [[None, None]] * 6  # every learner stopped at that step
 
 
-def _benchmark_stream(steps=200, d=50, k=200, seed=15):
-    """Unit-norm features and 5%-positive labels from 24 prototypes, the costed-narrow shape."""
+def _benchmark_stream(steps=200, d=50, k=200, seed=15, rate=0.05):
+    """Unit-norm features and labels positive at ``rate`` from 24 prototypes;
+    the defaults give the costed-narrow shape."""
     rng = np.random.default_rng(seed)
-    protos = np.where(rng.random((24, k)) < 0.05, 1, -1).astype(np.int8)
+    protos = np.where(rng.random((24, k)) < rate, 1, -1).astype(np.int8)
     picks = rng.integers(0, 24, size=steps)
     x = rng.standard_normal((24, d))[picks] + 0.1 * rng.standard_normal((steps, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -562,8 +583,8 @@ def _reference_step(learner, x, y):
     norm = float(np.linalg.norm(target))
     checked_tracker_step(learner.msg, target / norm if norm > 1.0 + TOL.unit_norm_slack else target, learner.t)
     new_basis = learner.msg.sample_projection(learner.rng_sampler)
-    if not learner.label_head:  # the rotated head, turned onto the new basis
-        learner.head.transform(new_basis)
+    if learner.rotated:  # turned onto the new basis
+        learner.head.transform(basis, new_basis)
         target = new_basis @ target
     _reference_head_update(learner.head, x, target)
     learner.basis = new_basis
@@ -598,9 +619,36 @@ class TestLeanStepBits:
         reused = make_learner(config, 50, 200)
         records = [reused.step(x[t], y[t]) for t in range(len(x))]
         update = Head.update
-        monkeypatch.setattr(Head, "update", lambda self, x, target, basis=None, gain=None, raw=None:
-                            update(self, x, target, basis, gain))  # raw=None: the head predicts again
+        monkeypatch.setattr(Head, "update", lambda self, x, target, gain=None, raw=None:
+                            update(self, x, target, gain))  # raw=None: the head predicts again
         again = make_learner(config, 50, 200)
         assert [again.step(x[t], y[t]).y_hat.tobytes() for t in range(len(x))] == [r.y_hat.tobytes() for r in records]
         same = json.dumps(to_snapshot(again)) == json.dumps(to_snapshot(reused))
         assert same, "final snapshots differ"
+
+
+def _blas_version() -> str | None:
+    return np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}).get("version")
+
+
+BENCHMARK_SHAPE_DIGEST = "1efc271fb33521a2ed3e6758f939fb578f75820529d143455212d169a7cc8b8e"
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6" or _blas_version() != "0.3.31.188.0",
+    reason="the digest pins the bytes of NumPy 2.4.6 over OpenBLAS 0.3.31.188.0; other builds may round differently",
+)
+def test_benchmark_shape_digest():
+    """Every prediction, the final head and the final tracker of a rotated learner at
+    the two benchmark shapes, tracker-wide and costed-narrow, under either step rule."""
+    digest = hashlib.sha256()
+    shapes = (("dpp-pbt", "hamming", 100, 100, 25, 0.5), ("cs-dpp-pbt", "rank", 50, 200, 4, 0.05))
+    for algorithm, cost, d, k, m, rate in shapes:
+        x, y = _benchmark_stream(steps=100, d=d, k=k, rate=rate)
+        for engine in ("ridge", "sgd"):
+            learner = make_learner(LearnerConfig(algorithm=algorithm, cost=cost, m=m, engine=engine, seed=21), d, k)
+            for t in range(len(x)):
+                digest.update(learner.step(x[t], y[t]).y_hat.tobytes())
+            for array in (learner.head.w, learner.msg.q, learner.msg.sigma):
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == BENCHMARK_SHAPE_DIGEST

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from csdpp.learners import from_snapshot, to_snapshot
+from csdpp.learners import LearnerConfig, from_snapshot, make_learner, to_snapshot
 from csdpp.regressor import DEFAULT_REFRESH_EVERY, Head, RidgeAccumulator, suggest_engine
 
 
@@ -304,63 +304,68 @@ class TestCodeRidge:
 
 
     def test_encodes_label_targets_with_the_given_basis(self):
+        # the learner encodes each step's targets with the basis it predicted through
         rng = np.random.default_rng(20)
-        p = orthonormal_rows(2, 5, 12)
-        encoding = Head(3, 2)
+        learner = make_learner(LearnerConfig(algorithm="dpp-naive", m=2), 3, 5)
+        encoding = learner.head
         encoded = Head(3, 2)
         for _ in range(30):
             x = rng.standard_normal(3)
-            y = rng.choice([-1.0, 1.0], size=5)
-            encoding.update(x, y, p)
-            encoded.update(x, p @ y)
+            y = rng.choice([-1, 1], size=5)
+            p = learner.basis
+            learner.step(x, y)
+            encoded.update(x, p @ (np.sqrt(np.full(5, 1.0 / 5)) * y))
+            assert learner.basis is not p
         np.testing.assert_array_equal(encoding.w, encoded.w)
-        assert encoding.basis is None  # a plain code head never stores or rotates a basis
+        assert not hasattr(encoding, "basis")  # a head never stores or rotates a basis
 
 
 class TestTransformedCodeRidge:
-    """Code head of width M rotated onto each new basis (*-pbt)."""
+    """Code head of width M that the learner turns onto each new basis (*-pbt)."""
 
     def test_same_basis_is_identity(self):
         p = orthonormal_rows(2, 5, 0)
-        head = Head(3, 2, basis=p)
+        head = Head(3, 2)
         head.w = np.random.default_rng(8).standard_normal((3, 2))
         frozen = head.w.copy()
-        head.transform(p)
+        head.transform(p, p)
         np.testing.assert_allclose(head.w, frozen, atol=1e-15)
 
     def test_negated_basis_negates_head(self):
         p = orthonormal_rows(2, 5, 1)
-        head = Head(3, 2, basis=p)
+        head = Head(3, 2)
         head.w = np.random.default_rng(9).standard_normal((3, 2))
         frozen = head.w.copy()
-        head.transform(-p)
+        head.transform(p, -p)
         np.testing.assert_allclose(head.w, -frozen, atol=1e-15)
 
     def test_rotation_preserves_label_space_view(self):
         rng = np.random.default_rng(10)
         p = orthonormal_rows(3, 7, 2)
-        head = Head(4, 3, basis=p)
+        head = Head(4, 3)
         head.w = rng.standard_normal((4, 3))
         x = rng.standard_normal(4)
-        before = head.basis.T @ head.predict(x)
-        composed = head.w @ head.basis
+        before = p.T @ head.predict(x)
+        composed = head.w @ p
         r, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         expected_w = head.w @ r.T
-        head.transform(r @ p)
+        new = r @ p
+        head.transform(p, new)
         np.testing.assert_allclose(head.w, expected_w, atol=1e-12)
-        np.testing.assert_allclose(head.basis.T @ head.predict(x), before, atol=1e-12)
-        np.testing.assert_allclose(head.w @ head.basis, composed, atol=1e-12)
+        np.testing.assert_allclose(new.T @ head.predict(x), before, atol=1e-12)
+        np.testing.assert_allclose(head.w @ new, composed, atol=1e-12)
 
     def test_fixed_basis_equals_plain_code_head(self):
         rng = np.random.default_rng(11)
         d, k, m = 4, 6, 2
         p = orthonormal_rows(m, k, 3)
-        rotated = Head(d, m, basis=p)
+        rotated = Head(d, m)
         plain = Head(d, m)
         for _ in range(200):
             x = rng.standard_normal(d)
             y = rng.choice([-1.0, 1.0], size=k)
-            rotated.update(x, y, p)
+            rotated.transform(p, p)
+            rotated.update(x, p @ y)
             plain.update(x, p @ y)
         assert np.max(np.abs(rotated.w - plain.w)) <= 1e-10
 
@@ -368,12 +373,13 @@ class TestTransformedCodeRidge:
         rng = np.random.default_rng(12)
         d, k, m, lam = 5, 8, 3, 1.0
         p = orthonormal_rows(m, k, 4)
-        head = Head(d, m, lam=lam, basis=p)
+        head = Head(d, m, lam=lam)
         xs, zs = [], []
         for _ in range(200):
             x = rng.standard_normal(d)
             y = rng.choice([-1.0, 1.0], size=k)
-            head.update(x, y, p)
+            head.transform(p, p)
+            head.update(x, p @ y)
             xs.append(x)
             zs.append(p @ y)
         assert np.max(np.abs(head.w - batch_ridge(xs, zs, lam))) <= 1e-8
@@ -385,13 +391,14 @@ class TestTransformedCodeRidge:
         d, k, m = 4, 5, 2
         p = orthonormal_rows(m, k, 5)
         label_head = Head(d, k)
-        rotated = Head(d, m, basis=p)
+        rotated = Head(d, m)
         naive = Head(d, m)
         for _ in range(60):
             x = rng.standard_normal(d)
             y = rng.choice([-1.0, 1.0], size=k)
             label_head.update(x, y)
-            rotated.update(x, y, p)
+            rotated.transform(p, p)
+            rotated.update(x, p @ y)
             naive.update(x, p @ y)
         np.testing.assert_allclose(rotated.w, label_head.w @ p.T, atol=1e-12)
         np.testing.assert_allclose(naive.w, label_head.w @ p.T, atol=1e-12)
@@ -419,23 +426,28 @@ class TestTransformedCodeRidge:
         assert err_naive >= 10.0 * err_label
 
     def test_basis_validation(self):
+        p = orthonormal_rows(2, 5, 7)
         with pytest.raises(ValueError, match="M x K"):
-            Head(3, 4, basis=np.zeros(4))
+            Head(3, 4).transform(np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError, match="M x K"):
-            Head(3, 3, basis=orthonormal_rows(2, 5, 7))  # width must equal M
-        head = Head(3, 2, basis=orthonormal_rows(2, 5, 7))
-        with pytest.raises(ValueError, match="basis shape changed"):
-            head.transform(orthonormal_rows(3, 5, 7))
+            Head(3, 3).transform(p, p)  # width must equal M
+        head = Head(3, 2)
+        with pytest.raises(ValueError, match="M x K"):  # the shape changed
+            head.transform(p, orthonormal_rows(3, 5, 7))
+        with pytest.raises(ValueError, match="M x K"):  # a (3, K) basis must not widen a width-2 head
+            head.transform(orthonormal_rows(3, 5, 7), orthonormal_rows(3, 5, 8))
+        np.testing.assert_array_equal(head.w, np.zeros((3, 2)))
 
     def test_snapshot_round_trip(self):
         rng = np.random.default_rng(15)
         p = orthonormal_rows(2, 4, 8)
-        head = Head(3, 2, basis=p)
+        head = Head(3, 2)
         for _ in range(5):
-            head.update(rng.standard_normal(3), rng.choice([-1.0, 1.0], size=4), p)
-        back = round_trip(head, Head(3, 2, basis=orthonormal_rows(2, 4, 9)))
+            head.transform(p, p)
+            head.update(rng.standard_normal(3), p @ rng.choice([-1.0, 1.0], size=4))
+        back = round_trip(head, Head(3, 2))
         np.testing.assert_array_equal(back.w, head.w)
-        np.testing.assert_array_equal(back.basis, head.basis)
+        assert "basis" not in to_snapshot(head)
 
 
 class TestSgdHeads:
@@ -493,12 +505,13 @@ class TestSgdHeads:
     def test_transformed_variant_rotation(self):
         rng = np.random.default_rng(18)
         p = orthonormal_rows(2, 5, 9)
-        head = Head(3, 2, rule="sgd", sgd_step_scale=0.5, basis=p)
+        head = Head(3, 2, rule="sgd", sgd_step_scale=0.5)
         head.w = rng.standard_normal((3, 2))
         frozen = head.w.copy()
-        head.transform(-p)
+        head.transform(p, -p)
         np.testing.assert_allclose(head.w, -frozen, atol=1e-15)
-        head.update(np.zeros(3), np.ones(5), -p)
+        head.transform(-p, -p)
+        head.update(np.zeros(3), -p @ np.ones(5))
         np.testing.assert_allclose(head.w, -frozen, atol=1e-15)  # x=0 leaves weights alone
 
     def test_prediction_surface_matches_ridge_layout(self):
@@ -516,11 +529,12 @@ class TestSgdHeads:
         back = round_trip(head, Head(2, 2, rule="sgd"))
         np.testing.assert_array_equal(back.w, head.w)
         assert back.t == head.t == 1 and back.acc is None
-        tr = Head(2, 1, rule="sgd", basis=orthonormal_rows(1, 3, 10))
+        tr = Head(2, 1, rule="sgd")
         tr.w = np.array([[0.5], [0.25]])
-        back2 = round_trip(tr, Head(2, 1, rule="sgd", basis=orthonormal_rows(1, 3, 11)))
+        tr.transform(orthonormal_rows(1, 3, 10), orthonormal_rows(1, 3, 11))
+        back2 = round_trip(tr, Head(2, 1, rule="sgd"))
         np.testing.assert_array_equal(back2.w, tr.w)
-        np.testing.assert_array_equal(back2.basis, tr.basis)
+        assert "basis" not in to_snapshot(tr)
 
 
 class TestEngineChoice:
@@ -528,7 +542,7 @@ class TestEngineChoice:
         assert suggest_engine(100, 100) == "ridge"
         assert suggest_engine(2000, 501) == "sgd"
         assert suggest_engine(1000, 1000) == "ridge"  # boundary stays exact
-        assert suggest_engine(10, 10, threshold=50) == "sgd"
+        assert suggest_engine(1000, 1001) == "sgd"  # one past it
 
     def test_default_refresh_constant(self):
         assert DEFAULT_REFRESH_EVERY == 10_000
