@@ -16,7 +16,6 @@ from .evaluation import (
     offline_plst,
     run_with_snapshots,
     theorem2_bound,
-    trace_from_records,
 )
 from .learners import (
     ALGORITHMS,
@@ -37,7 +36,6 @@ from .stream import (
     inject_noise,
     normalize_features,
     parse_dataset,
-    permute_stream,
     serialize_sparse_labels,
     substream,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "normalize_features",
     "offline_plst",
     "parse_dataset",
-    "permute_stream",
     "play",
     "project_capped_simplex",
     "register_cost",
@@ -79,6 +76,5 @@ __all__ = [
     "symmetric_eigen",
     "theorem2_bound",
     "to_snapshot",
-    "trace_from_records",
     "__version__",
 ]

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learners import PredictionRecord
 from .stream import Instance
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "run_with_snapshots",
     "expected_regret",
     "theorem2_bound",
-    "trace_from_records",
     "write_cost_csv",
     "summarize_finals",
     "write_json",
@@ -74,13 +72,6 @@ class CostTrace:
         return self.averages[-1]
 
 
-def trace_from_records(records: list[PredictionRecord]) -> CostTrace:
-    trace = CostTrace()
-    for rec in records:
-        trace.track(rec.incurred_cost)
-    return trace
-
-
 @dataclass(frozen=True)
 class OfflineReference:
     """Hindsight rank-M reduction: basis (M x K), ridge map h (d x K), w = h basis^T."""
@@ -91,7 +82,7 @@ class OfflineReference:
     scale: float
 
 
-def offline_plst(instances: list[Instance], m: int, ridge_eps: float = 1e-9) -> OfflineReference:
+def offline_plst(instances: list[Instance], m: int) -> OfflineReference:
     """Top-M label subspace + ridge map on the scaled labels, fitted in hindsight."""
     if not instances:
         raise ValueError("empty stream")
@@ -105,29 +96,25 @@ def offline_plst(instances: list[Instance], m: int, ridge_eps: float = 1e-9) -> 
     second_moment = ys.T @ ys
     vals, vecs = np.linalg.eigh(second_moment)
     basis = vecs[:, ::-1][:, :m].T.copy()
-    gram = x.T @ x + ridge_eps * np.eye(d)
+    gram = x.T @ x + 1e-9 * np.eye(d)  # a tiny ridge keeps a rank-deficient Gram invertible
     h = np.linalg.solve(gram, x.T @ ys)
     return OfflineReference(basis=basis, h=h, w=h @ basis.T, scale=scale)
 
 
-def run_with_snapshots(learner, instances: list[Instance], stride: int = 1):
+def run_with_snapshots(learner, instances: list[Instance]):
     """Drive the learner, snapshotting (frame, spectrum, head) entering each step.
 
     The learner must be a ridge dpp-pbc or cs-dpp-pbc one.  Returns (records,
-    snapshots) where snapshots[i] = (t, {"q", "sigma", "h"}) for the strided
-    step indices.  Exact regret accounting wants stride=1; larger strides
-    subsample long streams.
+    snapshots) where snapshots[i] = (i + 1, {"q", "sigma", "h"}), one per step,
+    as exact regret accounting needs.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     if learner.msg is None or not learner.label_head or learner.head.acc is None:
         raise ValueError("regret accounting needs the ridge label-space head")
     records = []
     snapshots = []
-    for i, inst in enumerate(instances):
-        if i % stride == 0:
-            state = {"q": learner.msg.q.copy(), "sigma": learner.msg.sigma.copy(), "h": learner.head.w.copy()}
-            snapshots.append((i + 1, state))
+    for t, inst in enumerate(instances, start=1):
+        state = {"q": learner.msg.q.copy(), "sigma": learner.msg.sigma.copy(), "h": learner.head.w.copy()}
+        snapshots.append((t, state))
         records.append(learner.step(inst.features, inst.labels))
     return records, snapshots
 

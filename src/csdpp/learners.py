@@ -50,7 +50,7 @@ import numpy as np
 from . import costs as costs_mod
 from .linalg import TOL
 from .online_pca import CappedMsgState, EtaSchedule
-from .regressor import DEFAULT_REFRESH_EVERY, Head, RidgeAccumulator, suggest_engine
+from .regressor import Head, RidgeAccumulator, suggest_engine
 from .stream import (
     PURPOSE_RANDOM_PROJECTION,
     PURPOSE_SAMPLER,
@@ -349,7 +349,7 @@ class Learner:
 class Lockstep:
     """Learners played together over one stream, sharing the work none of them steers.
 
-    Ridge heads of equal (d, lambda, refresh cadence) read one accumulator, and
+    Ridge heads of equal (d, lambda) read one accumulator, and
     uniform-weighted tracked learners of equal `tracker_key` one tracker and its
     draws.  Each step first updates every shared accumulator and tracker once,
     outside every learner, then runs each learner's own step with the results,
@@ -368,20 +368,22 @@ class Lockstep:
         self._trackers: dict[tuple, Learner] = {}  # key -> the learner whose tracker the others read
         self._keys: list[tuple] = []  # per learner: its accumulator's and its tracker's key, or None
 
-    def join(self, learner: Learner) -> int:
-        """Add a fresh learner and return its slot in each step's records.
+    def add(self, config: LearnerConfig, d: int, k: int) -> int:
+        """Build a fresh learner in the bundle and return its slot in each step's records.
 
-        The learner gives up its ridge accumulator and uniform tracker for the
-        bundle's equal ones, built alike.
+        Its ridge head is built on the bundle's accumulator of equal (d, lambda)
+        where there is one, so none is built to be dropped, and it gives up its
+        uniform tracker for the bundle's equal one, built alike.
         """
-        if learner.t or self.t:
-            raise ValueError("a learner joins a lockstep bundle before either has stepped")
-        acc_key = None
-        acc = learner.head.acc
-        if acc is not None:
-            acc_key = (acc.d, acc.lam, acc.refresh_every)
-            learner.head.acc = self._accs.setdefault(acc_key, acc)
-        tracker = tracker_key(learner.config, learner.k)
+        if self.t:
+            raise ValueError("a learner joins a lockstep bundle before the bundle has stepped")
+        acc_key = (d, config.lam)  # 1 and 1.0 hash and compare alike
+        learner = Learner(config, d, k, self._accs.get(acc_key))
+        if learner.head.acc is None:
+            acc_key = None
+        else:
+            self._accs.setdefault(acc_key, learner.head.acc)
+        tracker = tracker_key(config, k)
         if tracker is not None:
             lead = self._trackers.setdefault(tracker, learner)
             learner.msg, learner.rng_sampler, learner.basis = lead.msg, lead.rng_sampler, lead.basis
@@ -389,12 +391,6 @@ class Lockstep:
         self.errors.append(None)
         self._keys.append((acc_key, tracker))
         return len(self.learners) - 1
-
-    def add(self, config: LearnerConfig, d: int, k: int) -> int:
-        """Build a learner and join it; a ridge head is built on the bundle's
-        equal accumulator where there is one, so none is built to be dropped."""
-        acc = self._accs.get((d, config.lam, DEFAULT_REFRESH_EVERY))  # 1 and 1.0 hash and compare alike
-        return self.join(Learner(config, d, k, acc))
 
     def step(self, x: np.ndarray, y: np.ndarray) -> list[PredictionRecord | None]:
         """One instance for every learner; a stopped learner's record is None."""

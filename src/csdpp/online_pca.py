@@ -44,6 +44,10 @@ class EtaSchedule:
     m: int
     k: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.scale < math.inf:  # also rejects NaN
+            raise ValueError(f"step-size scale must be non-negative and finite, got {self.scale}")
+
     def __call__(self, t: int) -> float:
         if t < 1:
             raise ValueError(f"step index must be >= 1, got {t}")

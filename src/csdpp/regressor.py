@@ -21,15 +21,15 @@ When the panel fills, the pending rows are flushed with two matrix products,
 A_flush^-1 -= (U^T c) U and A_flush += X^T X, in place of two d x d rank-one
 passes per step.  Each product is taken one 64 x 64 tile at a time, small
 enough that BLAS keeps it on one thread, so a flush rounds the same at any
-BLAS thread count.  The exact A is recomputed into the inverse on a fixed
-cadence (after a flush) to stop fp drift on long streams.
+BLAS thread count.  The exact A is recomputed into the inverse every
+`REFRESH_EVERY` steps (after a flush) to stop fp drift on long streams.
 
-The accumulator depends only on the feature stream, lambda and the refresh
-cadence, never on the targets, so any number of ridge heads fed the same
-features can share one: a head holds its accumulator by reference, and whoever
-owns a shared one steps it once per instance (`RidgeAccumulator.update`) and
-hands the resulting (A_prev_inv x, gamma) to every head's update.  A head that
-owns its accumulator steps it itself.
+The accumulator depends only on the feature stream and (d, lambda), never on
+the targets, so any number of ridge heads fed the same features can share
+one: a head holds its accumulator by reference, and whoever owns a shared one
+steps it once per instance (`RidgeAccumulator.update`) and hands the resulting
+(A_prev_inv x, gamma) to every head's update.  A head that owns its
+accumulator steps it itself.
 
 One head class covers every algorithm through two settings: its width (K for
 a head on label-space targets, M for a head on codes) and its step rule (the
@@ -47,11 +47,11 @@ __all__ = [
     "RidgeAccumulator",
     "Head",
     "suggest_engine",
-    "DEFAULT_REFRESH_EVERY",
+    "REFRESH_EVERY",
     "ENGINE_AUTO_THRESHOLD",
 ]
 
-DEFAULT_REFRESH_EVERY = 10_000
+REFRESH_EVERY = 10_000  # steps between exact refreshes of the inverse
 ENGINE_AUTO_THRESHOLD = 1_000_000
 _PANEL = 32  # delayed downdates flushed together
 # OpenBLAS runs a product with m n k <= 2**18 on one thread; a 64 x 64 tile of a
@@ -79,14 +79,13 @@ class RidgeAccumulator:
     of ``panel_u``, ``panel_c`` and ``panel_x`` hold the steps absorbed since.
     """
 
-    def __init__(self, d: int, lam: float = 1.0, refresh_every: int = DEFAULT_REFRESH_EVERY):
+    def __init__(self, d: int, lam: float = 1.0):
         if d < 1:
             raise ValueError(f"feature dimension must be positive, got {d}")
-        if lam <= 0:
-            raise ValueError(f"ridge strength must be positive, got {lam}")
+        if not 0 < lam < np.inf:  # also rejects NaN
+            raise ValueError(f"ridge strength must be positive and finite, got {lam}")
         self.d = d
         self.lam = float(lam)
-        self.refresh_every = int(refresh_every)
         self.a_inv = np.zeros((d, d))  # the bits of np.eye(d) / lam and np.eye(d) * lam, no d x d temporary
         np.fill_diagonal(self.a_inv, 1.0 / self.lam)
         self.a = np.zeros((d, d))
@@ -114,7 +113,7 @@ class RidgeAccumulator:
         self.panel_x[row] = x
         self.pending = n = row + 1
         self.steps += 1
-        refresh = self.refresh_every > 0 and self.steps % self.refresh_every == 0
+        refresh = self.steps % REFRESH_EVERY == 0
         if refresh or n == _PANEL:
             u, x_rows = self.panel_u[:n], self.panel_x[:n]
             _add_gram(self.a_inv, -self.panel_c[:n, None] * u, u)
@@ -165,8 +164,8 @@ class Head:
         if rule == "ridge":
             self.acc = RidgeAccumulator(d, lam) if acc is None else acc
         elif rule == "sgd":
-            if sgd_step_scale < 0:
-                raise ValueError(f"step size must be non-negative, got {sgd_step_scale}")
+            if not 0 <= sgd_step_scale < np.inf:  # also rejects NaN
+                raise ValueError(f"step size must be non-negative and finite, got {sgd_step_scale}")
             self.acc = None
         else:
             raise ValueError(f"unknown step rule {rule!r}")

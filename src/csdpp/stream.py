@@ -57,7 +57,6 @@ __all__ = [
     "parse_sparse_labels",
     "serialize_sparse_labels",
     "parse_arff",
-    "permute_stream",
     "inject_noise",
     "normalize_features",
     "build_stream",
@@ -144,11 +143,8 @@ class RowStore(Sequence[Instance]):
         row = np.zeros(self.d)
         start, stop = self.indptr[i], self.indptr[i + 1]
         row[self.idx[start:stop]] = self.values[start:stop]
-        if self.scale is not None:  # normalize_features' elementwise ops, in its order
-            lo, span = self.scale
-            row -= lo
-            row /= span
-            row /= np.sqrt(self.d)
+        if self.scale is not None:
+            _scale(row, *self.scale)
         return row
 
     def _dense(self) -> np.ndarray:
@@ -434,10 +430,6 @@ def parse_dataset(
     raise ValueError(f"unknown dataset format {fmt!r}")
 
 
-def permute_stream(instances: list[Instance], seed: int) -> list[Instance]:
-    return build_stream(instances, StreamConfig(seed=seed))
-
-
 def inject_noise(instances: list[Instance], p: float, seed: int) -> list[Instance]:
     """Flip each positive label to negative independently with probability p."""
     if not 0.0 <= p <= 1.0:
@@ -484,10 +476,15 @@ def normalize_features(instances: Sequence[Instance]) -> Sequence[Instance]:
     span[span == 0.0] = 1.0  # constant features map to 0
     if store is not None:
         return RowStore(store.indptr, store.idx, store.values, store.labels, store.d, (lo, span))
+    _scale(x, lo, span)
+    return [Instance(row, inst.labels) for row, inst in zip(x, instances)]
+
+
+def _scale(x: np.ndarray, lo: np.ndarray, span: np.ndarray) -> None:
+    """Min-max then division by sqrt(d), in place and elementwise: a row rounds as in a matrix."""
     x -= lo
     x /= span
-    x /= np.sqrt(x.shape[1])
-    return [Instance(row, inst.labels) for row, inst in zip(x, instances)]
+    x /= np.sqrt(x.shape[-1])
 
 
 def build_stream(instances: Sequence[Instance], config: StreamConfig) -> list[Instance]:

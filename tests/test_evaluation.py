@@ -13,11 +13,10 @@ from csdpp.evaluation import (
     run_with_snapshots,
     summarize_finals,
     theorem2_bound,
-    trace_from_records,
     write_cost_csv,
     write_json,
 )
-from csdpp.learners import LearnerConfig, PredictionRecord, make_learner
+from csdpp.learners import LearnerConfig, make_learner
 from csdpp.stream import Instance, planted_subspace_stream
 
 
@@ -59,11 +58,6 @@ class TestCostTrace:
             trace.track(float(c))
         direct = np.cumsum(costs) / np.arange(1, 1001)
         np.testing.assert_allclose(trace.averages, direct, atol=1e-12)
-
-    def test_from_records(self):
-        recs = [PredictionRecord(t, np.ones(2, dtype=np.int8), 0.5) for t in range(1, 4)]
-        trace = trace_from_records(recs)
-        assert trace.costs == [0.5, 0.5, 0.5]
 
 
 class TestOfflineReference:
@@ -113,17 +107,12 @@ class TestOfflineReference:
 
 
 class TestRunWithSnapshots:
-    def test_stride_validation(self):
-        learner = make_learner(LearnerConfig(algorithm="dpp-pbc", m=2), 4, 6)
-        with pytest.raises(ValueError, match="stride"):
-            run_with_snapshots(learner, [], stride=0)
-
     def test_snapshot_cadence(self):
         insts = make_instances(n=10, seed=6)
         learner = make_learner(LearnerConfig(algorithm="dpp-pbc", m=2), 4, 6)
-        records, snaps = run_with_snapshots(learner, insts, stride=3)
+        records, snaps = run_with_snapshots(learner, insts)
         assert len(records) == 10
-        assert [t for t, _ in snaps] == [1, 4, 7, 10]
+        assert [t for t, _ in snaps] == list(range(1, 11))
 
     def test_snapshots_capture_pre_step_state(self):
         insts = make_instances(n=3, seed=7)

@@ -92,6 +92,23 @@ class TestConfig:
             got = (learner.msg is not None, learner.weighted, learner.head.w.shape[1], learner.rotated)
             assert got == plan, algo
 
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [
+            ({"lam": float("nan")}, "ridge strength"),
+            ({"lam": float("inf")}, "ridge strength"),
+            ({"engine": "sgd", "sgd_step_scale": float("nan")}, "non-negative"),
+            ({"engine": "sgd", "sgd_step_scale": float("inf")}, "non-negative"),
+            ({"eta_scale": -2.0}, "non-negative"),
+            ({"eta_scale": float("nan")}, "non-negative"),
+            ({"eta_scale": float("inf")}, "non-negative"),
+        ],
+    )
+    def test_out_of_range_knobs_rejected(self, knobs, match):
+        # NaN passes a `< 0` or `<= 0` check, and an infinite knob freezes or breaks the run
+        with pytest.raises(ValueError, match=match):
+            make_learner(LearnerConfig(algorithm="dpp-pbc", m=2, **knobs), 8, 6)
+
     def test_unknown_label_order(self):
         with pytest.raises(ValueError, match="label order"):
             make_learner(LearnerConfig(algorithm="dpp-pbc", m=2, label_order="sorted"), 4, 6)
@@ -192,7 +209,7 @@ class TestLockstep:
         alone = [make_learner(cfg, 8, 6) for cfg in configs]
         alone_records = [play(learner, stream[:70]) for learner in alone]
         bundle = Lockstep()
-        assert [bundle.join(make_learner(cfg, 8, 6)) for cfg in configs] == list(range(len(configs)))
+        assert [bundle.add(cfg, 8, 6) for cfg in configs] == list(range(len(configs)))
         steps = play(bundle, stream[:70])
         for slot, (learner, records) in enumerate(zip(alone, alone_records)):
             for step, record in zip(steps, records):
@@ -208,7 +225,7 @@ class TestLockstep:
         assert bundle.errors == [None] * len(configs)
 
     def test_add_builds_one_accumulator_per_ridge_key(self, monkeypatch):
-        # lam=2 and lam=2.0 share one accumulator, as join would pair them
+        # lam=2 and lam=2.0 share one accumulator
         configs = _lockstep_configs() + [LearnerConfig(algorithm="o-br", lam=2.0), LearnerConfig(algorithm="o-br", lam=2)]
         built = []
         init = RidgeAccumulator.__init__
@@ -236,7 +253,7 @@ class TestLockstep:
         configs = _lockstep_configs()
         bundle = Lockstep()
         for cfg in configs:
-            bundle.join(make_learner(cfg, 8, 6))
+            bundle.add(cfg, 8, 6)
         ridge = [learner.head.acc for learner in bundle.learners if learner.head.acc is not None]
         assert len(ridge) == len(configs) - 1 and all(acc is ridge[0] for acc in ridge)
         trackers = {}
@@ -263,7 +280,7 @@ class TestLockstep:
         monkeypatch.setattr(Learner, "step", failing)
         bundle = Lockstep()
         for cfg in configs:
-            bundle.join(make_learner(cfg, 8, 6))
+            bundle.add(cfg, 8, 6)
         steps = play(bundle, stream)
         assert [str(exc) if exc else None for exc in bundle.errors] == [
             "step 50 failed" if slot == lead else None for slot in range(len(configs))]
@@ -274,15 +291,11 @@ class TestLockstep:
 
     def test_join_before_any_step(self):
         stream = small_stream(t=3, seed=1)
-        stepped = make_learner(LearnerConfig(algorithm="o-br"), 8, 6)
-        play(stepped, stream)
-        with pytest.raises(ValueError, match="before either has stepped"):
-            Lockstep().join(stepped)
         bundle = Lockstep()
-        bundle.join(make_learner(LearnerConfig(algorithm="o-br"), 8, 6))
+        bundle.add(LearnerConfig(algorithm="o-br"), 8, 6)
         play(bundle, stream)
-        with pytest.raises(ValueError, match="before either has stepped"):
-            bundle.join(make_learner(LearnerConfig(algorithm="o-rand"), 8, 6))
+        with pytest.raises(ValueError, match="before the bundle has stepped"):
+            bundle.add(LearnerConfig(algorithm="o-rand"), 8, 6)
 
     def test_tracker_key_names_the_uniform_tracked_learners(self):
         assert tracker_key(LearnerConfig(algorithm="dpp-naive", m_frac=0.5, seed=3, eta_scale=1.5), 8) == (4, 3, 1.5)

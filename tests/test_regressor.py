@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from csdpp import regressor
 from csdpp.learners import LearnerConfig, from_snapshot, make_learner, to_snapshot
-from csdpp.regressor import DEFAULT_REFRESH_EVERY, Head, RidgeAccumulator, suggest_engine
+from csdpp.regressor import Head, RidgeAccumulator, suggest_engine
 
 
 def batch_ridge(xs, ys, lam):
@@ -55,7 +56,7 @@ class TestAccumulator:
 
     def test_inverse_tracks_exact_matrix(self):
         rng = np.random.default_rng(0)
-        acc = RidgeAccumulator(4, lam=0.7, refresh_every=0)
+        acc = RidgeAccumulator(4, lam=0.7)
         xs = rng.standard_normal((60, 4))
         for x in xs:
             acc.absorb(x, *acc.peek(x))
@@ -65,9 +66,10 @@ class TestAccumulator:
         np.testing.assert_allclose(a_inv, np.linalg.inv(a), atol=1e-10)
         np.testing.assert_allclose(peeked_inverse(acc), a_inv, atol=1e-13)
 
-    def test_periodic_refresh_resets_drift(self):
+    def test_periodic_refresh_resets_drift(self, monkeypatch):
+        monkeypatch.setattr(regressor, "REFRESH_EVERY", 5)
         rng = np.random.default_rng(1)
-        acc = RidgeAccumulator(3, refresh_every=5)
+        acc = RidgeAccumulator(3)
         for i in range(10):
             x = rng.standard_normal(3)
             acc.absorb(x, *acc.peek(x))
@@ -98,6 +100,15 @@ class TestAccumulator:
         snap = to_snapshot(acc)
         for name in ("panel_u", "panel_c", "panel_x", "pending"):
             del snap[name]  # the layout of a snapshot without the delayed panel
+        with pytest.raises(ValueError, match="snapshot fields"):
+            from_snapshot(RidgeAccumulator(3), snap)
+
+    def test_snapshot_with_refresh_cadence_is_rejected(self):
+        acc = RidgeAccumulator(3)
+        acc.absorb(np.ones(3), *acc.peek(np.ones(3)))
+        snap = to_snapshot(acc)
+        assert "refresh_every" not in snap
+        snap["refresh_every"] = 10_000  # the layout of a snapshot that carries the refresh cadence
         with pytest.raises(ValueError, match="snapshot fields"):
             from_snapshot(RidgeAccumulator(3), snap)
 
@@ -171,20 +182,22 @@ class TestAccumulator:
         for name in ("a", "a_inv", "panel_u", "panel_c", "panel_x"):
             np.testing.assert_array_equal(getattr(acc, name), getattr(alone.acc, name))
 
-    def test_refresh_after_long_sparse_stream(self):
+    def test_refresh_after_long_sparse_stream(self, monkeypatch):
         # 10,000 rows at d=200 with 5% nonzeros: the refresh at step 10,000 solves the
         # dense accumulated A, which equals lambda I + X^T X, and agrees with the
         # inverse carried by Sherman-Morrison downdates alone
         rng = np.random.default_rng(22)
-        d, steps, lam = 200, DEFAULT_REFRESH_EVERY, 1.0
+        d, steps, lam = 200, regressor.REFRESH_EVERY, 1.0
         xs = np.zeros((steps, d))
         for row in xs:
             nz = rng.choice(d, size=d // 20, replace=False)
             row[nz] = rng.random(nz.size) / np.sqrt(nz.size)
         acc = RidgeAccumulator(d, lam)
-        carried = RidgeAccumulator(d, lam, refresh_every=0)
         for x in xs:
             acc.absorb(x, *acc.peek(x))
+        monkeypatch.setattr(regressor, "REFRESH_EVERY", steps + 1)  # carried never refreshes
+        carried = RidgeAccumulator(d, lam)
+        for x in xs:
             carried.absorb(x, *carried.peek(x))
         assert acc.pending == 0 and carried.pending == steps % 32
         np.testing.assert_allclose(acc.a, lam * np.eye(d) + xs.T @ xs, rtol=1e-12, atol=1e-12)
@@ -545,4 +558,4 @@ class TestEngineChoice:
         assert suggest_engine(1000, 1001) == "sgd"  # one past it
 
     def test_default_refresh_constant(self):
-        assert DEFAULT_REFRESH_EVERY == 10_000
+        assert regressor.REFRESH_EVERY == 10_000

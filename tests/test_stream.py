@@ -18,7 +18,6 @@ from csdpp.stream import (
     parse_arff,
     parse_dataset,
     parse_sparse_labels,
-    permute_stream,
     planted_subspace_stream,
     serialize_sparse_labels,
     substream,
@@ -410,14 +409,14 @@ class TestStreamOps:
 
     def test_permutation_is_bijection(self):
         instances = self._instances()
-        out = permute_stream(instances, seed=3)
+        out = build_stream(instances, StreamConfig(seed=3))
         assert sorted(id(i) for i in out) == sorted(id(i) for i in instances)
 
     def test_permutation_deterministic_and_seed_sensitive(self):
         instances = self._instances()
-        a = permute_stream(instances, seed=3)
-        b = permute_stream(instances, seed=3)
-        c = permute_stream(instances, seed=4)
+        a = build_stream(instances, StreamConfig(seed=3))
+        b = build_stream(instances, StreamConfig(seed=3))
+        c = build_stream(instances, StreamConfig(seed=4))
         assert [id(i) for i in a] == [id(i) for i in b]
         assert [id(i) for i in a] != [id(i) for i in c]
 
