@@ -21,19 +21,18 @@ onto the new basis (`regressor.Head.transform`) and regresses them encoded with
 it.  The learner holds the basis and encodes; a head holds none.  Cost weights
 are taken per instance from the configured cost around the current prediction.
 
-Every step runs: predict with the current basis, decode, price the
-prediction, weight the labels, update the spectral state with the weighted
-label direction and sample the next basis (tracked encoder only), update the
-head.  All tracked variants consume identical randomness (one sampler draw
-per step plus one at construction), so seed-matched runs are paired
-comparisons.
+Every step runs in three phases: weigh (predict with the current basis,
+decode, price the prediction, weight the labels; this checks y), track (update
+the ridge accumulator and, tracked encoder only, the spectral state with the
+weighted label direction, then sample the next basis), fit (update the head).
+All tracked variants consume identical randomness (one sampler draw per step
+plus one at construction), so seed-matched runs are paired comparisons.
 
-Learners fed one stream may run in lockstep (`Lockstep`): a step then makes
-once, for all of them, what none of them steers -- the ridge accumulator's
-update, which depends on the features alone, and the tracker update and basis
-draw of the uniform-weighted learners, which never read their predictions --
-and each learner's own step reuses it.  Each learner still predicts exactly
-what it predicts alone.
+A learner alone runs the phases over its own accumulator and tracker; learners
+fed one stream may run them together (`Lockstep`), stepping once between weigh
+and fit what none of them steers: the ridge accumulator, which reads only the
+features, and the one tracker, built once, of the uniform-weighted learners,
+which never read their predictions.  Each learner predicts what it does alone.
 
 The per-step audit (opt-in, tracked encoder only) checks the decoding cost bound
 cost <= ||code - P C y||^2 + ||(I - P^T P) C y||^2 with C the weight
@@ -230,7 +229,9 @@ def _resolve_cost(config: LearnerConfig, k: int) -> costs_mod.CostFunction:
 class Learner:
     """One streaming learner; `_PLANS` maps each algorithm to its three parts."""
 
-    def __init__(self, config: LearnerConfig, d: int, k: int, acc: RidgeAccumulator | None = None):
+    def __init__(
+        self, config: LearnerConfig, d: int, k: int, acc: RidgeAccumulator | None = None, lead: Learner | None = None
+    ):
         try:
             encoder, weighting, head = _PLANS[config.algorithm]
         except KeyError:
@@ -252,7 +253,9 @@ class Learner:
         # label encoder: basis (M x K) encodes, decoder (K x M, Gaussian only) decodes
         self.msg = None
         self.basis = self.decoder = None
-        if encoder == "tracked":
+        if lead is not None:  # it reads lead's tracker, sampler and basis (`Lockstep.add`)
+            self.msg, self.rng_sampler, self.basis = lead.msg, lead.rng_sampler, lead.basis
+        elif encoder == "tracked":
             self.msg = CappedMsgState.initialize(k, m, config.seed, EtaSchedule(config.eta_scale, m, k))
             self.rng_sampler = substream(config.seed, PURPOSE_SAMPLER)
             self.basis = self.msg.sample_projection(self.rng_sampler)
@@ -294,27 +297,19 @@ class Learner:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self._decode(self._code(self.head.predict(x)))
 
-    def step(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        gain: tuple[np.ndarray, float] | None = None,
-        drawn: np.ndarray | None = None,
-    ) -> PredictionRecord:
-        """One instance.  In a `Lockstep`, ``gain`` is the shared accumulator's
-        update for x and ``drawn`` the shared tracker's next basis; a learner
-        that owns its accumulator and tracker steps them itself.
+    def _weigh(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, PredictionRecord]:
+        """Predict, decode, price and weight: (raw prediction, weighted labels, record).
 
-        The (y, y_hat) pair is classified once: its confusion counts price the
-        prediction, and a cost-weighted learner walks its categories for the weights.
+        The (y, y_hat) pair is classified once, and the step counts only once
+        that has checked y: its confusion counts price the prediction, and a
+        cost-weighted learner walks its categories for the weights.
         """
-        self.t += 1
-        basis = new_basis = self.basis
         raw = self.head.predict(x)
         code = self._code(raw)
         y = np.asarray(y)
         y_hat = self._decode(code)
         category, counts = costs_mod._validate_pair(y, y_hat)
+        self.t += 1
         incurred = costs_mod._price(self.cost, counts)
 
         if self.weighted:
@@ -326,24 +321,38 @@ class Learner:
             sqrt_w = self._sqrt_w
         target = sqrt_w * y
         if self.audit is not None:
-            enc = basis @ target
-            residual = target - basis.T @ enc
+            enc = self.basis @ target
+            residual = target - self.basis.T @ enc
             rhs = float(np.sum((code - enc) ** 2) + np.sum(residual**2))
             lhs = incurred if self.weighted else costs_mod._price(costs_mod.HAMMING, counts)
             self.audit.observe(lhs - rhs)
+        return raw, target, PredictionRecord(self.t, y_hat, incurred)
 
-        if drawn is not None:
-            new_basis = drawn
-        elif self.msg is not None:
-            new_basis = _track(self.msg, self.rng_sampler, target, self.t)
-
+    def _fit(self, x: np.ndarray, raw: np.ndarray, target: np.ndarray, gain, drawn: np.ndarray | None) -> None:
+        """Update the head with the accumulator's ``gain`` for x; move onto ``drawn``, the tracker's next basis."""
         if self.rotated:  # turned onto the new basis, it regresses the targets encoded with it
-            self.head.transform(basis, new_basis)
-            self.head.update(x, new_basis @ target, gain)
+            self.head.transform(self.basis, drawn)
+            self.head.update(x, drawn @ target, gain)
         else:  # a label head regresses the targets, a plain code head them encoded with the old basis
-            self.head.update(x, target if self.label_head else basis @ target, gain, raw)
-        self.basis = new_basis
-        return PredictionRecord(self.t, y_hat, incurred)
+            self.head.update(x, target if self.label_head else self.basis @ target, gain, raw)
+        if drawn is not None:
+            self.basis = drawn
+
+    def step(self, x: np.ndarray, y: np.ndarray) -> PredictionRecord:
+        """One instance: weigh, step its own accumulator and tracker, fit."""
+        raw, target, record = self._weigh(x, y)
+        gain = None if self.head.acc is None else self.head.acc.update(x)
+        drawn = None if self.msg is None else _track(self.msg, self.rng_sampler, target, self.t)
+        self._fit(x, raw, target, gain, drawn)
+        return record
+
+
+def _attempt(phase, *args):
+    """phase(*args), or the ValueError or RuntimeError it raised."""
+    try:
+        return phase(*args)
+    except (ValueError, RuntimeError) as exc:
+        return exc
 
 
 class Lockstep:
@@ -351,13 +360,13 @@ class Lockstep:
 
     Ridge heads of equal (d, lambda) read one accumulator, and
     uniform-weighted tracked learners of equal `tracker_key` one tracker and its
-    draws.  Each step first updates every shared accumulator and tracker once,
-    outside every learner, then runs each learner's own step with the results,
-    so each learner makes the predictions it makes alone.  A learner whose step
-    raises ValueError or RuntimeError stops, its error kept in ``errors``; the
-    shared work and the other learners go on.  A label vector outside
-    {-1,+1}, which every learner rejects, stops them all before any shared
-    tracker reads it.
+    draws.  A step runs the phases of `Learner.step` one at a time over all
+    the learners: each weighs, which checks y; each accumulator and tracker
+    that a still-running learner holds steps once; each fits.  So each learner
+    makes the predictions it makes alone, and a label vector outside {-1,+1},
+    which every learner rejects, moves no shared piece.  A learner whose phase
+    raises ValueError or RuntimeError stops, its error kept in ``errors``, and
+    a shared piece's error stops exactly its readers; the other learners go on.
     """
 
     def __init__(self) -> None:
@@ -366,57 +375,48 @@ class Lockstep:
         self.t = 0
         self._accs: dict[tuple, RidgeAccumulator] = {}
         self._trackers: dict[tuple, Learner] = {}  # key -> the learner whose tracker the others read
-        self._keys: list[tuple] = []  # per learner: its accumulator's and its tracker's key, or None
 
     def add(self, config: LearnerConfig, d: int, k: int) -> int:
         """Build a fresh learner in the bundle and return its slot in each step's records.
 
-        Its ridge head is built on the bundle's accumulator of equal (d, lambda)
-        where there is one, so none is built to be dropped, and it gives up its
-        uniform tracker for the bundle's equal one, built alike.
+        Its ridge head is built on the bundle's accumulator of equal (d, lambda),
+        and a uniform-weighted tracked learner on the tracker of the bundle's
+        first learner of equal `tracker_key`, where there is one; so no
+        accumulator or tracker is built only to be dropped.
         """
         if self.t:
             raise ValueError("a learner joins a lockstep bundle before the bundle has stepped")
-        acc_key = (d, config.lam)  # 1 and 1.0 hash and compare alike
-        learner = Learner(config, d, k, self._accs.get(acc_key))
-        if learner.head.acc is None:
-            acc_key = None
-        else:
+        acc_key, tracker = (d, config.lam), tracker_key(config, k)  # 1 and 1.0 hash and compare alike
+        learner = Learner(config, d, k, self._accs.get(acc_key), self._trackers.get(tracker))
+        if learner.head.acc is not None:
             self._accs.setdefault(acc_key, learner.head.acc)
-        tracker = tracker_key(config, k)
         if tracker is not None:
-            lead = self._trackers.setdefault(tracker, learner)
-            learner.msg, learner.rng_sampler, learner.basis = lead.msg, lead.rng_sampler, lead.basis
+            self._trackers.setdefault(tracker, learner)
         self.learners.append(learner)
         self.errors.append(None)
-        self._keys.append((acc_key, tracker))
         return len(self.learners) - 1
 
     def step(self, x: np.ndarray, y: np.ndarray) -> list[PredictionRecord | None]:
         """One instance for every learner; a stopped learner's record is None."""
         self.t += 1
-        y = np.asarray(y)
-        if self._trackers:  # the shared trackers read y before any learner checks it
-            try:
-                costs_mod._validate_pair(y, y)
-            except ValueError as exc:
-                self.errors = [exc if error is None else error for error in self.errors]
-                return [None] * len(self.learners)
-        gains = {key: acc.update(x) for key, acc in self._accs.items()}
-        draws = {
-            key: _track(lead.msg, lead.rng_sampler, lead._sqrt_w * y, self.t)
-            for key, lead in self._trackers.items()
-        }
-        records: list[PredictionRecord | None] = []
-        for i, (learner, (acc_key, tracker)) in enumerate(zip(self.learners, self._keys)):
-            record = None
-            if self.errors[i] is None:
-                try:
-                    record = learner.step(x, y, gains.get(acc_key), draws.get(tracker))
-                except (ValueError, RuntimeError) as exc:
-                    self.errors[i] = exc
-            records.append(record)
-        return records
+        # per learner: its error once it has stopped, else its last phase's result
+        runs = [error or _attempt(learner._weigh, x, y) for learner, error in zip(self.learners, self.errors)]
+        # each accumulator and tracker a running learner holds -> its step's result; no piece (None) gives None
+        shared = {None: None}
+        for learner, run in zip(self.learners, runs):
+            if isinstance(run, tuple) and learner.head.acc not in shared:
+                shared[learner.head.acc] = _attempt(learner.head.acc.update, x)
+            if isinstance(run, tuple) and learner.msg not in shared:
+                shared[learner.msg] = _attempt(_track, learner.msg, learner.rng_sampler, run[1], learner.t)
+        for i, (learner, run) in enumerate(zip(self.learners, runs)):
+            if isinstance(run, tuple):
+                gain, drawn = shared[learner.head.acc], shared[learner.msg]
+                failed = next((piece for piece in (gain, drawn) if isinstance(piece, Exception)), None)
+                if failed is None:
+                    failed = _attempt(learner._fit, x, run[0], run[1], gain, drawn)
+                runs[i] = run[2] if failed is None else failed
+        self.errors = [run if isinstance(run, Exception) else None for run in runs]
+        return [None if isinstance(run, Exception) else run for run in runs]
 
 
 _STATEFUL = (CappedMsgState, Head, RidgeAccumulator)

@@ -26,10 +26,10 @@ BLAS thread count.  The exact A is recomputed into the inverse every
 
 The accumulator depends only on the feature stream and (d, lambda), never on
 the targets, so any number of ridge heads fed the same features can share
-one: a head holds its accumulator by reference, and whoever owns a shared one
-steps it once per instance (`RidgeAccumulator.update`) and hands the resulting
-(A_prev_inv x, gamma) to every head's update.  A head that owns its
-accumulator steps it itself.
+one: a head holds its accumulator by reference, and the learner steps it once
+per instance (`RidgeAccumulator.update`) and hands the resulting
+(A_prev_inv x, gamma) to every head that reads it.  A bare head, handed no
+gain, steps its own accumulator itself.
 
 One head class covers every algorithm through two settings: its width (K for
 a head on label-space targets, M for a head on codes) and its step rule (the
@@ -146,10 +146,10 @@ class Head:
     (`transform`), so its predictions chase the new code coordinates instead
     of stale ones; the ridge accumulator is basis-free and untouched.
 
-    ``acc`` is the head's ridge accumulator; a head that shares one (see
-    `learners.Lockstep`) is handed its update's (A_prev_inv x, gamma).  A ridge
-    head given ``acc``, one built with its d and lambda, reads it instead of
-    building its own.
+    ``acc`` is the head's ridge accumulator; a learner steps it and hands its
+    update's (A_prev_inv x, gamma) to the head (see `learners.Learner.step`).
+    A ridge head given ``acc``, one built with its d and lambda, reads it
+    instead of building its own.
     """
 
     def __init__(
@@ -191,9 +191,9 @@ class Head:
     ) -> None:
         """Step toward ``target``.
 
-        A ridge head steps with ``gain``, the (A_prev_inv x, gamma) of its
-        shared accumulator's update for x; without it, it updates its own
-        accumulator with x first.  ``raw`` is the prediction ``W^T x`` the
+        A ridge head steps with ``gain``, the (A_prev_inv x, gamma) a learner
+        hands over from its accumulator's update for x; without it, it updates
+        its accumulator with x first.  ``raw`` is the prediction ``W^T x`` the
         caller has just made with the current W, or None to make it here.
         """
         if target.shape != (self.w.shape[1],):

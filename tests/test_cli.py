@@ -514,8 +514,8 @@ class TestLockstepJobs:
         # the cs-dpp-* cells under hamming, and one each for cs-dpp-pbc/f1 and cs-dpp-pbt/f1
         assert calls["peek"] == 40
         assert calls["update"] == trackers * 40
-        built = 5 * len(m_fracs)  # each tracked learner draws its first basis when it is built
-        assert calls["sample_projection"] == built + trackers * 40
+        # each tracker draws its first basis when it is built, once for all its readers
+        assert calls["sample_projection"] == trackers + trackers * 40
 
     def test_failing_learner_fails_only_the_cells_of_its_play(self, dataset, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("CSDPP_WORKERS", raising=False)
@@ -524,14 +524,14 @@ class TestLockstepJobs:
         alone = tmp_path / "alone"
         assert run_cli(*common, *others, "--output", str(alone)) == 0
         expected = {name: data for name, data in read_all(alone).items() if name.endswith(".csv")}
-        step = Learner.step
+        weigh = Learner._weigh
 
-        def failing(self, x, y, *shared):  # dpp-pbc leads the shared tracker and accumulator
+        def failing(self, x, y):  # dpp-pbc leads the shared tracker and accumulator
             if self.config.algorithm == "dpp-pbc" and self.t == 49:
                 raise RuntimeError("step 50 failed")
-            return step(self, x, y, *shared)
+            return weigh(self, x, y)
 
-        monkeypatch.setattr(Learner, "step", failing)
+        monkeypatch.setattr(Learner, "_weigh", failing)
         out = tmp_path / "res"
         assert run_cli(*common, *ALL_ALGOS, "--output", str(out)) == 1
         err = capsys.readouterr().err.splitlines()

@@ -20,6 +20,7 @@ from csdpp.learners import (
     tracker_key,
     trajectory,
 )
+from csdpp.online_pca import CappedMsgState
 from csdpp.regressor import Head, RidgeAccumulator
 from csdpp.stream import planted_subspace_stream
 
@@ -269,15 +270,15 @@ class TestLockstep:
         stream = small_stream(t=90, seed=9)
         configs = _lockstep_configs()
         expected = [play(make_learner(cfg, 8, 6), stream) for cfg in configs]
-        step = Learner.step
+        weigh = Learner._weigh
         lead = configs.index(LearnerConfig(algorithm="dpp-pbc", cost="hamming", m=2, seed=5))
 
-        def failing(self, x, y, *shared):
+        def failing(self, x, y):
             if self.config == configs[lead] and self.t == 49:
                 raise RuntimeError("step 50 failed")
-            return step(self, x, y, *shared)
+            return weigh(self, x, y)
 
-        monkeypatch.setattr(Learner, "step", failing)
+        monkeypatch.setattr(Learner, "_weigh", failing)
         bundle = Lockstep()
         for cfg in configs:
             bundle.add(cfg, 8, 6)
@@ -288,6 +289,48 @@ class TestLockstep:
         for slot, records in enumerate(expected):
             if slot != lead:
                 assert [s[slot].y_hat.tobytes() for s in steps] == [r.y_hat.tobytes() for r in records]
+
+    def test_add_builds_one_tracker_per_tracker_key(self, monkeypatch):
+        configs = _lockstep_configs()
+        built = []
+        initialize = CappedMsgState.initialize
+        monkeypatch.setattr(CappedMsgState, "initialize", lambda *args: built.append(args) or initialize(*args))
+        bundle = Lockstep()
+        for cfg in configs:
+            bundle.add(cfg, 8, 6)
+        monkeypatch.undo()
+        # one for each of the keys (2, 5, 2.0) and (3, 5, 2.0), one for each cost-weighted learner
+        assert len(built) == 2 + 8
+
+    def test_a_failing_shared_tracker_stops_only_its_readers(self, monkeypatch):
+        stream = small_stream(t=30, seed=4)
+        configs = _lockstep_configs()
+        expected = [play(make_learner(cfg, 8, 6), stream) for cfg in configs]
+        bundle = Lockstep()
+        for cfg in configs:
+            bundle.add(cfg, 8, 6)
+        msg = bundle.learners[configs.index(LearnerConfig(algorithm="dpp-pbc", cost="hamming", m=2, seed=5))].msg
+        update = msg.update
+
+        def failing(target, t, **kwargs):
+            if t == 3:
+                raise np.linalg.LinAlgError("eigensolver did not converge")
+            return update(target, t, **kwargs)
+
+        monkeypatch.setattr(msg, "update", failing)
+        steps = play(bundle, stream)
+        readers = [slot for slot, learner in enumerate(bundle.learners) if learner.msg is msg]
+        assert len(readers) == 7  # dpp-pbc, dpp-pbt and dpp-naive under two costs, and the SGD dpp-pbt
+        for slot, records in enumerate(expected):
+            error = bundle.errors[slot]
+            if slot in readers:
+                assert isinstance(error, np.linalg.LinAlgError) and error is bundle.errors[readers[0]]
+                assert [s[slot] for s in steps[2:]] == [None] * 28
+                assert [s[slot].y_hat.tobytes() for s in steps[:2]] == [r.y_hat.tobytes() for r in records[:2]]
+            else:
+                assert error is None
+                assert [s[slot].y_hat.tobytes() for s in steps] == [r.y_hat.tobytes() for r in records]
+                assert [s[slot].incurred_cost for s in steps] == [r.incurred_cost for r in records]
 
     def test_join_before_any_step(self):
         stream = small_stream(t=3, seed=1)
@@ -539,6 +582,20 @@ class TestLabelChecks:
         play(learner, small_stream(t=5, seed=6))
         with pytest.raises(ValueError, match=r"^label vectors must take values in \{-1,\+1\}$"):
             learner.step(np.full(8, 0.3), self._labels(bad, dtype))
+
+    @pytest.mark.parametrize("algorithm", ["dpp-pbc", "cs-dpp-pbc", "o-br"])
+    def test_a_rejected_step_leaves_the_learner_untouched(self, algorithm):
+        stream = small_stream(t=12, seed=6)
+        config = LearnerConfig(algorithm=algorithm, m=2, cost="f1", seed=2)
+        rejecting, clean = make_learner(config, 8, 6), make_learner(config, 8, 6)
+        play(rejecting, stream[:6])
+        play(clean, stream[:6])
+        before = json.dumps(to_snapshot(rejecting))
+        with pytest.raises(ValueError):
+            rejecting.step(np.full(8, 0.3), self._labels(0, np.int8))
+        assert json.dumps(to_snapshot(rejecting)) == before
+        for got, want in zip(play(rejecting, stream[6:]), play(clean, stream[6:])):
+            assert (got.t, got.y_hat.tobytes(), got.incurred_cost) == (want.t, want.y_hat.tobytes(), want.incurred_cost)
 
     @pytest.mark.parametrize("bad, dtype", BAD_LABELS)
     def test_lockstep_stops_every_learner_before_the_shared_tracker_moves(self, bad, dtype):
