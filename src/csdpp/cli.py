@@ -411,7 +411,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     for name in args.cost or []:
         if name not in available_costs():
             parser.error(f"unknown cost {name!r}; available: {available_costs()}")
-    mutants = sorted({*verify.MUTANTS.values(), *verify.FAST_PATH_MUTANTS.values()})
+    mutants = sorted({*verify.MUTANTS.values(), *itertools.chain(*verify.FAST_PATH_MUTANTS.values())})
     if args.mutant is not None and args.mutant not in mutants:
         parser.error(f"unknown mutant {args.mutant!r}; available: {mutants}")
     kwargs: dict = {"seed": args.seed, "mutant": args.mutant}

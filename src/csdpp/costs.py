@@ -28,8 +28,16 @@ each gap is then one float64 division of integers below 2**53, the double
 nearest the exact rational (as the rational walk `verify.walk_gaps` gives).
 So every hamming weight is the exact double 1/K, and the cost-weighted
 learner degenerates bit for bit to the unweighted one.  A learner step
-classifies its pair once and hands the result to `label_weights`; the public
-entry points classify, and so check, what they are given.
+classifies its pair once, checking y alone since its prediction is decoded,
+and hands the result to `label_weights`; the public entry points classify,
+and so check, what they are given.
+
+A built-in's numerator and denominator grow with every count, so their
+values at counts (K, K, K, K) bound the whole walk; while that bound squares
+below 2**53 (up to K = 3,444 for rank, past 2 * 10**7 for the others) the
+walk is not scanned.  A custom cost's walk, and a built-in's past its bound,
+is scanned for its largest count products, and one that reaches 2**53 is an
+error.
 
 The built-ins are trusted: their results are used as they are.  A custom
 cost's result is checked -- int64 integers, every denominator at least 1 --
@@ -71,6 +79,7 @@ _SHAPE_ERRORS = {
     1: "label vectors must share a non-empty 1-d shape, got {} vs {}",
     2: "label arrays must share a (T, K) shape with K >= 1, got {} vs {}",
 }
+_VALUE_ERROR = "label vectors must take values in {-1,+1}"
 
 
 def _validate_pair(y: np.ndarray, yhat: np.ndarray, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +103,7 @@ def _validate_pair(y: np.ndarray, yhat: np.ndarray, ndim: int = 1) -> tuple[np.n
         total = counts.sum(axis=1)
     _, fp, fn, tn = total.tolist()  # the entries other than +1 in y, then in yhat, must all be -1
     if np.count_nonzero(y == -1) != fp + tn or np.count_nonzero(yhat == -1) != fn + tn:
-        raise ValueError("label vectors must take values in {-1,+1}")
+        raise ValueError(_VALUE_ERROR)
     return category, counts
 
 
@@ -205,21 +214,29 @@ def random_order(k: int, seed: int) -> np.ndarray:
 
 def _gaps(cost: CostFunction, category: np.ndarray, counts: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     """Each label's signed gap c(forced wrong) - c(forced right), walking ``order``
-    (native order when None) along the last axis, from `_validate_pair`'s classification."""
+    (native order when None) along the last axis, from `_validate_pair`'s classification.
+
+    A built-in's numerator and denominator are polynomials with non-negative
+    coefficients in counts of at most K, so their values at (K, K, K, K)
+    bound them at every walk position: when that bound squares below 2**53,
+    every count product is an exact double and the walk is not scanned.
+    """
     at = order if order is None or order.ndim == 1 else (np.arange(order.shape[0])[:, None], order)
     correct, force = _MOVES.take(category if at is None else category[at], axis=-1)
     # the counts with the label at p forced right (labels up to p corrected,
     # labels after p as predicted), then with it forced wrong
+    correct[..., 0] += counts  # the predicted counts, carried along by the prefix sum
     walk = np.empty((4, 2, *category.shape), dtype=np.int64)
     right, wrong = walk[:, 0], walk[:, 1]
     correct.cumsum(axis=-1, out=right)
-    right += counts[..., None]
     np.add(right, force, out=wrong)
     num, den = _priced(cost, walk)  # rows: forced right, forced wrong
     # bounds |n_w| d_r, |n_r| d_w and d_w d_r: integers below 2**53 are exact doubles
-    peak_r, peak_w = np.maximum(abs(num), den).reshape(2, -1).max(axis=1).tolist()
-    if peak_r * peak_w >= 2**53:
-        raise ValueError(f"cost {cost.name!r}: count products reach 2**53, the weights would be inexact")
+    k = category.shape[-1]
+    if cost.counts not in _BUILTINS or max(cost.counts(k, k, k, k)) ** 2 >= 2**53:
+        peak_r, peak_w = np.maximum(abs(num), den).reshape(2, -1).max(axis=1).tolist()
+        if peak_r * peak_w >= 2**53:
+            raise ValueError(f"cost {cost.name!r}: count products reach 2**53, the weights would be inexact")
     cross = num * den[::-1]  # n_r d_w, n_w d_r
     gaps = (cross[1] - cross[0]) / (den[1] * den[0])
     if at is None:
@@ -243,8 +260,9 @@ def label_weights(
     at a time; the weight of label j is the absolute cost gap between forcing
     j wrong and forcing j right at that point, and a learner scales label j by
     its square root.  ``_classified`` is for the learner, which has already
-    classified (and so validated) the pair with `_validate_pair` and built the
-    order itself: given its (category, counts), nothing is checked again.
+    classified the pair as `_validate_pair` does (checking y; its prediction
+    is decoded) and built the order itself: given its (category, counts),
+    nothing is checked again.
     """
     if _classified is None:
         y = np.asarray(y)

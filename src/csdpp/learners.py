@@ -132,9 +132,12 @@ def tracker_key(config: LearnerConfig, k: int) -> tuple | None:
     return config.resolve_m(k), config.seed, config.eta_scale
 
 
+_SIGNS = np.array([-1, 1], dtype=np.int8)  # indexed by "is non-negative"
+
+
 def decode(basis: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Componentwise sign of basis^T code; sign(0) resolves to +1."""
-    return np.where(basis.T @ code >= 0.0, 1, -1).astype(np.int8)
+    """Componentwise sign of basis^T code as int8; sign(0) resolves to +1, and NaN to -1."""
+    return _SIGNS.take(basis.T @ code >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -190,6 +193,23 @@ class AuditTrail:
         self.max_gap = max(self.max_gap, gap)
         if gap > TOL.bound_audit:
             self.violations += 1
+
+
+def _classify(y: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`costs._validate_pair(y, y_hat)` for a ``y_hat`` from `decode`, which is a
+    {-1,+1} int8 vector of shape (K,), K >= 1: only y is checked.
+
+    The categories come as int8 (0 tp, 1 fp, 2 fn, 3 tn), the counts as int64.
+    """
+    if y.shape != y_hat.shape:
+        raise ValueError(costs_mod._SHAPE_ERRORS[1].format(y.shape, y_hat.shape))
+    category = 1 - y_hat  # 0 where y_hat is +1, 2 where it is -1
+    category += y != 1
+    counts = np.bincount(category, minlength=4)
+    _, fp, _, tn = counts.tolist()
+    if np.count_nonzero(y == -1) != fp + tn:  # the entries of y other than +1 must all be -1
+        raise ValueError(costs_mod._VALUE_ERROR)
+    return category, counts
 
 
 def _track(msg: CappedMsgState, rng: np.random.Generator, target: np.ndarray, t: int) -> np.ndarray:
@@ -292,7 +312,7 @@ class Learner:
             return decode(self.basis, code)
         if self.decoder is not None:
             return decode(self.decoder.T, code)
-        return np.where(code >= 0.0, 1, -1).astype(np.int8)
+        return _SIGNS.take(code >= 0.0)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self._decode(self._code(self.head.predict(x)))
@@ -301,14 +321,15 @@ class Learner:
         """Predict, decode, price and weight: (raw prediction, weighted labels, record).
 
         The (y, y_hat) pair is classified once, and the step counts only once
-        that has checked y: its confusion counts price the prediction, and a
-        cost-weighted learner walks its categories for the weights.
+        that has checked y (y_hat comes from `decode`, so it needs no check):
+        its confusion counts price the prediction, and a cost-weighted learner
+        walks its categories for the weights.
         """
         raw = self.head.predict(x)
         code = self._code(raw)
         y = np.asarray(y)
         y_hat = self._decode(code)
-        category, counts = costs_mod._validate_pair(y, y_hat)
+        category, counts = _classify(y, y_hat)
         self.t += 1
         incurred = costs_mod._price(self.cost, counts)
 

@@ -93,7 +93,7 @@ def symmetric_eigen(m: np.ndarray, *, _checked: bool = True) -> SymmetricEigen:
     return SymmetricEigen(values=w.take(order), vectors=np.ascontiguousarray(v))
 
 
-def project_capped_simplex(v: np.ndarray, budget: int) -> np.ndarray:
+def project_capped_simplex(v: np.ndarray, budget: int, *, _checked: bool = True) -> np.ndarray:
     """Euclidean projection of v onto {w : 0 <= w <= 1, sum w = budget}.
 
     The optimum is w = clip(v - tau, 0, 1) for the unique shift tau solving
@@ -107,24 +107,30 @@ def project_capped_simplex(v: np.ndarray, budget: int) -> np.ndarray:
     NumPy calls that dominate at the tracker's sizes (n = M+1).  It gives the
     sweep's bits: NumPy sums a contiguous row of fewer than 8 entries in
     order, as the scalar loop does, and the scalar clip keeps ``np.clip``'s
-    -0.0.  A finite input with no zero entry has no -0.0 breakpoint, so its
-    tied breakpoints are equal bits whatever order either sort leaves them
-    in; any other input takes the NumPy sweep.
+    -0.0.  An input with no zero entry has no -0.0 breakpoint, so its tied
+    breakpoints are equal bits whatever order either sort leaves them in; an
+    input with a zero entry takes the NumPy sweep.
 
     Args:
-        v: real vector.
+        v: finite real vector.
         budget: required sum, integer with 0 < budget <= len(v).
+        _checked: ``False`` is for the tracker, whose contiguous float64
+            eigenvalues are finite and whose budget fits by construction: it
+            skips the conversion and the checks.
 
     Raises:
-        ValueError: if the budget is out of range.
+        ValueError: if ``v`` is not a vector, has non-finite entries or the
+            budget is out of range.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    n = v.size
-    if not 0 < budget <= n:
-        raise ValueError(f"budget must satisfy 0 < budget <= {n}, got {budget}")
-    if n >= 8 or 0.0 in (values := v.tolist()) or not all(map(math.isfinite, values)):
+    if _checked:
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim != 1:
+            raise ValueError(f"expected a vector, got shape {v.shape}")
+        if not 0 < budget <= v.size:
+            raise ValueError(f"budget must satisfy 0 < budget <= {v.size}, got {budget}")
+        if not np.isfinite(v).all():
+            raise ValueError("vector has non-finite entries")
+    if v.size >= 8 or 0.0 in (values := v.tolist()):
         return projection_sweep(v, budget)
     target = float(budget)
     bps = sorted([x - 1.0 for x in values] + values)

@@ -25,7 +25,9 @@ makes the sampled encoder an unbiased proxy for the tracked subspace.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -142,7 +144,8 @@ class CappedMsgState:
         eig = symmetric_eigen(small, _checked=False)
         top = eig.values[:rows]          # drop the smallest direction if M+2 present
         vecs = eig.vectors[:, :rows]
-        self.sigma = project_capped_simplex(top, self.m)
+        # the eigenvalues of a finite matrix: finite, so the projection need not check them
+        self.sigma = project_capped_simplex(top, self.m, _checked=False)
         self.q = vecs.T @ frame
 
     def removal_probabilities(self) -> np.ndarray:
@@ -150,12 +153,23 @@ class CappedMsgState:
         return np.maximum(1.0 - self.sigma, 0.0)
 
     def sample_projection(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw P (M x K): the frame with one row removed; E[P^T P] equals U."""
-        probs = self.removal_probabilities()
-        u = float(rng.random()) * float(probs.sum())
-        # the first row whose running total exceeds u (cumsum adds in order, as a
-        # loop would); a total that rounds below u falls through to the last row
-        drop = min(int(probs.cumsum().searchsorted(u, "right")), self.m)
+        """Draw P (M x K): the frame with one row removed; E[P^T P] equals U.
+
+        Row i is removed where the running total of the removal probabilities
+        first exceeds u, a uniform draw scaled by their total; a total that
+        rounds below u falls through to the last row.  Below 8 rows the totals
+        are taken on Python floats, which skips the NumPy calls that dominate
+        at the tracker's sizes.  That gives the NumPy path's bits: NumPy sums
+        fewer than 8 entries in order, and ``cumsum`` always adds in order.
+        """
+        if self.m < 7:
+            running = list(accumulate(max(1.0 - s, 0.0) for s in self.sigma.tolist()))
+            drop = bisect_right(running, float(rng.random()) * running[-1])
+        else:
+            probs = self.removal_probabilities()
+            u = float(rng.random()) * float(probs.sum())
+            drop = int(probs.cumsum().searchsorted(u, "right"))
+        drop = min(drop, self.m)
         basis = np.empty_like(self.q, shape=(self.m, self.k))  # the frame's memory order, as np.delete keeps it
         basis[:drop] = self.q[:drop]
         basis[drop:] = self.q[drop + 1 :]

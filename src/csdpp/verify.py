@@ -20,7 +20,7 @@ import numpy as np
 
 from . import costs as costs_mod
 from .evaluation import expected_regret, offline_plst, run_with_snapshots, theorem2_bound
-from .learners import LearnerConfig, decode, make_learner
+from .learners import LearnerConfig, _classify, decode, make_learner
 from .linalg import TOL, project_capped_simplex, projection_sweep, symmetric_eigen
 from .online_pca import CappedMsgState, EtaSchedule
 from .regressor import Head
@@ -37,11 +37,14 @@ MUTANTS = {
     "regret": "inverted-spectrum",       # online losses reconstruct U from 1-sigma
     "tracker": "skip-residual",          # every observation treated as in-span
 }
-# a defect in a fast path that its suite checks bit for bit against the exact path it replaced
+# defects in the fast paths that a suite checks bit for bit against the exact paths they replaced
 FAST_PATH_MUTANTS = {
-    "lemma3": "native-walk",             # the learner's weights walk native order whatever the order
-    "projection": "reversed-sum",        # the small-n projection sums each clipped row last to first
-    "tracker": "reassociated-eta",       # the unchecked step's step size taken as scale (m/k) / sqrt(t)
+    "lemma3": ("native-walk",),          # the learner's weights walk native order whatever the order
+    "projection": ("reversed-sum",),     # the small-n projection sums each clipped row last to first
+    "tracker": (
+        "reassociated-eta",              # the unchecked step's step size taken as scale (m/k) / sqrt(t)
+        "reversed-draw",                 # the scalar draw (below 8 rows) walks its running total last row to first
+    ),
 }
 
 
@@ -160,6 +163,14 @@ def _reassociated(schedule: EtaSchedule):
     return lambda t: schedule.scale * (schedule.m / schedule.k) / math.sqrt(t)
 
 
+def _draw(state: CappedMsgState, rng: np.random.Generator, mutant) -> np.ndarray:
+    """``state.sample_projection(rng)``, or below 8 rows its ``reversed-draw`` defect."""
+    if mutant == "reversed-draw" and state.m < 7:
+        flipped = CappedMsgState(state.q[::-1], state.sigma[::-1], state.m, state.schedule)
+        return flipped.sample_projection(rng)[::-1]
+    return state.sample_projection(rng)
+
+
 def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str | None = None) -> SuiteReport:
     """Factored tracker updates against the dense K x K step, and bit for bit against the checked step.
 
@@ -187,7 +198,7 @@ def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str 
             if step % 5 == 0:  # exercise the in-span branch too
                 y = state.q.T @ (state.q @ y)
             seen = state.q.T @ (state.q @ y) if mutant == "skip-residual" else y
-            basis, ref_basis = state.sample_projection(fast_rng), sequential_draw(ref, ref_rng)
+            basis, ref_basis = _draw(state, fast_rng, mutant), sequential_draw(ref, ref_rng)
             state.update(seen, step)
             lean.update(seen, step, _checked=False)  # seen is contiguous float64 of norm <= 1
             checked_tracker_step(ref, seen, step)
@@ -247,10 +258,11 @@ def _weights_for(cost, y, yhat, order, mutant):
 
 
 def _learner_weights(cost, y, yhat, order, mutant) -> np.ndarray:
-    """The learner's path: square-rooted weights from one classification of the pair,
-    walking ``order``, or native order directly when it is None."""
+    """The learner's path: square-rooted weights from its classification of the pair
+    (yhat, like a decoded prediction, is {-1,+1} int8), walking ``order``, or
+    native order directly when it is None."""
     walk = None if mutant == "native-walk" else order
-    weights = costs_mod.label_weights(cost, y, yhat, walk, _classified=costs_mod._validate_pair(y, yhat))
+    weights = costs_mod.label_weights(cost, y, yhat, walk, _classified=_classify(y, yhat))
     return np.sqrt(weights, out=weights)
 
 

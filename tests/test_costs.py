@@ -310,6 +310,28 @@ class TestLabelWeights:
         with pytest.raises(ValueError, match="'unpriced'.*denominator below 1"):
             label_weights(unpriced, Y, YHAT)
 
+    @pytest.mark.parametrize("cost", BUILTINS, ids=lambda cost: cost.name)
+    def test_a_builtins_value_at_k_bounds_every_walk_position(self, cost):
+        # a walk position's counts lie in [0, K]; where (K, K, K, K) squares below 2**53, no scan runs
+        for k in range(1, 11):
+            num_bound, den_bound = cost.counts(k, k, k, k)
+            for counts in itertools.product(range(k + 1), repeat=4):
+                num, den = cost.counts(*counts)
+                assert abs(num) <= num_bound and den <= den_bound, (k, counts)
+
+    @pytest.mark.parametrize("k", [200, 4096])
+    def test_a_scanned_custom_cost_gives_the_builtins_bits(self, k):
+        # a custom cost is always scanned; at K = 4,096 rank's bound proves nothing, so it is scanned too
+        assert (max(rank.counts(k, k, k, k)) ** 2 < 2**53) == (k == 200)
+        scanned = CostFunction("scanned-rank", lambda *counts: rank.counts(*counts))
+        rng = np.random.default_rng(k)
+        for p in (0.05, 0.5):
+            y = np.where(rng.random(k) < p, 1, -1).astype(np.int8)
+            yhat = np.where(rng.random(k) < p, 1, -1).astype(np.int8)
+            for order in (None, rng.permutation(k)):
+                got = label_weights(scanned, y, yhat, order)
+                assert got.tobytes() == label_weights(rank, y, yhat, order).tobytes()
+
     def test_zero_weights_silence_every_label(self):
         # the rank cost is 0 when the truth has no positive/negative pair
         wd = label_weights(get_cost("rank"), np.ones(3, dtype=np.int8), YHAT)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from csdpp import costs
+from csdpp import costs, learners
 from csdpp.costs import _REGISTRY, CostFunction, get_cost, register_cost
 from csdpp.evaluation import offline_plst
 from csdpp.learners import (
@@ -532,8 +532,8 @@ class TestLearning:
 
     def test_weighted_step_validates_its_pair_once(self, monkeypatch):
         calls = []
-        validate = costs._validate_pair
-        monkeypatch.setattr(costs, "_validate_pair", lambda y, yhat: calls.append(1) or validate(y, yhat))
+        classify = learners._classify
+        monkeypatch.setattr(learners, "_classify", lambda y, yhat: calls.append(1) or classify(y, yhat))
         learner = make_learner(LearnerConfig(algorithm="cs-dpp-pbc", m=2, cost="f1", seed=3), 8, 6)
         play(learner, small_stream(t=7, seed=14))
         assert len(calls) == 7
@@ -596,6 +596,44 @@ class TestLabelChecks:
         assert json.dumps(to_snapshot(rejecting)) == before
         for got, want in zip(play(rejecting, stream[6:]), play(clean, stream[6:])):
             assert (got.t, got.y_hat.tobytes(), got.incurred_cost) == (want.t, want.y_hat.tobytes(), want.incurred_cost)
+
+    def test_classify_gives_the_pair_checks_classification(self):
+        # the learner checks y alone, against a decoded {-1,+1} int8 prediction
+        rng = np.random.default_rng(21)
+        signs = np.array([-1, 1], dtype=np.int8)
+        for trial in range(300):
+            k = (1, 2, 6, 200)[trial % 4]
+            y = rng.choice(signs, size=k).astype((np.int8, np.int64, np.float64)[trial % 3])
+            y_hat = rng.choice(signs, size=k)
+            category, counts = learners._classify(y, y_hat)
+            want_category, want_counts = costs._validate_pair(y, y_hat)
+            np.testing.assert_array_equal(category, want_category)
+            assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.array([1, -1, 1, 0, -1, 1], dtype=np.int8),
+            np.array([1, -1, 1, 2, -1, 1], dtype=np.int8),
+            np.array([1, -1, 1, np.nan, -1, 1]),
+            np.ones(5, dtype=np.int8),
+            np.ones((6, 1), dtype=np.int8),
+        ],
+    )
+    def test_classify_rejects_y_as_the_pair_check_does(self, y):
+        y_hat = np.array([1, -1, -1, 1, -1, 1], dtype=np.int8)
+        with pytest.raises(ValueError) as want:
+            costs._validate_pair(y, y_hat)
+        with pytest.raises(ValueError) as got:
+            learners._classify(y, y_hat)
+        assert str(got.value) == str(want.value)
+        learner = make_learner(LearnerConfig(algorithm="cs-dpp-pbc", m=2, cost="f1", seed=2), 8, 6)
+        play(learner, small_stream(t=5, seed=6))
+        before = json.dumps(to_snapshot(learner))
+        with pytest.raises(ValueError) as stepped:
+            learner.step(np.full(8, 0.3), y)
+        assert str(stepped.value) == str(want.value)
+        assert json.dumps(to_snapshot(learner)) == before
 
     @pytest.mark.parametrize("bad, dtype", BAD_LABELS)
     def test_lockstep_stops_every_learner_before_the_shared_tracker_moves(self, bad, dtype):

@@ -129,6 +129,14 @@ class TestCappedSimplexProjection:
         with pytest.raises(ValueError, match="budget"):
             project_capped_simplex(np.array([1.0, 2.0]), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_non_finite_entries_are_rejected(self, bad, n):
+        v = np.linspace(0.2, 0.5, n)
+        v[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            project_capped_simplex(v, 1)
+
     def test_full_budget_saturates(self):
         np.testing.assert_allclose(project_capped_simplex(np.array([-3.0, 0.2, 9.0]), 3), np.ones(3))
 

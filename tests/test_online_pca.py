@@ -189,7 +189,7 @@ class _FixedDraw:
 class TestBitsAgainstCheckedStep:
     """`update` and `sample_projection` against the step as first written (verify's oracles)."""
 
-    @pytest.mark.parametrize("k, m", [(3, 1), (8, 3), (30, 7), (60, 25), (200, 4)])
+    @pytest.mark.parametrize("k, m", [(3, 1), (8, 3), (21, 6), (30, 7), (60, 25), (200, 4)])
     def test_steps_and_draws_match_bit_for_bit(self, k, m, monkeypatch):
         dims = []
         eigen = online_pca.symmetric_eigen
@@ -235,11 +235,18 @@ class TestBitsAgainstCheckedStep:
             ([1.0, 0.5, 0.5], 0.0, 1),    # row 0 is never removed, even at u = 0
             ([0.5, 0.5, 1.0], 0.5, 1),    # u equals the partial sum of row 0
             ([0.25, 0.75, 1.0], 1.0, 2),  # u reaches the total: fall through to row M
+            # 7 rows, the scalar draw's largest, and 8, the NumPy draw's smallest: removal
+            # probabilities 0, 0 (sigma just above 1, clamped), 1/4, 1/2, 1/4 and then 0
+            *(
+                ([1.0, 1.0 + 2**-52, 0.75, 0.5, 0.75, *[1.0] * (rows - 5)], value, dropped)
+                for rows in (7, 8)
+                for value, dropped in ((0.0, 2), (0.25, 3), (0.75, 4), (1.0, rows - 1))
+            ),
         ],
     )
     def test_sampler_edge_cases(self, order, sigma, value, dropped):
-        q = np.asarray(np.random.default_rng(1).standard_normal((3, 6)), order=order)
-        st = CappedMsgState(q, np.array(sigma), 2, lambda t: 0.0)
+        q = np.asarray(np.random.default_rng(1).standard_normal((len(sigma), 6)), order=order)
+        st = CappedMsgState(q, np.array(sigma), len(sigma) - 1, lambda t: 0.0)
         basis = st.sample_projection(_FixedDraw(value))
         ref = sequential_draw(st, _FixedDraw(value))
         np.testing.assert_array_equal(basis, np.delete(q, dropped, axis=0))
