@@ -414,6 +414,10 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     mutants = sorted({*verify.MUTANTS.values(), *itertools.chain(*verify.FAST_PATH_MUTANTS.values())})
     if args.mutant is not None and args.mutant not in mutants:
         parser.error(f"unknown mutant {args.mutant!r}; available: {mutants}")
+    if args.cost and set(verify.blind_costs(args.mutant, args.cost)) == set(args.cost):
+        seen = sorted(set(available_costs()) - set(verify.blind_costs(args.mutant, available_costs())))
+        parser.error(f"mutant {args.mutant!r} cannot change the weights of {', '.join(sorted(set(args.cost)))}; "
+                     f"add a --cost it can change: {', '.join(seen)}")
     kwargs: dict = {"seed": args.seed, "mutant": args.mutant}
     if args.trials is not None:
         kwargs.update(

@@ -26,18 +26,36 @@ label's change when corrected (looked up from its category) give every
 position's forced-right counts, and one more change forces the label wrong;
 each gap is then one float64 division of integers below 2**53, the double
 nearest the exact rational (as the rational walk `verify.walk_gaps` gives).
-So every hamming weight is the exact double 1/K, and the cost-weighted
-learner degenerates bit for bit to the unweighted one.  A learner step
-classifies its pair once, checking y alone since its prediction is decoded,
-and hands the result to `label_weights`; the public entry points classify,
-and so check, what they are given.
+A learner step classifies its pair once, checking y alone since its
+prediction is decoded, and hands the result to `label_weights`; the public
+entry points classify, and so check, what they are given.
+
+Two built-ins are walk-free: for hamming and rank a label's gap depends only
+on its truth sign, never on the walk position or the order, so their weights
+come from a two-entry table instead of the walk.  With P and N the truth's
+positive and negative labels:
+
+  hamming   : the denominator is K at every position, and forcing a label
+              wrong adds 1 to the numerator, so every weight is 1/K
+  rank      : the denominator 2PN is the same at every position; forcing a
+              positive label wrong adds N to the numerator and a negative one
+              P, so a positive weighs 1/(2P) and a negative 1/(2N) (0 where
+              P N = 0, as the floored denominator prices it)
+
+So every walk position holds the same rational, and the walk's float64
+division of integers below 2**53 gives its correctly rounded double; the
+table prices the all-right counts (P, 0, 0, N) and one label of each sign
+forced wrong on Python ints, whose true division rounds the same rational
+correctly: bit for bit the walk, at any K.  Every hamming weight is the exact
+double 1/K, and the cost-weighted learner degenerates bit for bit to the
+unweighted one.
 
 A built-in's numerator and denominator grow with every count, so their
 values at counts (K, K, K, K) bound the whole walk; while that bound squares
 below 2**53 (up to K = 3,444 for rank, past 2 * 10**7 for the others) the
 walk is not scanned.  A custom cost's walk, and a built-in's past its bound,
 is scanned for its largest count products, and one that reaches 2**53 is an
-error.
+error.  The table has no such bound.
 
 The built-ins are trusted: their results are used as they are.  A custom
 cost's result is checked -- int64 integers, every denominator at least 1 --
@@ -202,6 +220,8 @@ HAMMING = _builtin("hamming", lambda tp, fp, fn, tn: (fp + fn, tp + fp + fn + tn
 RANK = _builtin("rank", lambda tp, fp, fn, tn: (2 * fn * fp + tp * fp + fn * tn, _floor(2 * (tp + fn) * (fp + tn))))
 F1 = _builtin("f1", lambda tp, fp, fn, tn: (fp + fn, _floor(2 * tp + fp + fn)))
 ACCURACY = _builtin("accuracy", lambda tp, fp, fn, tn: (fp + fn, _floor(tp + fp + fn)))
+# the built-ins whose gap depends on the label's truth sign alone (see the module docstring)
+_WALK_FREE: set[Callable] = {HAMMING.counts, RANK.counts}
 
 
 def native_order(k: int) -> np.ndarray:
@@ -212,15 +232,37 @@ def random_order(k: int, seed: int) -> np.ndarray:
     return substream(seed, PURPOSE_LABEL_ORDER).permutation(k)
 
 
+def _sign_table(counts: Callable, tp: int, fp: int, fn: int, tn: int) -> np.ndarray:
+    """A walk-free built-in's gap for each confusion category (0 tp, 1 fp, 2 fn, 3 tn):
+    the positive label's gap for tp and fn, the negative label's for fp and tn.
+
+    Each gap is (n_w d_r - n_r d_w) / (d_w d_r) on Python ints, from the
+    all-right counts and one label of that sign forced wrong.  A sign y does
+    not contain is not forced, so that no count goes negative: its entry,
+    which no label reads, repeats the other sign's.
+    """
+    p, n = tp + fn, fp + tn
+    n_r, d_r = counts(p, 0, 0, n)
+    forced = [counts(*wrong) for wrong, held in (((p - 1, 0, 1, n), p), ((p, 1, 0, n - 1), n)) if held]
+    gaps = [(n_w * d_r - n_r * d_w) / (d_w * d_r) for n_w, d_w in forced]
+    pos, neg = gaps if len(gaps) == 2 else gaps * 2
+    return np.array((pos, neg, pos, neg))
+
+
 def _gaps(cost: CostFunction, category: np.ndarray, counts: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     """Each label's signed gap c(forced wrong) - c(forced right), walking ``order``
     (native order when None) along the last axis, from `_validate_pair`'s classification.
 
-    A built-in's numerator and denominator are polynomials with non-negative
-    coefficients in counts of at most K, so their values at (K, K, K, K)
-    bound them at every walk position: when that bound squares below 2**53,
-    every count product is an exact double and the walk is not scanned.
+    A walk-free built-in takes one label vector's gaps from `_sign_table`,
+    whatever the order.  A batch (`check_condition`'s probe of the walk
+    itself) always walks.  A built-in's numerator and denominator are
+    polynomials with non-negative coefficients in counts of at most K, so
+    their values at (K, K, K, K) bound them at every walk position: when that
+    bound squares below 2**53, every count product is an exact double and the
+    walk is not scanned.
     """
+    if category.ndim == 1 and cost.counts in _WALK_FREE:
+        return _sign_table(cost.counts, *counts.tolist()).take(category)
     at = order if order is None or order.ndim == 1 else (np.arange(order.shape[0])[:, None], order)
     correct, force = _MOVES.take(category if at is None else category[at], axis=-1)
     # the counts with the label at p forced right (labels up to p corrected,
@@ -259,10 +301,14 @@ def label_weights(
     Walks ``order`` (native order by default) from yhat, correcting one label
     at a time; the weight of label j is the absolute cost gap between forcing
     j wrong and forcing j right at that point, and a learner scales label j by
-    its square root.  ``_classified`` is for the learner, which has already
-    classified the pair as `_validate_pair` does (checking y; its prediction
-    is decoded) and built the order itself: given its (category, counts),
-    nothing is checked again.
+    its square root.  For the walk-free built-ins, hamming and rank, that gap
+    is the same at every point (see the module docstring), so the order changes
+    nothing and the weights come from a table by truth sign: 1/K for hamming,
+    1/(2P) per positive and 1/(2N) per negative label for rank, bit for bit
+    what the walk gives; ``order`` is still checked.  ``_classified`` is for
+    the learner, which has already classified the pair as `_validate_pair`
+    does (checking y; its prediction is decoded) and built the order itself:
+    given its (category, counts), nothing is checked again.
     """
     if _classified is None:
         y = np.asarray(y)

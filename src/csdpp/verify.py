@@ -26,7 +26,7 @@ from .online_pca import CappedMsgState, EtaSchedule
 from .regressor import Head
 from .stream import planted_subspace_stream, substream
 
-__all__ = ["SUITES", "MUTANTS", "FAST_PATH_MUTANTS", "SuiteReport", "run_suite", "run_suites"]
+__all__ = ["SUITES", "MUTANTS", "FAST_PATH_MUTANTS", "SuiteReport", "blind_costs", "run_suite", "run_suites"]
 
 MUTANTS = {
     "lemma1": "keep-probabilities",      # removal probs read sigma instead of 1-sigma
@@ -39,13 +39,32 @@ MUTANTS = {
 }
 # defects in the fast paths that a suite checks bit for bit against the exact paths they replaced
 FAST_PATH_MUTANTS = {
-    "lemma3": ("native-walk",),          # the learner's weights walk native order whatever the order
+    "lemma3": (
+        "native-walk",                   # the learner's weights walk native order whatever the order
+        # the learner's path reads each label's truth sign flipped: a walk-free cost's label takes the other
+        # sign's table entry, and hamming's two are equal, so of the walk-free costs only rank shows it
+        "swapped-walk-free",
+    ),
     "projection": ("reversed-sum",),     # the small-n projection sums each clipped row last to first
     "tracker": (
         "reassociated-eta",              # the unchecked step's step size taken as scale (m/k) / sqrt(t)
         "reversed-draw",                 # the scalar draw (below 8 rows) walks its running total last row to first
     ),
 }
+
+
+def blind_costs(mutant: str | None, cost_names: list[str]) -> list[str]:
+    """The costs among ``cost_names`` whose weights ``mutant`` cannot change.
+
+    A walk-free cost's gaps do not depend on the walk (see `costs`), so no
+    defect in the walk's context or order shows in them; hamming's two table
+    entries are equal, so swapping them shows nothing either.
+    """
+    if mutant == "swapped-walk-free":
+        return [name for name in cost_names if costs_mod.get_cost(name).counts is costs_mod.HAMMING.counts]
+    if mutant in ("static-context", "native-walk"):
+        return [name for name in cost_names if costs_mod.get_cost(name).counts in costs_mod._WALK_FREE]
+    return []
 
 
 @dataclass
@@ -262,7 +281,10 @@ def _learner_weights(cost, y, yhat, order, mutant) -> np.ndarray:
     (yhat, like a decoded prediction, is {-1,+1} int8), walking ``order``, or
     native order directly when it is None."""
     walk = None if mutant == "native-walk" else order
-    weights = costs_mod.label_weights(cost, y, yhat, walk, _classified=_classify(y, yhat))
+    category, counts = _classify(y, yhat)
+    if mutant == "swapped-walk-free":
+        category = category ^ 1  # tp <-> fp, fn <-> tn: the truth sign flipped, the counts kept
+    weights = costs_mod.label_weights(cost, y, yhat, walk, _classified=(category, counts))
     return np.sqrt(weights, out=weights)
 
 

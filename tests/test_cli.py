@@ -890,6 +890,25 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert [c["name"] for c in payload[0]["checks"] if not c["passed"]] == ["sweep-agreement"]
 
+    @pytest.mark.parametrize(
+        "mutant, costs",
+        [("static-context", ["rank"]), ("native-walk", ["hamming", "rank"]), ("swapped-walk-free", ["hamming"])],
+    )
+    def test_a_mutant_no_selected_cost_can_show_is_usage_error(self, capsys, mutant, costs):
+        # a walk-free cost's weights do not depend on the walk, and hamming's two entries are equal
+        args = [arg for cost in costs for arg in ("--cost", cost)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "lemma3", *args, "--trials", "200", "--mutant", mutant)
+        assert exc.value.code == 2
+        assert f"mutant {mutant!r} cannot change the weights of {', '.join(costs)}; add a --cost" in capsys.readouterr().err
+
+    def test_a_walk_free_cost_beside_one_the_mutant_shows_still_runs(self, capsys):
+        for mutant in ("static-context", "native-walk", "swapped-walk-free"):
+            assert run_cli("verify", "lemma3", "--cost", "hamming", "--cost", "f1", "--trials", "50", "--mutant", mutant) == 1
+            payload = json.loads(capsys.readouterr().out)
+            failed = {c["name"] for c in payload[0]["checks"] if not c["passed"]}
+            assert "walk-agreement-f1" in failed and not {"decomposition-hamming", "walk-agreement-hamming"} & failed
+
     def test_unknown_cost_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "lemma3", "--cost", "nope")

@@ -292,12 +292,14 @@ class TestLabelWeights:
                 np.testing.assert_array_equal(got, np.abs(walk_gaps(cost, y, yhat, order)))
 
     def test_exactness_guard(self):
-        # balanced rank denominators are 2 (K/2)^2, so their square reaches 2**53 between K = 13,000 and 14,000
+        # balanced rank denominators are 2 (K/2)^2, so their square reaches 2**53 between K = 13,000 and
+        # 14,000; the built-in rank takes its table, so its lambda walks as a custom cost
+        walked_rank = CostFunction("walked-rank", lambda *counts: rank.counts(*counts))
         y = np.tile(np.array([1, -1], dtype=np.int8), 6_500)
-        assert label_weights(rank, y, -y).sum() == pytest.approx(rank(y, -y), abs=1e-9)
+        assert label_weights(walked_rank, y, -y).sum() == pytest.approx(rank(y, -y), abs=1e-9)
         y = np.tile(np.array([1, -1], dtype=np.int8), 7_000)
-        with pytest.raises(ValueError, match="'rank'.*2\\*\\*53"):
-            label_weights(rank, y, -y)
+        with pytest.raises(ValueError, match="'walked-rank'.*2\\*\\*53"):
+            label_weights(walked_rank, y, -y)
         huge = CostFunction("huge", lambda tp, fp, fn, tn: (fp + fn, (tp + fp + fn + tn) * 2**40))
         with pytest.raises(ValueError, match="'huge'.*2\\*\\*53"):
             label_weights(huge, Y, YHAT)
@@ -321,7 +323,8 @@ class TestLabelWeights:
 
     @pytest.mark.parametrize("k", [200, 4096])
     def test_a_scanned_custom_cost_gives_the_builtins_bits(self, k):
-        # a custom cost is always scanned; at K = 4,096 rank's bound proves nothing, so it is scanned too
+        # a custom cost always walks and is always scanned, while the built-in rank takes its table;
+        # at K = 4,096 rank's bound proves nothing, so its walk would be scanned too
         assert (max(rank.counts(k, k, k, k)) ** 2 < 2**53) == (k == 200)
         scanned = CostFunction("scanned-rank", lambda *counts: rank.counts(*counts))
         rng = np.random.default_rng(k)
@@ -331,6 +334,50 @@ class TestLabelWeights:
             for order in (None, rng.permutation(k)):
                 got = label_weights(scanned, y, yhat, order)
                 assert got.tobytes() == label_weights(rank, y, yhat, order).tobytes()
+
+    @staticmethod
+    def table_against_walk(cost, y, yhat, orders):
+        """Each label's table gap against the array walk's gap at its position, in every order of ``orders``."""
+        table = costs._gaps(cost, *costs._validate_pair(y, yhat), None)
+        rows = len(orders)
+        walked = costs._gaps(cost, *costs._validate_pair(np.tile(y, (rows, 1)), np.tile(yhat, (rows, 1)), 2), orders)
+        assert (table >= 0).all() and walked.tobytes() == np.tile(table, (rows, 1)).tobytes()
+
+    @pytest.mark.parametrize("cost", [hamming, rank], ids=lambda cost: cost.name)
+    def test_the_walk_free_table_is_the_walk_at_every_position(self, cost):
+        # every (y, yhat, order) at K <= 5, then random triples at K = 200 in native and random order
+        assert costs._WALK_FREE == {hamming.counts, rank.counts}
+        signs = np.array([-1, 1], dtype=np.int8)
+        for k in range(1, 6):
+            orders = np.array(list(itertools.permutations(range(k))))
+            for i in range(2**k):
+                for j in range(2**k):
+                    self.table_against_walk(cost, signs[(i >> np.arange(k)) & 1], signs[(j >> np.arange(k)) & 1], orders)
+        rng = np.random.default_rng(23)
+        for p in (0.005, 0.05, 0.5, 0.95):
+            y = np.where(rng.random(200) < p, 1, -1).astype(np.int8)
+            yhat = np.where(rng.random(200) < p, 1, -1).astype(np.int8)
+            orders = np.stack([np.arange(200), *(rng.permutation(200) for _ in range(5))])
+            self.table_against_walk(cost, y, yhat, orders)
+
+    def test_rank_past_the_old_exactness_bound(self):
+        # at K = 20,000 the walk's count products pass 2**53; the table is exact at any K
+        rng = np.random.default_rng(20_000)
+        y = rng.choice(np.array([-1, 1], dtype=np.int8), size=20_000)
+        yhat = rng.choice(np.array([-1, 1], dtype=np.int8), size=20_000)
+        p, n = int(np.count_nonzero(y == 1)), int(np.count_nonzero(y == -1))
+        assert max(rank.counts(p, n, p, n)) ** 2 >= 2**53
+        for order in (None, rng.permutation(20_000)):
+            w = label_weights(rank, y, yhat, order)
+            assert (w[y == 1] == float(Fraction(1, 2 * p))).all() and (w[y == -1] == float(Fraction(1, 2 * n))).all()
+            assert (label_weights(hamming, y, yhat, order) == float(Fraction(1, 20_000))).all()
+        assert float(np.sum(w[y != yhat])) == pytest.approx(rank(y, yhat), abs=1e-12)
+
+    @pytest.mark.parametrize("cost", [hamming, rank], ids=lambda cost: cost.name)
+    @pytest.mark.parametrize("order", [[0, 0, 2], [0, 1], [1, 2, 3], [[0, 1, 2]]])
+    def test_a_walk_free_cost_still_checks_its_order(self, cost, order):
+        with pytest.raises(ValueError, match="permutation"):
+            label_weights(cost, Y, YHAT, np.array(order))
 
     def test_zero_weights_silence_every_label(self):
         # the rank cost is 0 when the truth has no positive/negative pair

@@ -538,6 +538,15 @@ class TestLearning:
         play(learner, small_stream(t=7, seed=14))
         assert len(calls) == 7
 
+    def test_a_walk_free_cost_weighs_each_step_from_its_table(self, monkeypatch):
+        tables = []
+        table = costs._sign_table
+        monkeypatch.setattr(costs, "_sign_table", lambda *args: tables.append(args[0]) or table(*args))
+        for cost in ("rank", "hamming", "f1"):
+            learner = make_learner(LearnerConfig(algorithm="cs-dpp-pbt", m=2, cost=cost, label_order="random"), 8, 6)
+            play(learner, small_stream(t=7, seed=15))
+        assert tables == [get_cost("rank").counts] * 7 + [get_cost("hamming").counts] * 7  # f1 walks
+
     def test_tracked_step_runs_each_traced_layer_once(self, monkeypatch):
         # the benchmark's per-layer split wraps these module attributes by name;
         # a step that bypassed one would silently drop its layer from the split

@@ -6,7 +6,15 @@ import pytest
 from csdpp.linalg import project_capped_simplex
 from csdpp.online_pca import CappedMsgState
 from csdpp.regressor import RidgeAccumulator
-from csdpp.verify import FAST_PATH_MUTANTS, MUTANTS, SUITES, grid_projection_oracle, run_suite, run_suites
+from csdpp.verify import (
+    FAST_PATH_MUTANTS,
+    MUTANTS,
+    SUITES,
+    blind_costs,
+    grid_projection_oracle,
+    run_suite,
+    run_suites,
+)
 
 # trimmed trial counts: enough signal for the defect injectors, quick in CI
 REDUCED = {
@@ -94,6 +102,17 @@ class TestMutantsFail:
             assert expected[name] in failed and not {"decomposition-f1", "grid-agreement", "dense-agreement"} & failed
             if name == "tracker":
                 assert {c["name"]: c for c in report.checks}["checked-agreement"]["witness"]["parts"] == parts[mutant]
+
+    def test_swapped_walk_free_breaks_walk_agreement_under_rank_alone(self):
+        report = run_suite("lemma3", random_trials=50, cost_names=["hamming", "rank"], mutant="swapped-walk-free")
+        failed = {c["name"] for c in report.checks if not c["passed"]}
+        assert failed == {"walk-agreement-rank"}  # hamming's two entries are equal
+
+    def test_blind_costs(self):
+        assert blind_costs("static-context", ["hamming", "f1", "rank"]) == ["hamming", "rank"]
+        assert blind_costs("native-walk", ["accuracy"]) == []
+        assert blind_costs("swapped-walk-free", ["rank", "hamming"]) == ["hamming"]
+        assert blind_costs("reversed-sum", ["hamming"]) == blind_costs(None, ["rank"]) == []
 
     def test_unknown_mutant_is_inert(self):
         report = run_suite("projection", instances=5, mutant="not-a-real-defect")
