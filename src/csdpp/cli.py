@@ -411,11 +411,13 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     for name in args.cost or []:
         if name not in available_costs():
             parser.error(f"unknown cost {name!r}; available: {available_costs()}")
-    mutants = sorted({*verify.MUTANTS.values(), *itertools.chain(*verify.FAST_PATH_MUTANTS.values())})
-    if args.mutant is not None and args.mutant not in mutants:
-        parser.error(f"unknown mutant {args.mutant!r}; available: {mutants}")
-    if args.cost and set(verify.blind_costs(args.mutant, args.cost)) == set(args.cost):
-        seen = sorted(set(available_costs()) - set(verify.blind_costs(args.mutant, available_costs())))
+    mutant = verify.MUTANTS.get(args.mutant)
+    if args.mutant is not None and mutant is None:
+        parser.error(f"unknown mutant {args.mutant!r}; available: {sorted(verify.MUTANTS)}")
+    if mutant and args.suites and mutant.suite not in args.suites:
+        parser.error(f"mutant {args.mutant!r} belongs to suite {mutant.suite!r}, which is not selected")
+    if mutant and args.cost and set(args.cost) <= mutant.blind:
+        seen = sorted(set(available_costs()) - mutant.blind)
         parser.error(f"mutant {args.mutant!r} cannot change the weights of {', '.join(sorted(set(args.cost)))}; "
                      f"add a --cost it can change: {', '.join(seen)}")
     kwargs: dict = {"seed": args.seed, "mutant": args.mutant}

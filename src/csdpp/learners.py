@@ -457,11 +457,13 @@ def to_snapshot(obj) -> dict:
 
     Carries every integer and ndarray attribute, the state of every random
     generator, and the same recursively for the tracker, head and accumulator.
+    An array is its nested list, or ``{"F": list}`` restored F-ordered if it is not C-contiguous (a
+    fresh tracker's frame and basis): BLAS rounds by memory order.
     """
     snap = {}
     for name, value in _state(obj).items():
         if isinstance(value, np.ndarray):
-            snap[name] = value.tolist()
+            snap[name] = value.tolist() if value.flags.c_contiguous else {"F": value.tolist()}
         elif isinstance(value, np.random.Generator):
             snap[name] = value.bit_generator.state
         elif isinstance(value, _STATEFUL):
@@ -484,7 +486,8 @@ def from_snapshot(obj, snap: dict):
         )
     for name, value in state.items():
         if isinstance(value, np.ndarray):
-            array = np.array(snap[name], dtype=value.dtype)
+            values, order = (snap[name].get("F"), "F") if isinstance(snap[name], dict) else (snap[name], "C")
+            array = np.array(values, dtype=value.dtype, order=order)
             if array.shape != value.shape:
                 raise ValueError(f"snapshot field {name!r} has shape {array.shape}, expected {value.shape}")
             setattr(obj, name, array)

@@ -15,6 +15,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,45 +27,36 @@ from .online_pca import CappedMsgState, EtaSchedule
 from .regressor import Head
 from .stream import planted_subspace_stream, substream
 
-__all__ = ["SUITES", "MUTANTS", "FAST_PATH_MUTANTS", "SuiteReport", "blind_costs", "run_suite", "run_suites"]
+__all__ = ["SUITES", "MUTANTS", "Mutant", "SuiteReport", "run_suite", "run_suites"]
 
+
+@dataclass(frozen=True)
+class Mutant:
+    """A defect injected into ``suite``'s checked computation, which must then fail."""
+
+    suite: str
+    breaks: str | None = None  # a fast-path defect's bit check ("{cost}": each lemma3 cost); it breaks no oracle
+    blind: frozenset[str] = frozenset()  # the costs whose weights it cannot change
+
+
+# a walk-free cost's gaps do not depend on the walk (see `costs`), so no defect in its context or order shows
+_WALK_FREE_NAMES = frozenset(cost.name for cost in costs_mod._REGISTRY.values() if cost.counts in costs_mod._WALK_FREE)
 MUTANTS = {
-    "lemma1": "keep-probabilities",      # removal probs read sigma instead of 1-sigma
-    "lemma3": "static-context",          # weights extracted without correcting earlier labels
-    "sherman": "sign-flip",              # head correction applied with the wrong sign
-    "projection": "nearest-breakpoint",  # shift snapped to a breakpoint, no interpolation
-    "bounds": "drop-residual",           # bound omits the out-of-span term
-    "regret": "inverted-spectrum",       # online losses reconstruct U from 1-sigma
-    "tracker": "skip-residual",          # every observation treated as in-span
+    "keep-probabilities": Mutant("lemma1"),                      # removal probs read sigma instead of 1-sigma
+    "static-context": Mutant("lemma3", blind=_WALK_FREE_NAMES),  # weights extracted without correcting earlier labels
+    "sign-flip": Mutant("sherman"),                              # head correction applied with the wrong sign
+    "nearest-breakpoint": Mutant("projection"),                  # shift snapped to a breakpoint, no interpolation
+    "drop-residual": Mutant("bounds"),                           # bound omits the out-of-span term
+    "inverted-spectrum": Mutant("regret"),                       # online losses reconstruct U from 1-sigma
+    "skip-residual": Mutant("tracker"),                          # every observation treated as in-span
+    "native-walk": Mutant("lemma3", "walk-agreement-{cost}", _WALK_FREE_NAMES),  # the learner walks native order only
+    # the learner's path reads each label's truth sign flipped: a walk-free cost's label takes the other
+    # sign's table entry, and hamming's two are equal
+    "swapped-walk-free": Mutant("lemma3", "walk-agreement-{cost}", frozenset({costs_mod.HAMMING.name})),
+    "reversed-sum": Mutant("projection", "sweep-agreement"),  # the small-n projection sums each row last to first
+    "reassociated-eta": Mutant("tracker", "checked-agreement"),  # the unchecked step's eta as scale (m/k) / sqrt(t)
+    "reversed-draw": Mutant("tracker", "checked-agreement"),  # the draw below 8 rows sums from the last row
 }
-# defects in the fast paths that a suite checks bit for bit against the exact paths they replaced
-FAST_PATH_MUTANTS = {
-    "lemma3": (
-        "native-walk",                   # the learner's weights walk native order whatever the order
-        # the learner's path reads each label's truth sign flipped: a walk-free cost's label takes the other
-        # sign's table entry, and hamming's two are equal, so of the walk-free costs only rank shows it
-        "swapped-walk-free",
-    ),
-    "projection": ("reversed-sum",),     # the small-n projection sums each clipped row last to first
-    "tracker": (
-        "reassociated-eta",              # the unchecked step's step size taken as scale (m/k) / sqrt(t)
-        "reversed-draw",                 # the scalar draw (below 8 rows) walks its running total last row to first
-    ),
-}
-
-
-def blind_costs(mutant: str | None, cost_names: list[str]) -> list[str]:
-    """The costs among ``cost_names`` whose weights ``mutant`` cannot change.
-
-    A walk-free cost's gaps do not depend on the walk (see `costs`), so no
-    defect in the walk's context or order shows in them; hamming's two table
-    entries are equal, so swapping them shows nothing either.
-    """
-    if mutant == "swapped-walk-free":
-        return [name for name in cost_names if costs_mod.get_cost(name).counts is costs_mod.HAMMING.counts]
-    if mutant in ("static-context", "native-walk"):
-        return [name for name in cost_names if costs_mod.get_cost(name).counts in costs_mod._WALK_FREE]
-    return []
 
 
 @dataclass
@@ -250,19 +242,20 @@ def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str 
 def walk_gaps(cost, y: np.ndarray, yhat: np.ndarray, order: np.ndarray, correct: bool = True) -> np.ndarray:
     """Oracle for `costs.label_weights`: each label's signed gap c(wrong) - c(right).
 
-    Walks ``order`` on copies in exact rationals; ``correct=False`` never corrects
-    earlier labels, which is lemma3's static-context defect.
+    Walks ``order`` label by label in exact rationals, moving the pair's counts,
+    taken once on Python ints, one label at a time; ``correct=False`` never
+    corrects earlier labels, which is lemma3's static-context defect.
     """
-    cur = yhat.copy()
-    gaps = np.zeros(y.size)
-    for j in order:
-        wrong = cur.copy()
-        wrong[j] = -y[j]
-        right = cur.copy()
-        right[j] = y[j]
-        gaps[j] = float(cost.raw(y, wrong) - cost.raw(y, right))
-        if correct:
-            cur[j] = y[j]
+    truth = [t == 1 for t in y.tolist()]
+    category = [2 * (p != 1) + (not t) for t, p in zip(truth, yhat.tolist())]  # 0 tp, 1 fp, 2 fn, 3 tn
+    counts = [category.count(c) for c in range(4)]
+    gaps, unit = np.zeros(y.size), np.eye(4, dtype=np.int64)
+    for j in order.tolist():
+        right, wrong = (0, 2) if truth[j] else (3, 1)
+        counts[category[j]] -= 1  # label j leaves its category, to be forced right, then wrong
+        (n_r, d_r), (n_w, d_w) = (costs_mod._priced(cost, unit[c] + counts) for c in (right, wrong))
+        gaps[j] = float(Fraction(int(n_w), int(d_w)) - Fraction(int(n_r), int(d_r)))
+        counts[right if correct else category[j]] += 1
     return gaps
 
 
@@ -316,7 +309,7 @@ def suite_lemma3(
     """Weights reproduce the cost on the disagreement set and equal the rational walk bit for bit,
     through the public `label_weights` and through the learner's classified path."""
     names = cost_names or ["hamming", "rank", "f1", "accuracy"]
-    walk_trials = max(1, random_trials // 50)  # the walk is O(K^2) per triple, at K up to 64
+    walk_trials = max(1, random_trials // 50)  # the walk prices each label exactly, at K up to 64
     params = {"random_trials": random_trials, "walk_trials": walk_trials, "condition_trials": condition_trials}
     report = SuiteReport("lemma3", True, params={**params, "costs": names})
     signs = np.array([-1, 1], dtype=np.int8)

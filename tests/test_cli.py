@@ -909,6 +909,21 @@ class TestVerifyCommand:
             failed = {c["name"] for c in payload[0]["checks"] if not c["passed"]}
             assert "walk-agreement-f1" in failed and not {"decomposition-hamming", "walk-agreement-hamming"} & failed
 
+    @pytest.mark.parametrize(
+        "args, mutant, suite",
+        [(["projection"], "skip-residual", "tracker"), (["lemma1", "--trials", "3"], "reversed-sum", "projection")],
+    )
+    def test_a_mutant_of_an_unselected_suite_is_usage_error(self, capsys, args, mutant, suite):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", *args, "--mutant", mutant)
+        assert exc.value.code == 2
+        assert f"mutant {mutant!r} belongs to suite {suite!r}, which is not selected" in capsys.readouterr().err
+
+    def test_a_mutant_beside_other_suites_still_runs(self, capsys):
+        assert run_cli("verify", "tracker", "projection", "--mutant", "skip-residual", "--trials", "5") == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert {p["suite"]: p["passed"] for p in payload} == {"tracker": False, "projection": True}
+
     def test_unknown_cost_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "lemma3", "--cost", "nope")

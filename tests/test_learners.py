@@ -170,6 +170,27 @@ class TestDeterminism:
             assert a.incurred_cost == b.incurred_cost
         assert to_snapshot(resumed) == to_snapshot(straight)
 
+    @pytest.mark.parametrize("at", [0, 1, 5])
+    @pytest.mark.parametrize("algo", [algo for algo in ALGORITHMS if algo.startswith(("dpp-", "cs-dpp-"))])
+    def test_early_snapshot_resumes_bit_for_bit(self, algo, at):
+        # until the first update the frame and the basis are F-contiguous, and BLAS rounds by memory order
+        d, k = 30, 40
+        stream = planted_subspace_stream(d, k, at + 50, seed=1, n_prototypes=3)
+        cfg = LearnerConfig(algorithm=algo, cost="f1", m_frac=0.25, seed=7)
+        straight = make_learner(cfg, d, k)
+        play(straight, stream[:at])
+        resumed = from_snapshot(make_learner(cfg, d, k), json.loads(json.dumps(to_snapshot(straight))))
+        tracker = from_snapshot(make_learner(cfg, d, k).msg, json.loads(json.dumps(to_snapshot(straight.msg))))
+        alone = CappedMsgState(straight.msg.q, straight.msg.sigma, straight.msg.m, straight.msg.schedule)
+        assert [(r.y_hat.tobytes(), r.incurred_cost) for r in play(resumed, stream[at:])] == [
+            (r.y_hat.tobytes(), r.incurred_cost) for r in play(straight, stream[at:])
+        ]
+        assert json.dumps(to_snapshot(resumed)) == json.dumps(to_snapshot(straight))
+        for t, inst in enumerate(stream[at:], start=at + 1):
+            alone.update(inst.labels / np.sqrt(k), t)
+            tracker.update(inst.labels / np.sqrt(k), t)
+        assert json.dumps(to_snapshot(tracker)) == json.dumps(to_snapshot(alone))
+
     @pytest.mark.parametrize("algo", ["dpp-pbt", "cs-dpp-pbt"])
     def test_rotated_snapshot_carries_the_basis_once(self, algo):
         stream = small_stream(t=120, seed=5)

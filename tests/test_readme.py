@@ -5,6 +5,7 @@ import sys
 
 import csdpp
 from csdpp.stream import planted_subspace_stream, serialize_sparse_labels
+from csdpp.verify import MUTANTS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -29,3 +30,13 @@ def test_library_snippets_run_in_order(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_section_tables_every_mutant():
+    text = open(README, encoding="utf-8").read()
+    section = text.split("\n### csdpp verify\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` +\| `([a-z0-9]+)` +\| `?([a-z<>-]*)`? +\| ([a-z, ]*?) *\|$", section, re.M)
+    tabled = {name: (suite, check or None, set(filter(None, blind.split(", ")))) for name, suite, check, blind in rows}
+    assert tabled == {
+        name: (m.suite, m.breaks and m.breaks.replace("{cost}", "<cost>"), set(m.blind)) for name, m in MUTANTS.items()
+    }

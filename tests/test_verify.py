@@ -6,15 +6,7 @@ import pytest
 from csdpp.linalg import project_capped_simplex
 from csdpp.online_pca import CappedMsgState
 from csdpp.regressor import RidgeAccumulator
-from csdpp.verify import (
-    FAST_PATH_MUTANTS,
-    MUTANTS,
-    SUITES,
-    blind_costs,
-    grid_projection_oracle,
-    run_suite,
-    run_suites,
-)
+from csdpp.verify import MUTANTS, SUITES, grid_projection_oracle, run_suite, run_suites
 
 # trimmed trial counts: enough signal for the defect injectors, quick in CI
 REDUCED = {
@@ -26,6 +18,9 @@ REDUCED = {
     "regret": dict(t=800),
     "tracker": dict(trials=8, steps=20),
 }
+
+# the tracker's parts that its fast-path defects make differ: the unchecked step drifts, the public update still matches
+TRACKER_PARTS = {"reassociated-eta": ["unchecked-q", "unchecked-sigma"], "reversed-draw": ["basis"]}
 
 
 class TestSuitesPass:
@@ -49,10 +44,21 @@ class TestSuitesPass:
 
 
 class TestMutantsFail:
-    @pytest.mark.parametrize("name", sorted(MUTANTS))
-    def test_injected_defect_is_caught(self, name):
-        report = run_suite(name, mutant=MUTANTS[name], **REDUCED[name])
-        assert not report.passed, f"suite {name} missed its canonical defect"
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_injected_defect_is_caught(self, mutant):
+        entry = MUTANTS[mutant]
+        reduced = REDUCED[entry.suite]
+        if entry.breaks and entry.suite == "lemma3":  # beside the costs it cannot change
+            reduced = dict(random_trials=50, cost_names=[*sorted(entry.blind), "f1"])
+        report = run_suite(entry.suite, mutant=mutant, **reduced)
+        failed = {c["name"] for c in report.checks if not c["passed"]}
+        assert not report.passed, f"suite {entry.suite} missed {mutant}"
+        assert not {name for name in failed if name.rsplit("-", 1)[-1] in entry.blind}
+        if entry.breaks:  # its bit check, and none of the oracle checks
+            assert entry.breaks.format(cost="f1") in failed
+            assert not {name for name in failed if name.startswith(("decomposition-", "grid-", "dense-"))}
+        if mutant in TRACKER_PARTS:
+            assert {c["name"]: c for c in report.checks}["checked-agreement"]["witness"]["parts"] == TRACKER_PARTS[mutant]
 
     def test_static_context_breaks_decomposition_and_walk_agreement(self):
         clean = run_suite("lemma3", random_trials=50, cost_names=["f1"])
@@ -89,30 +95,15 @@ class TestMutantsFail:
         assert checks["checked-agreement"]["witness"]["parts"] == ["basis"]
         assert checks["dense-agreement"]["passed"]  # only the oracle replay sees a wrong draw
 
-    @pytest.mark.parametrize("name", sorted(FAST_PATH_MUTANTS))
-    def test_fast_path_defect_breaks_its_bit_check(self, name):
-        reduced = dict(random_trials=50, cost_names=["f1"]) if name == "lemma3" else REDUCED[name]
-        expected = {"lemma3": "walk-agreement-f1", "projection": "sweep-agreement", "tracker": "checked-agreement"}
-        # the tracker's parts that differ: the unchecked step drifts, the public update still matches
-        parts = {"reassociated-eta": ["unchecked-q", "unchecked-sigma"], "reversed-draw": ["basis"]}
-        for mutant in FAST_PATH_MUTANTS[name]:
-            report = run_suite(name, mutant=mutant, **reduced)
-            failed = {c["name"] for c in report.checks if not c["passed"]}
-            assert not report.passed, mutant
-            assert expected[name] in failed and not {"decomposition-f1", "grid-agreement", "dense-agreement"} & failed
-            if name == "tracker":
-                assert {c["name"]: c for c in report.checks}["checked-agreement"]["witness"]["parts"] == parts[mutant]
-
     def test_swapped_walk_free_breaks_walk_agreement_under_rank_alone(self):
         report = run_suite("lemma3", random_trials=50, cost_names=["hamming", "rank"], mutant="swapped-walk-free")
         failed = {c["name"] for c in report.checks if not c["passed"]}
         assert failed == {"walk-agreement-rank"}  # hamming's two entries are equal
 
     def test_blind_costs(self):
-        assert blind_costs("static-context", ["hamming", "f1", "rank"]) == ["hamming", "rank"]
-        assert blind_costs("native-walk", ["accuracy"]) == []
-        assert blind_costs("swapped-walk-free", ["rank", "hamming"]) == ["hamming"]
-        assert blind_costs("reversed-sum", ["hamming"]) == blind_costs(None, ["rank"]) == []
+        assert MUTANTS["static-context"].blind == MUTANTS["native-walk"].blind == {"hamming", "rank"}
+        assert MUTANTS["swapped-walk-free"].blind == {"hamming"}
+        assert all(not entry.blind for entry in MUTANTS.values() if entry.suite != "lemma3")
 
     def test_unknown_mutant_is_inert(self):
         report = run_suite("projection", instances=5, mutant="not-a-real-defect")
@@ -139,10 +130,17 @@ class TestRunner:
         assert all(r.passed for r in reports)
 
     def test_registry_alignment(self):
-        assert sorted(SUITES) == sorted(MUTANTS)
-        assert set(FAST_PATH_MUTANTS) <= set(SUITES)
-        fast = [mutant for mutants in FAST_PATH_MUTANTS.values() for mutant in mutants]
-        assert len(set(fast)) == len(fast) and not set(fast) & set(MUTANTS.values())
+        # one canonical defect per suite; a fast-path defect names the bit check it breaks
+        canonical = sorted(entry.suite for entry in MUTANTS.values() if entry.breaks is None)
+        assert canonical == sorted(SUITES) and {entry.suite for entry in MUTANTS.values()} == set(SUITES)
+        fast = {mutant: entry.breaks for mutant, entry in MUTANTS.items() if entry.breaks}
+        assert fast == {
+            "native-walk": "walk-agreement-{cost}",
+            "swapped-walk-free": "walk-agreement-{cost}",
+            "reversed-sum": "sweep-agreement",
+            "reassociated-eta": "checked-agreement",
+            "reversed-draw": "checked-agreement",
+        }
 
 
 class TestGridOracle:
