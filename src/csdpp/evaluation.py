@@ -47,10 +47,9 @@ __all__ = [
 
 
 class CostTrace:
-    """Append-only per-step costs with running averages."""
+    """Append-only running averages of per-step costs."""
 
     def __init__(self) -> None:
-        self.costs: list[float] = []
         self.averages: list[float] = []
         self._sum = 0.0
 
@@ -59,11 +58,10 @@ class CostTrace:
         if not 0.0 <= cost <= 1.0:
             raise ValueError(f"cost must lie in [0, 1], got {cost}")
         self._sum += cost
-        self.costs.append(cost)
-        self.averages.append(self._sum / len(self.costs))
+        self.averages.append(self._sum / (len(self.averages) + 1))
 
     def __len__(self) -> int:
-        return len(self.costs)
+        return len(self.averages)
 
     @property
     def final_average(self) -> float:

@@ -11,9 +11,9 @@ suites honest: a check that cannot catch its own canonical bug proves nothing.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,7 +27,7 @@ from .online_pca import CappedMsgState, EtaSchedule
 from .regressor import Head
 from .stream import planted_subspace_stream, substream
 
-__all__ = ["SUITES", "MUTANTS", "Mutant", "SuiteReport", "run_suite", "run_suites"]
+__all__ = ["SUITES", "MUTANTS", "Mutant", "RequestError", "Suite", "SuiteReport", "run_suite", "run_suites"]
 
 
 @dataclass(frozen=True)
@@ -190,10 +190,8 @@ def suite_tracker(trials: int = 40, steps: int = 30, seed: int = 0, mutant: str 
     """
     report = SuiteReport("tracker", True, params={"trials": trials, "steps": steps, "seed": seed})
     rng = substream(seed, 109)
-    worst = 0.0
-    witness: dict = {}
+    worst, witness, differs = 0.0, {}, {}
     invalid: list[str] = []
-    differs: dict = {}
     for _ in range(trials):
         k = int(rng.integers(3, 31))
         m = int(rng.integers(1, k))
@@ -298,14 +296,8 @@ def _walk_agrees(cost, y, yhat, order, weights, drawn: bool, mutant) -> bool:
     return np.array_equal(weights, gaps) and _same_bits(_learner_weights(cost, y, yhat, order, mutant), np.sqrt(gaps))
 
 
-def suite_lemma3(
-    random_trials: int = 10_000,
-    condition_trials: int = 0,
-    k_max: int = 12,
-    seed: int = 0,
-    cost_names: list[str] | None = None,
-    mutant: str | None = None,
-) -> SuiteReport:
+def suite_lemma3(random_trials: int = 10_000, condition_trials: int = 1000, k_max: int = 12, seed: int = 0,
+                 cost_names: list[str] | None = None, mutant: str | None = None) -> SuiteReport:
     """Weights reproduce the cost on the disagreement set and equal the rational walk bit for bit,
     through the public `label_weights` and through the learner's classified path."""
     names = cost_names or ["hamming", "rank", "f1", "accuracy"]
@@ -345,27 +337,19 @@ def suite_lemma3(
         _check(report, f"walk-agreement-{name}", not bad, triples=len(walked), **witness)
         if condition_trials:
             probe = costs_mod.check_condition(cost, condition_trials, k_max=10, seed=seed)
-            _check(
-                report,
-                f"condition-{name}",
-                probe.passed,
-                checked=probe.checked,
-                violations=probe.violations[:3],
-            )
+            _check(report, f"condition-{name}", probe.passed, checked=probe.checked, violations=probe.violations[:3])
     return report
 
 
-def suite_sherman(
-    d: int = 12, k: int = 8, t: int = 300, projections: int = 20, seed: int = 0, mutant: str | None = None
-) -> SuiteReport:
+def suite_sherman(d: int = 12, k: int = 8, t: int = 300, projections: int = 20, seed: int = 0,
+                  mutant: str | None = None) -> SuiteReport:
     """Streaming ridge equals the direct batch solve at every step."""
-    report = SuiteReport("sherman", True, params={"d": d, "k": k, "t": t, "seed": seed})
+    report = SuiteReport("sherman", True, params={"d": d, "k": k, "t": t, "projections": projections, "seed": seed})
     rng = substream(seed, 103)
     head = Head(d, k, lam=1.0)
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
-    worst = 0.0
-    worst_t = 0
+    worst, worst_t = 0.0, 0
     for step in range(1, t + 1):
         x = rng.standard_normal(d)
         x /= max(1.0, float(np.linalg.norm(x)))
@@ -378,15 +362,12 @@ def suite_sherman(
             head.acc.absorb(x, ainv_x, gamma)
         else:
             head.update(x, y)
-        xm = np.stack(xs)
-        ym = np.stack(ys)
+        xm, ym = np.stack(xs), np.stack(ys)
         direct = np.linalg.solve(xm.T @ xm + np.eye(d), xm.T @ ym)
         gap = float(np.max(np.abs(head.w - direct)))
         if gap > worst:
             worst, worst_t = gap, step
     _check(report, "batch-equivalence", worst <= 1e-8, max_abs_gap=worst, at_step=worst_t)
-    xm = np.stack(xs)
-    ym = np.stack(ys)
     proj_worst = 0.0
     for _ in range(projections):
         m = int(rng.integers(1, k))
@@ -436,9 +417,7 @@ def suite_projection(instances: int = 50, seed: int = 0, mutant: str | None = No
     n = 8 against the NumPy sweep bit for bit."""
     report = SuiteReport("projection", True, params={"instances": instances, "seed": seed})
     rng = substream(seed, 107)
-    worst_feas = 0.0
-    worst_vec = 0.0
-    worst_dist = 0.0
+    worst_feas = worst_vec = worst_dist = 0.0
     box_ok = True
     small = [(np.array(v), budget) for v in _EDGE_VECTORS for budget in range(1, len(v) + 1)]
     for _ in range(instances):
@@ -476,16 +455,13 @@ def suite_projection(instances: int = 50, seed: int = 0, mutant: str | None = No
     return report
 
 
-def suite_bounds(
-    trials: int = 10_000, k_max: int = 10, seed: int = 0, mutant: str | None = None
-) -> SuiteReport:
+def suite_bounds(trials: int = 10_000, k_max: int = 10, seed: int = 0, mutant: str | None = None) -> SuiteReport:
     """Randomized audit of the decoding cost upper bound."""
     report = SuiteReport("bounds", True, params={"trials": trials, "k_max": k_max, "seed": seed})
     rng = substream(seed, 113)
     signs = np.array([-1, 1], dtype=np.int8)
     names = ["hamming", "rank", "f1", "accuracy"]
-    worst = -np.inf
-    witness: dict = {}
+    worst, witness = -np.inf, {}
     for _ in range(trials):
         k = int(rng.integers(2, k_max + 1))
         m = int(rng.integers(1, k))
@@ -524,13 +500,8 @@ def suite_regret(t: int = 2000, seed: int = 3, mutant: str | None = None) -> Sui
         for horizon in (t_short, t)
     }
     full = reports[t]
-    _check(
-        report,
-        "split-agreement",
-        abs(full.cumulative_regret - full.split_total) <= 1e-8,
-        direct=full.cumulative_regret,
-        split=full.split_total,
-    )
+    _check(report, "split-agreement", abs(full.cumulative_regret - full.split_total) <= 1e-8,
+           direct=full.cumulative_regret, split=full.split_total)
     rate_short = reports[t_short].cumulative_regret / t_short
     rate_full = full.cumulative_regret / t
     _check(report, "rate-decay", rate_full < 0.5 * rate_short, rate_short=rate_short, rate_full=rate_full)
@@ -543,25 +514,75 @@ def suite_regret(t: int = 2000, seed: int = 3, mutant: str | None = None) -> Sui
     return report
 
 
+@dataclass(frozen=True)
+class Suite:
+    """A suite's function and the parameters one trial count sets."""
+
+    run: Callable[..., SuiteReport]
+    counts: tuple[str, ...]  # a stream's length is no trial count: regret's rate-decay needs its t
+
+
 SUITES = {
-    "lemma1": suite_lemma1,
-    "lemma3": suite_lemma3,
-    "sherman": suite_sherman,
-    "projection": suite_projection,
-    "bounds": suite_bounds,
-    "regret": suite_regret,
-    "tracker": suite_tracker,
+    "lemma1": Suite(suite_lemma1, ("trials",)),
+    "lemma3": Suite(suite_lemma3, ("random_trials", "condition_trials")),
+    "sherman": Suite(suite_sherman, ("projections",)),
+    "projection": Suite(suite_projection, ("instances",)),
+    "bounds": Suite(suite_bounds, ("trials",)),
+    "regret": Suite(suite_regret, ()),
+    "tracker": Suite(suite_tracker, ("trials",)),
 }
 
 
+class RequestError(ValueError):
+    """A refused verify request, told apart from a ValueError raised inside a running suite."""
+
+
+def _known(table: dict, kind: str, names: list[str]) -> None:
+    for i, name in enumerate(names):
+        if name not in table:
+            raise RequestError(f"unknown {kind} {name!r}; available: {sorted(table)}")
+        if name in names[:i]:
+            raise RequestError(f"{kind} {name!r} is given twice; give each once")
+
+
 def run_suite(name: str, **kwargs) -> SuiteReport:
-    try:
-        fn = SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}") from None
-    accepted = inspect.signature(fn).parameters
-    return fn(**{k: v for k, v in kwargs.items() if k in accepted and v is not None})
+    """Run one suite on its own keywords (another is a TypeError) and its own mutant only."""
+    mutant = kwargs.get("mutant")
+    _known(SUITES, "suite", [name])
+    _known(MUTANTS, "mutant", [] if mutant is None else [mutant])
+    if mutant is not None and MUTANTS[mutant].suite != name:
+        raise RequestError(f"mutant {mutant!r} belongs to suite {MUTANTS[mutant].suite!r}, not {name!r}")
+    return SUITES[name].run(**kwargs)
 
 
-def run_suites(names: list[str] | None = None, **kwargs) -> list[SuiteReport]:
-    return [run_suite(name, **kwargs) for name in (names or sorted(SUITES))]
+def run_suites(names=None, *, trials=None, seed=0, mutant=None, costs=None) -> list[SuiteReport]:
+    """`csdpp verify`: the named suites in order (default all), ``trials`` setting each `Suite.counts`.
+
+    RequestError, carrying the CLI's message, refuses a request that names
+    something unknown, runs something twice, checks nothing or drops a value.
+    """
+    selected, costs, entry = list(names or sorted(SUITES)), costs or [], MUTANTS.get(mutant)
+    _known(SUITES, "suite", selected)
+    if seed < 0:
+        raise RequestError(f"--seed must be >= 0, got {seed}")
+    if trials is not None and trials < 1:
+        raise RequestError(f"--trials must be >= 1, got {trials}")
+    _known(costs_mod._REGISTRY, "cost", costs)
+    if costs and "lemma3" not in selected:
+        raise RequestError("--cost restricts suite lemma3, which is not selected")
+    _known(MUTANTS, "mutant", [] if mutant is None else [mutant])
+    if entry and entry.suite not in selected:
+        raise RequestError(f"mutant {mutant!r} belongs to suite {entry.suite!r}, which is not selected")
+    if entry and costs and set(costs) <= entry.blind:
+        raise RequestError(f"mutant {mutant!r} cannot change the weights of {', '.join(sorted(costs))}; add a "
+                           f"--cost it can change: {', '.join(sorted(set(costs_mod._REGISTRY) - entry.blind))}")
+    reports = []
+    for name in selected:
+        suite = SUITES[name]
+        kwargs = dict.fromkeys(suite.counts, trials) if trials else {}
+        if costs and name == "lemma3":
+            kwargs["cost_names"] = costs
+        if entry and entry.suite == name:
+            kwargs["mutant"] = mutant
+        reports.append(suite.run(seed=seed, **kwargs))
+    return reports

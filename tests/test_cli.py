@@ -964,6 +964,28 @@ class TestVerifyCommand:
         assert '"suite": "projection"' in proc.stdout
 
 
+class TestVerifyRequest:
+    @pytest.mark.parametrize("suite, count", [("projection", "instances"), ("sherman", "projections")])
+    def test_trials_reach_every_suite_with_a_count(self, capsys, suite, count):
+        assert run_cli("verify", suite, "--trials", "3") == 0
+        (payload,) = json.loads(capsys.readouterr().out)
+        assert payload["params"][count] == 3
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["projection", "projection"], "suite 'projection' is given twice; give each once"),
+            (["lemma3", "--cost", "rank", "--cost", "rank"], "cost 'rank' is given twice; give each once"),
+            (["bounds", "--cost", "rank"], "--cost restricts suite lemma3, which is not selected"),
+        ],
+    )
+    def test_a_request_that_runs_twice_or_drops_a_value_is_usage_error(self, capsys, args, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", *args)
+        assert exc.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def _blas_version() -> str | None:
     return np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}).get("version")
 

@@ -6,7 +6,7 @@ import pytest
 from csdpp.linalg import project_capped_simplex
 from csdpp.online_pca import CappedMsgState
 from csdpp.regressor import RidgeAccumulator
-from csdpp.verify import MUTANTS, SUITES, grid_projection_oracle, run_suite, run_suites
+from csdpp.verify import MUTANTS, SUITES, RequestError, grid_projection_oracle, run_suite, run_suites
 
 # trimmed trial counts: enough signal for the defect injectors, quick in CI
 REDUCED = {
@@ -62,7 +62,9 @@ class TestMutantsFail:
 
     def test_static_context_breaks_decomposition_and_walk_agreement(self):
         clean = run_suite("lemma3", random_trials=50, cost_names=["f1"])
-        assert {c["name"]: c["passed"] for c in clean.checks} == {"decomposition-f1": True, "walk-agreement-f1": True}
+        assert {c["name"]: c["passed"] for c in clean.checks} == {
+            "decomposition-f1": True, "walk-agreement-f1": True, "condition-f1": True
+        }
         assert clean.checks[1]["witness"] == {"triples": 6564 + 1}  # every order at K <= 4, one at K <= 64
         mutant = run_suite("lemma3", random_trials=50, cost_names=["f1"], mutant="static-context")
         checks = {c["name"]: c for c in mutant.checks}
@@ -105,9 +107,16 @@ class TestMutantsFail:
         assert MUTANTS["swapped-walk-free"].blind == {"hamming"}
         assert all(not entry.blind for entry in MUTANTS.values() if entry.suite != "lemma3")
 
-    def test_unknown_mutant_is_inert(self):
-        report = run_suite("projection", instances=5, mutant="not-a-real-defect")
-        assert report.passed
+    def test_unknown_mutant_is_refused(self):
+        with pytest.raises(ValueError, match="unknown mutant 'not-a-real-defect'; available: "):
+            run_suite("projection", instances=5, mutant="not-a-real-defect")
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_another_suites_mutant_is_refused(self, mutant):
+        own = MUTANTS[mutant].suite
+        other = next(name for name in sorted(SUITES) if name != own)
+        with pytest.raises(ValueError, match=f"mutant '{mutant}' belongs to suite '{own}', not '{other}'"):
+            run_suite(other, mutant=mutant)
 
 
 class TestRunner:
@@ -115,19 +124,51 @@ class TestRunner:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("lemma99")
 
-    def test_inapplicable_kwargs_are_filtered(self):
-        report = run_suite("projection", instances=5, random_trials=7, d=3)
-        assert report.passed
-        assert report.params["instances"] == 5
+    def test_inapplicable_kwargs_are_a_type_error(self):
+        with pytest.raises(TypeError, match="random_trials"):
+            run_suite("projection", instances=5, random_trials=7, d=3)
 
-    def test_none_kwargs_fall_back_to_defaults(self):
-        report = run_suite("projection", instances=None)
-        assert report.params["instances"] == 50
+    def test_none_kwargs_are_passed_through(self):
+        with pytest.raises(TypeError):
+            run_suite("projection", instances=None)
 
     def test_run_suites_ordering(self):
-        reports = run_suites(["projection", "lemma1"], instances=5, trials=5, draws=2)
+        reports = run_suites(["projection", "lemma1"], trials=5)
         assert [r.name for r in reports] == ["projection", "lemma1"]
+        assert [r.params["instances" if r.name == "projection" else "trials"] for r in reports] == [5, 5]
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize(
+        "names, kwargs, message",
+        [
+            (["lemma99"], {}, "unknown suite 'lemma99'; available: "),
+            (["projection"], {"mutant": "nearest-brekpoint"}, "unknown mutant 'nearest-brekpoint'; available: "),
+            (["projection"], {"mutant": "skip-residual"},
+             "mutant 'skip-residual' belongs to suite 'tracker', which is not selected"),
+            (["lemma3"], {"mutant": "static-context", "costs": ["rank"]},
+             "mutant 'static-context' cannot change the weights of rank; add a --cost it can change: accuracy, f1"),
+            (["lemma3"], {"costs": ["nope"]}, "unknown cost 'nope'; available: ['accuracy', 'f1', 'hamming', 'rank']"),
+            (["lemma1"], {"trials": 0}, "--trials must be >= 1, got 0"),
+            (["projection"], {"seed": -1}, "--seed must be >= 0, got -1"),
+            (["projection", "projection"], {}, "suite 'projection' is given twice; give each once"),
+            (["lemma3"], {"costs": ["rank", "rank"]}, "cost 'rank' is given twice; give each once"),
+            (["bounds"], {"costs": ["rank"]}, "--cost restricts suite lemma3, which is not selected"),
+        ],
+    )
+    def test_run_suites_refuses(self, names, kwargs, message):
+        with pytest.raises(RequestError) as exc:
+            run_suites(names, **kwargs)
+        assert str(exc.value).startswith(message) and isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("name", sorted(set(SUITES) - {"regret"}))
+    def test_one_trial_count_sets_each_count_of_a_suite(self, name):
+        counts = SUITES[name].counts
+        (report,) = run_suites([name], trials=2, costs=["rank"] if name == "lemma3" else None)
+        assert counts and {p: report.params[p] for p in counts} == dict.fromkeys(counts, 2)
+
+    def test_no_trial_count_sets_a_horizon(self):
+        assert SUITES["regret"].counts == ()  # rate-decay compares two horizons of one fixed stream
+        assert not {"t", "steps"} & {p for suite in SUITES.values() for p in suite.counts}
 
     def test_registry_alignment(self):
         # one canonical defect per suite; a fast-path defect names the bit check it breaks
