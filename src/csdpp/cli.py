@@ -7,30 +7,35 @@
 grid over one dataset; each cell writes an average-cost CSV, and each repeat
 group writes a JSON summary (mean and standard error of the final average
 cost).  Repeat r runs with seed base+r for both the stream shuffle/noise and
-the learner.  The parent parses and normalizes the dataset once and builds one
-stream per (noise, repeat), which every algorithm/cost/m-frac cell shares.
+the learner.  The parent parses and normalizes the dataset once, plans every
+cell repeat once into one table in grid order, and builds one stream per
+(noise, repeat), which every algorithm/cost/m-frac cell shares.  The cell
+spec handed to a play carries its row's index, and each job's outcome is
+written straight into the rows of the cells its plays served.
 Cells whose learners predict alike share one play: a cost-blind plan (all but
 the cost-weighted cs-dpp-* ones) plays once per (algorithm, M, noise, repeat),
 o-br once per (noise, repeat), and a cs-dpp-* cell under hamming joins its
 dpp-* twin (criterion 07).  A play prices its predictions under every cost it
-serves: the cost it was played under by the learner's own call, each other
-one by one batch call over the whole play (`CostFunction.each`).  A job plays
-every trajectory of one stream in lockstep (`learners.Lockstep`): each step
-updates the ridge accumulator once for every ridge head and the
-uniform-weighted tracker once per M for dpp-pbc, dpp-pbt and dpp-naive.  A
-dataset that fails to parse, has no instances or has a feature whose max - min
-overflows float64 stops the run with one error line before any output is
-written.  When there are fewer streams than
-workers, each stream's plays are cut into at most ceil(workers / streams)
-jobs, so that the spare workers get work; the cut never splits the plays of
-one tracker.  No output byte depends on the grouping or on the cut.  A job carries its stream once,
-its plays' LearnerConfigs and their cells' CSV headers, so jobs may run in a
-worker pool (--workers or CSDPP_WORKERS).  Given the same spec and seed the
-outputs are byte-identical.  A failed cell repeat is named on stderr, once for
-every cell a failed play served: a learner that cannot be built or whose step
-fails fails its own play's cells, an unwritable CSV its own cell, and a crashed
-pool worker every cell of its job.  The CSVs of finished repeats stay on disk
-and no summaries are written.
+serves: the cost it was played under by the learner's own call, each other one
+by one batch call over the whole play (`CostFunction.each`).  A job plays every
+trajectory of one stream in lockstep (`learners.Lockstep`): each step updates
+the ridge accumulator once for every ridge head and the uniform-weighted
+tracker once per M for dpp-pbc, dpp-pbt and dpp-naive.  When there are fewer
+streams than workers, each stream's plays are cut into at most ceil(workers /
+streams) jobs, so that the spare workers get work; the cut never splits the
+plays of one tracker.  No output byte depends on the grouping or on the cut.  A
+job carries its stream once, its plays' LearnerConfigs and their cells' CSV
+headers, so jobs may run in a worker pool (--workers or CSDPP_WORKERS).  Given
+the same spec and seed the outputs are byte-identical.  A failed cell repeat is
+named on stderr, once for every cell a failed play served: a learner that
+cannot be built or whose step fails fails its own play's cells, an unwritable
+CSV its own cell, and a crashed pool worker every cell of its job.  The CSVs of
+finished repeats stay on disk and no summaries are written.  Every other
+runtime failure (an unreadable or undecodable dataset or label-name file, a bad
+CSDPP_WORKERS, a dataset that does not parse or has no instances, a feature
+whose max - min overflows float64, an output directory or a summary that cannot
+be written) raises `_Stop`, which `_cmd_run` prints as the run's one error
+line; all but the summary stop the run before any CSV is written.
 
 Each `run` setting is one row of `_SETTINGS`.  A --config JSON object sets it
 by its flag's name ("_" or "-" alike, "lam" for "lambda", "normalize": false
@@ -40,7 +45,8 @@ axis also takes one value, and limit, workers and order_seed null (unset).
 Ranges: repeats, limit, workers >= 1; seed, order_seed >= 0; eta, sgd_step >= 0
 and lambda > 0, all finite; m_frac in (0, 1]; noise_p in [0, 1].  Two grid
 axis values naming one cell, and two config keys naming one setting, are usage
-errors too.
+errors too, and so are --format arff without --label-names and --label-names
+with any other format; every usage error comes before the dataset is read.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -282,121 +288,104 @@ def _execute(jobs: list[dict], workers: int) -> list[tuple]:
         return [(None, exc) if exc is not None else _outcome(future.result) for future, exc in submitted]
 
 
+class _Stop(Exception):
+    """A failure that ends `csdpp run`: its message becomes the run's one stopping error line."""
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Stop(f"cannot read {what}: {exc}")
+
+
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     merged = _resolve_settings(args, parser)
-    workers = merged["workers"]
-    if workers is None:
-        env_workers = os.environ.get("CSDPP_WORKERS", "1")
-        try:
-            workers = int(env_workers)
-        except ValueError:
-            print(f"error: CSDPP_WORKERS must be an integer, got {env_workers!r}", file=sys.stderr)
-            return 1
-        if workers < 1:
-            print(f"error: CSDPP_WORKERS must be >= 1, got {workers}", file=sys.stderr)
-            return 1
+    if args.format == "arff" and not args.label_names:
+        parser.error("--format arff requires --label-names")
+    if args.format != "arff" and args.label_names is not None:
+        parser.error(f"--label-names applies only to --format arff, not {args.format}")
+    out_dir, workers = merged["output"], merged["workers"]
     try:
-        with open(args.dataset, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read dataset: {exc}", file=sys.stderr)
-        return 1
-    label_names = None
-    if args.format == "arff":
-        if not args.label_names:
-            parser.error("--format arff requires --label-names")
+        if workers is None:
+            env_workers = os.environ.get("CSDPP_WORKERS", "1")
+            try:
+                workers = int(env_workers)
+            except ValueError:
+                raise _Stop(f"CSDPP_WORKERS must be an integer, got {env_workers!r}")
+            if workers < 1:
+                raise _Stop(f"CSDPP_WORKERS must be >= 1, got {workers}")
+        text = _read(args.dataset, "dataset")
+        label_names = None if args.label_names is None else [
+            line.strip() for line in _read(args.label_names, "label names").split("\n") if line.strip()]
         try:
-            with open(args.label_names, encoding="utf-8") as fh:
-                label_names = [line.strip() for line in fh if line.strip()]
+            instances, d, k = parse_dataset(text, args.format, label_names)
+            if not instances:
+                raise _Stop("the dataset has no instances")
+            if merged["normalize"]:
+                instances = stream.normalize_features(instances)
+        except ValueError as exc:  # a malformed dataset, or a feature that cannot be normalized
+            raise _Stop(str(exc))
+        try:
+            os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
-            print(f"error: cannot read label names: {exc}", file=sys.stderr)
-            return 1
-    try:
-        instances, d, k = parse_dataset(text, args.format, label_names)
-    except ValueError as exc:
+            raise _Stop(f"cannot create output directory: {exc}")
+        fed = {LearnerConfig: {}, StreamConfig: {}}  # each config's keyword arguments from the non-axis settings
+        for s in _SETTINGS:
+            if s.feeds and not s.axis:
+                fed[s.feeds[0]][s.feeds[1]] = merged[s.key]
+        base_config = LearnerConfig(**fed[LearnerConfig])
+        base_header = {s.key: merged[s.key] for s in _SETTINGS if s.recorded}
+        cells = []  # per cell repeat, in grid order: [stem, repeat, final average cost, error]
+        plays: dict[tuple, dict] = {}  # (noise_p, repeat) -> trajectory -> the play of it, over that stream
+        for algo, cost, m_frac, noise_p in itertools.product(
+            merged["algo"], merged["cost"], merged["m_frac"], merged["noise_p"]
+        ):
+            stem = f"{algo}_{cost}_mf{m_frac:g}_p{noise_p:g}"
+            for repeat in range(merged["repeats"]):
+                cell = {"algorithm": algo, "cost": cost, "m_frac": m_frac, "seed": merged["seed"] + repeat}
+                key = trajectory(replace(base_config, **cell), k)
+                spec = plays.setdefault((noise_p, repeat), {}).setdefault(
+                    key, {"config": replace(key, cost=cost), "cells": []})
+                spec["cells"].append(
+                    {
+                        "index": len(cells),
+                        "cost": cost,
+                        "header": {**base_header, **cell, "noise_p": noise_p, "repeat": repeat},
+                        "csv": os.path.join(out_dir, f"{stem}_r{repeat}.csv"),
+                    }
+                )
+                cells.append([stem, repeat, None, None])
+        jobs = []
+        for (noise_p, repeat), stream_plays in plays.items():
+            # a repeat's stream depends only on (seed + repeat, noise_p, limit): every cell shares it
+            shared = build_stream(
+                instances, StreamConfig(**fed[StreamConfig], seed=merged["seed"] + repeat, noise_p=noise_p)
+            )
+            jobs += [{"stream": shared, "shape": (d, k), "plays": [spec for _, spec in group]}
+                     for group in _lockstep_groups(list(stream_plays.items()), -(-workers // len(plays)), k)]
+        for job, (per_play, exc) in zip(jobs, _execute(jobs, workers)):
+            for i, spec in enumerate(job["plays"]):
+                for j, cell in enumerate(spec["cells"]):  # a failed job fails every cell of its plays
+                    cells[cell["index"]][2:] = (None, exc) if exc is not None else per_play[i][j]
+        failed = [row for row in cells if row[3] is not None]
+        for stem, repeat, _, exc in failed:
+            print(f"error: cell {stem} repeat {repeat}: {exc}", file=sys.stderr)
+        if failed:
+            raise _Stop(f"{len(failed)} of {len(cells)} cell repeats failed")
+        for stem, rows in itertools.groupby(cells, key=lambda row: row[0]):  # a stem's repeats in order
+            summary = {**evaluation.summarize_finals([row[2] for row in rows]), "cell": stem,
+                       "seed_base": merged["seed"]}
+            path = os.path.join(out_dir, f"{stem}_summary.json")
+            try:
+                evaluation.write_json(path, summary)
+            except OSError as exc:
+                raise _Stop(f"cannot write summary {path}: {exc}")
+    except _Stop as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not instances:
-        print("error: the dataset has no instances", file=sys.stderr)
-        return 1
-    if merged["normalize"]:
-        try:
-            instances = stream.normalize_features(instances)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    out_dir = merged["output"]
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 1
-    fed = {LearnerConfig: {}, StreamConfig: {}}  # each config's keyword arguments from the non-axis settings
-    for s in _SETTINGS:
-        if s.feeds and not s.axis:
-            fed[s.feeds[0]][s.feeds[1]] = merged[s.key]
-    # a repeat's stream depends only on (seed + repeat, noise_p, limit): every cell shares it
-    streams = {
-        (noise_p, repeat): build_stream(
-            instances, StreamConfig(**fed[StreamConfig], seed=merged["seed"] + repeat, noise_p=noise_p)
-        )
-        for noise_p in merged["noise_p"]
-        for repeat in range(merged["repeats"])
-    }
-    base_config = LearnerConfig(**fed[LearnerConfig])
-    base_header = {s.key: merged[s.key] for s in _SETTINGS if s.recorded}
-    plays: dict[tuple, dict] = {}  # (trajectory, noise_p, repeat) -> the play of it
-    served = []  # (stem, repeat, play key, slot in the play's cells), in grid order
-    for algo, cost, m_frac, noise_p in itertools.product(
-        merged["algo"], merged["cost"], merged["m_frac"], merged["noise_p"]
-    ):
-        stem = f"{algo}_{cost}_mf{m_frac:g}_p{noise_p:g}"
-        for repeat in range(merged["repeats"]):
-            seed = merged["seed"] + repeat
-            cell = {"algorithm": algo, "cost": cost, "m_frac": m_frac, "seed": seed}
-            key = (trajectory(replace(base_config, **cell), k), noise_p, repeat)
-            spec = plays.setdefault(key, {"config": replace(key[0], cost=cost), "cells": []})
-            served.append((stem, repeat, key, len(spec["cells"])))
-            spec["cells"].append(
-                {
-                    "cost": cost,
-                    "header": {**base_header, **cell, "noise_p": noise_p, "repeat": repeat},
-                    "csv": os.path.join(out_dir, f"{stem}_r{repeat}.csv"),
-                }
-            )
-    by_stream: dict[tuple, list] = {}  # (noise_p, repeat) -> the keys of its plays
-    for key in plays:
-        by_stream.setdefault(key[1:], []).append(key)
-    groups = [group for keys in by_stream.values()
-              for group in _lockstep_groups(keys, -(-workers // len(by_stream)), k)]
-    jobs = [{"stream": streams[group[0][1:]], "shape": (d, k), "plays": [plays[key] for key in group]}
-            for group in groups]
-    outcomes = {}  # play key -> one (final, error) pair per cell it serves
-    for group, (per_play, exc) in zip(groups, _execute(jobs, workers)):
-        for i, key in enumerate(group):  # a failed job fails every cell of its plays
-            outcomes[key] = per_play[i] if exc is None else [(None, exc)] * len(plays[key]["cells"])
-    # (stem, repeat, final, error) per cell repeat
-    results = [(stem, repeat, *outcomes[key][slot]) for stem, repeat, key, slot in served]
-    failed = [(stem, repeat, exc) for stem, repeat, _, exc in results if exc is not None]
-    for stem, repeat, exc in failed:
-        print(f"error: cell {stem} repeat {repeat}: {exc}", file=sys.stderr)
-    if failed:
-        print(f"error: {len(failed)} of {len(results)} cell repeats failed", file=sys.stderr)
-        return 1
-
-    by_stem: dict[str, list] = {}  # results run in grid order, so each stem's repeats in order
-    for stem, _, final, _ in results:
-        by_stem.setdefault(stem, []).append(final)
-    for stem, finals in by_stem.items():
-        summary = {**evaluation.summarize_finals(finals), "cell": stem, "seed_base": merged["seed"]}
-        path = os.path.join(out_dir, f"{stem}_summary.json")
-        try:
-            evaluation.write_json(path, summary)
-        except OSError as exc:
-            print(f"error: cannot write summary {path}: {exc}", file=sys.stderr)
-            return 1
-    print(f"wrote {len(results)} cost traces and {len(by_stem)} summaries to {out_dir}")
+    print(f"wrote {len(cells)} cost traces and {len(cells) // merged['repeats']} summaries to {out_dir}")
     return 0
 
 

@@ -302,7 +302,8 @@ def suite_lemma3(random_trials: int = 10_000, condition_trials: int = 1000, k_ma
     through the public `label_weights` and through the learner's classified path."""
     names = cost_names or ["hamming", "rank", "f1", "accuracy"]
     walk_trials = max(1, random_trials // 50)  # the walk prices each label exactly, at K up to 64
-    params = {"random_trials": random_trials, "walk_trials": walk_trials, "condition_trials": condition_trials}
+    params = {"random_trials": random_trials, "walk_trials": walk_trials, "condition_trials": condition_trials,
+              "k_max": k_max, "seed": seed}
     report = SuiteReport("lemma3", True, params={**params, "costs": names})
     signs = np.array([-1, 1], dtype=np.int8)
     exhaustive = [  # every (y, yhat, order) at K <= 4
@@ -438,12 +439,12 @@ def suite_projection(instances: int = 50, seed: int = 0, mutant: str | None = No
         worst_vec = max(worst_vec, float(np.max(np.abs(w - ref))))
         worst_dist = max(worst_dist, abs(float(np.sum((w - v) ** 2)) - float(np.sum((ref - v) ** 2))))
     _check(report, "box", box_ok)
-    _check(report, "sum-feasibility", worst_feas <= 1e-9, max_sum_gap=worst_feas)
+    _check(report, "sum-feasibility", worst_feas <= TOL.simplex_sum, max_sum_gap=worst_feas)
     _check(report, "grid-agreement", worst_vec <= 1e-5 and worst_dist <= 1e-5,
            max_vector_gap=worst_vec, max_distance_gap=worst_dist)
     feasible = np.array([1.0, 0.6, 0.4, 0.0])
     again = project_capped_simplex(feasible, 2)
-    _check(report, "idempotence", float(np.max(np.abs(again - feasible))) <= 1e-12)
+    _check(report, "idempotence", float(np.max(np.abs(again - feasible))) <= TOL.simplex_idempotence)
     for _ in range(instances):
         n = int(rng.integers(1, 8))
         budget = int(rng.integers(1, n + 1))
@@ -479,11 +480,11 @@ def suite_bounds(trials: int = 10_000, k_max: int = 10, seed: int = 0, mutant: s
         if gap > worst:
             worst = gap
             witness = {"k": k, "m": m, "cost": cost.name, "gap": gap}
-    _check(report, "cost-bound", worst <= 1e-9, **witness)
+    _check(report, "cost-bound", worst <= TOL.bound_audit, **witness)
     return report
 
 
-def suite_regret(t: int = 2000, seed: int = 3, mutant: str | None = None) -> SuiteReport:
+def suite_regret(t: int = 2000, seed: int = 0, mutant: str | None = None) -> SuiteReport:
     """Expected-regret decay and budget audit on planted low-rank data."""
     report = SuiteReport("regret", True, params={"t": t, "seed": seed})
     d, k, m = 16, 10, 3

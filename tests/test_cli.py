@@ -188,6 +188,21 @@ class TestRunCommand:
             run_cli("run", "--dataset", str(data), "--format", "arff")
         assert exc.value.code == 2
 
+    def test_arff_without_label_names_is_refused_before_the_dataset_is_read(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", str(tmp_path / "nonexistent.arff"), "--format", "arff")
+        assert exc.value.code == 2
+        assert "--format arff requires --label-names" in capsys.readouterr().err
+
+    def test_label_names_without_arff_is_usage_error(self, dataset, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("L1\nL2\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", dataset, "--label-names", str(labels), "--output", str(tmp_path / "res"))
+        assert exc.value.code == 2
+        assert "--label-names applies only to --format arff, not sparse-labels" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_worker_pool_matches_serial(self, dataset, tmp_path):
         for normalize in ([], ["--no-normalize"]):
             args = ["run", "--dataset", dataset, "--algo", "dpp-naive", "--repeats", "2", "--seed", "3",
@@ -867,6 +882,40 @@ class TestRunErrors:
         assert not (tmp_path / "res").exists()
 
 
+    @pytest.mark.parametrize("argv, workers, message", [
+        (["--dataset", "{tmp}/nope.txt"], "1", "cannot read dataset: "),
+        (["--dataset", "{tmp}/latin1.txt"], "1", "cannot read dataset: 'utf-8' codec can't decode byte 0xe9"),
+        (["--dataset", "{tmp}/tiny.arff", "--format", "arff", "--label-names", "{tmp}/nope.txt"], "1",
+         "cannot read label names: "),
+        (["--dataset", "{data}"], "two", "CSDPP_WORKERS must be an integer, got 'two'"),
+        (["--dataset", "{data}"], "0", "CSDPP_WORKERS must be >= 1, got 0"),
+        (["--dataset", "{tmp}/bad.txt"], "1", "line 1: header fields must be integers, got 'not a header'"),
+        (["--dataset", "{tmp}/empty.txt"], "1", "the dataset has no instances"),
+        (["--dataset", "{tmp}/wide.txt", "--m-frac", "0.5"], "1",
+         "feature 0 cannot be normalized: its max - min is not finite in float64"),
+        (["--dataset", "{data}", "--output", "{tmp}/afile/sub"], "1", "cannot create output directory: "),
+        (["--dataset", "{data}", "--algo", "o-br"], "1",
+         "cannot write summary {tmp}/res/o-br_hamming_mf0.25_p0_summary.json: "),
+    ], ids=["dataset", "undecodable", "label-names", "worker-env", "worker-env-range", "malformed", "empty", "normalize",
+            "output-dir", "summary"])
+    def test_a_stop_prints_one_error_line(self, dataset, tmp_path, monkeypatch, capsys, argv, workers, message):
+        files = {"tiny.arff": ARFF_TEXT, "bad.txt": "not a header\n", "empty.txt": "8 6 0\n", "afile": "",
+                 "wide.txt": "2 2 3\n0 | 0:1e308 1:1.0\n1 | 0:-1e308 1:2.0\n0,1 | 0:0.5\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / "latin1.txt").write_text("2 2 1\n0 | 0:\u00e9\n", encoding="latin-1")
+        summary = "cannot write summary" in message
+        if summary:
+            (tmp_path / "res" / "o-br_hamming_mf0.25_p0_summary.json").mkdir(parents=True)
+        monkeypatch.setenv("CSDPP_WORKERS", workers)
+        argv = [arg.format(tmp=tmp_path, data=dataset) for arg in ["--output", "{tmp}/res", *argv]]
+        assert run_cli("run", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message.format(tmp=tmp_path)}")
+        assert sorted(path.name for path in tmp_path.rglob("*.csv")) == (
+            ["o-br_hamming_mf0.25_p0_r0.csv"] if summary else [])
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         assert run_cli("verify", "projection", "--trials", "25") == 0
@@ -984,6 +1033,11 @@ class TestVerifyRequest:
             run_cli("verify", *args)
         assert exc.value.code == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_a_lemma3_report_names_its_seed_and_k_max(self, capsys):
+        assert run_cli("verify", "lemma3", "--seed", "4", "--trials", "5") == 0
+        (payload,) = json.loads(capsys.readouterr().out)
+        assert payload["params"]["seed"] == 4 and payload["params"]["k_max"] == 12
 
 
 def _blas_version() -> str | None:

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -169,6 +170,11 @@ class TestRunner:
     def test_no_trial_count_sets_a_horizon(self):
         assert SUITES["regret"].counts == ()  # rate-decay compares two horizons of one fixed stream
         assert not {"t", "steps"} & {p for suite in SUITES.values() for p in suite.counts}
+
+    def test_every_suite_defaults_to_the_seed_run_suites_gives_it(self):
+        default = inspect.signature(run_suites).parameters["seed"].default
+        seeds = {name: inspect.signature(suite.run).parameters["seed"].default for name, suite in SUITES.items()}
+        assert seeds == dict.fromkeys(SUITES, default)
 
     def test_registry_alignment(self):
         # one canonical defect per suite; a fast-path defect names the bit check it breaks
