@@ -13,11 +13,14 @@ are rejected with their line number.  Labels materialize as dense vectors in
 {-1,+1}.  `parse_sparse_labels` converts the file in bulk into a
 `RowStore`: the stored entries as CSR arrays and one (N, K) label matrix, a
 read-only sequence whose instances are built, one dense row each, when they
-are indexed.  A file that fails a bulk check is parsed again line by
-line, so an error names the first bad line.  ``parse_dataset`` also reads a
-small ARFF subset (numeric attributes, dense or sparse data rows) with labels
-named by a companion list, which is how Mulan-style corpora are distributed;
-it gives a list of dense instances.
+are indexed.  The bulk path reads the numbers with NumPy's C text reader,
+which gives the bits `float` gives; it takes only digit indices and no
+literal that `int` or `float` alone accepts (``1_0``, ``+3:``).  A file that
+fails a bulk check is parsed again line by line with `int` and `float`, so
+it parses to the same bits, and an error names the first bad line.
+``parse_dataset`` also reads a small ARFF subset (numeric attributes, dense
+or sparse data rows) with labels named by a companion list, which is how
+Mulan-style corpora are distributed; it gives a list of dense instances.
 
 Dataset-level feature normalization (min-max to [0,1], then division by
 sqrt(d), so ||x|| <= 1) is `normalize_features`, applied once to the parsed
@@ -42,7 +45,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -165,17 +168,21 @@ def parse_sparse_labels(text: str) -> tuple[RowStore, int, int]:
     return _parse_lines(text) if parsed is None else parsed
 
 
-_BLOCK = 1 << 14  # idx:value entries converted at a time, so the peak holds one block's token strings
+# idx:value entries read at a time: the peak holds one block's text and the reader's buffers (4 bytes a
+# character), and blocks of 2,048 or more raised grid-sparse's peak RSS after many parses in one process
+_BLOCK = 1 << 10
 
 
 def _parse_bulk(text: str) -> tuple[RowStore, int, int] | None:
     """`_parse_lines`'s result for a file it accepts, or None where it might raise.
 
     Each row's label and feature fields are split with str methods, and the
-    indices and values converted by an int and a float map (the conversions
-    `_parse_lines` makes), a block of rows with about `_BLOCK` entries at a
-    time (`_convert_block`); the checks are NumPy reductions, so no dense
-    matrix and no list of the whole file's tokens is ever built.
+    indices and values read by one call of NumPy's C text reader per block of
+    rows with about `_BLOCK` entries (`_convert_block`), which reads every
+    field as `float` does; a block it might read otherwise (a literal `int`
+    or `float` alone accepts, such as ``1_0`` or an index ``+3``) is refused.
+    The checks are NumPy reductions, so no dense matrix and no list of the
+    whole file's tokens is ever built.
     """
     rows = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
     try:
@@ -226,24 +233,32 @@ def _convert_block(feature_text: str, idx: np.ndarray, values: np.ndarray) -> bo
     the checker must read them.
 
     The text must be ASCII without control characters, so its only whitespace
-    is " ", and its ":" and " " must alternate, so that every token is one
-    idx:value pair, one per entry of idx.
+    is " "; it must hold one ":" per entry and one " " between entries, the
+    two alternating, so that every token is one idx:value pair; and every
+    index field must be digits.  NumPy's C text reader then reads every field
+    as `float` reads it.  An index read at or above 2**53 is refused: its
+    float might not be the integer written.
     """
+    if not feature_text:
+        return True
     if not feature_text.isascii():
         return False
     raw = np.frombuffer(feature_text.encode(), dtype=np.uint8)
-    seps = raw[(raw == ord(":")) | (raw == ord(" "))]
-    if np.count_nonzero(raw < ord(" ")) or np.count_nonzero(seps[0::2] != ord(":")) \
-            or np.count_nonzero(seps[1::2] != ord(" ")):
-        return False
-    pieces = feature_text.replace(":", " ").split(" ") if feature_text else []
-    if len(pieces) != 2 * idx.size:  # a last token without a colon
+    is_sep = (raw == ord(":")) | (raw == ord(" "))
+    seps = raw[np.flatnonzero(is_sep)]
+    in_index = ~(np.logical_xor.accumulate(is_sep) | is_sep)  # from a " " or the start up to a ":"
+    if np.count_nonzero(raw < ord(" ")) or seps.size != 2 * idx.size - 1 \
+            or np.count_nonzero(seps[0::2] != ord(":")) or np.count_nonzero(seps[1::2] != ord(" ")) \
+            or np.count_nonzero(in_index & ((raw < ord("0")) | (raw > ord("9")))):
         return False
     try:
-        idx[:] = np.fromiter(map(int, islice(pieces, 0, None, 2)), np.int64, idx.size)
-        values[:] = np.fromiter(map(float, islice(pieces, 1, None, 2)), np.float64, values.size)
-    except (ValueError, OverflowError):
+        fields = np.loadtxt([feature_text.replace(":", " ")], dtype=np.float64, delimiter=" ", comments=None,
+                            ndmin=1)
+    except ValueError:
         return False
+    if fields.size != 2 * idx.size or np.count_nonzero(fields[0::2] >= 2.0**53):
+        return False
+    idx[:], values[:] = fields[0::2], fields[1::2]
     return True
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .learners import LearnerConfig, _classify, decode, make_learner
 from .linalg import TOL, project_capped_simplex, projection_sweep, symmetric_eigen
 from .online_pca import CappedMsgState, EtaSchedule
 from .regressor import Head
-from .stream import planted_subspace_stream, substream
+from .stream import _parse_bulk, _parse_lines, planted_subspace_stream, substream
 
 __all__ = ["SUITES", "MUTANTS", "Mutant", "RequestError", "Suite", "SuiteReport", "run_suite", "run_suites"]
 
@@ -56,6 +57,7 @@ MUTANTS = {
     "reversed-sum": Mutant("projection", "sweep-agreement"),  # the small-n projection sums each row last to first
     "reassociated-eta": Mutant("tracker", "checked-agreement"),  # the unchecked step's eta as scale (m/k) / sqrt(t)
     "reversed-draw": Mutant("tracker", "checked-agreement"),  # the draw below 8 rows sums from the last row
+    "float-index": Mutant("parse"),  # the bulk parse reads index fields without the digit check: 3.0:1 is index 3
 }
 
 
@@ -515,6 +517,101 @@ def suite_regret(t: int = 2000, seed: int = 0, mutant: str | None = None) -> Sui
     return report
 
 
+# value literals `float` reads, each style drawn from a generator: reprs over the whole range, subnormals,
+# signed zero, bare points, underflow, 40-digit decimals with exponents, fixed point, halfway integers
+_VALUE_STYLES = (
+    lambda rng: repr(float(rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)))),
+    lambda rng: repr(float(np.ldexp(float(rng.integers(1, 2**52)), -1074))),
+    lambda rng: "-0.0",
+    lambda rng: f"+.{rng.integers(0, 10**6)}",
+    lambda rng: f"{rng.integers(0, 1000)}.",
+    lambda rng: f"{rng.integers(1, 10)}e-400",
+    lambda rng: f"{rng.integers(0, 10)}.{''.join(map(str, rng.integers(0, 10, 39)))}e{rng.integers(-330, 308)}",
+    lambda rng: f"{rng.random():.4f}",
+    lambda rng: str(2**53 + 2 * int(rng.integers(0, 2**20)) + 1),
+)
+
+# one planted row per corpus, i and j two distinct valid indices: index fields only `float` reads,
+# literals only `int` or `float` accept, separators the bulk path refuses, then bad tokens and rows
+_PLANTED = (
+    "{i}.0:1", "{i}.:1", "{i}e0:1", "+{i}:1", "-0:1", "0{i}:2.5", "{i}:1_0", "\u0661:1", "{i}:1\t{j}:2",
+    "{i}:1  {j}:2", "{i}:nan", "{i}:-Infinity", "{i}:1e400", "{i}:0x10", "{i}:", ":1", "{i}", "{i}:1:2",
+    "{d}:1", "{i}:1 {i}:2", "99999999999999999999:1",
+)
+
+
+def _corpus(rng: np.random.Generator, planted: str | None = None) -> str:
+    """A seeded sparse-labels file, every value in a literal style of `_VALUE_STYLES`, indices
+    sometimes zero-padded; ``planted`` replaces one row's feature field."""
+    d, k, n = int(rng.integers(2, 61)), int(rng.integers(1, 9)), int(rng.integers(1, 31))
+    lines = ["# a corpus", f"{k} {d} {n}"]
+    for _ in range(n):
+        at = rng.choice(d, size=int(rng.integers(0, min(d, 12) + 1)), replace=False)
+        tokens = [f"{'0' if rng.random() < 0.3 else ''}{i}:{_VALUE_STYLES[rng.integers(len(_VALUE_STYLES))](rng)}"
+                  for i in at.tolist()]
+        lines.append(",".join(map(str, np.flatnonzero(rng.random(k) < 0.3).tolist())) + " | " + " ".join(tokens))
+    if planted is not None:
+        i, j = rng.choice(d, size=2, replace=False).tolist()
+        row = 2 + int(rng.integers(n))
+        lines[row] = lines[row].partition("|")[0] + "| " + planted.format(i=i, j=j, d=d)
+    return "\n".join(lines) + "\n"
+
+
+def _float_indexed(text: str) -> str:
+    """The ``float-index`` defect: each index field `float` reads is read as a float and cast."""
+    def cast(match: re.Match) -> str:
+        try:
+            return f"{match[1]}{int(float(match[2]))}:"
+        except (ValueError, OverflowError):
+            return match[0]
+
+    return re.sub(r"(^|[ |])([^ :|\n]+):", cast, text, flags=re.M)
+
+
+def _bulk(text: str, mutant) -> tuple | None:
+    """``_parse_bulk(text)``, or its ``float-index`` defect."""
+    return _parse_bulk(_float_indexed(text) if mutant == "float-index" else text)
+
+
+def _bits(parsed: tuple) -> tuple:
+    """A parse's d, K and the bits of its store's arrays."""
+    store, d, k = parsed
+    return d, k, *((a.dtype.str, a.shape, a.tobytes()) for a in (store.indptr, store.idx, store.values, store.labels))
+
+
+def _outcome(parse: Callable[[str], tuple], text: str) -> tuple:
+    """The bits of ``parse(text)``, or its error's type and message."""
+    try:
+        return _bits(parse(text))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def suite_parse(corpora: int = 60, seed: int = 0, mutant: str | None = None) -> SuiteReport:
+    """The bulk sparse-labels parse against the line parse, its oracle, bit for bit.
+
+    A corpus in the literal styles `float` reads must take the bulk path and
+    give the line parse's bits.  A corpus with one planted exotic or bad row
+    must parse as `parse_sparse_labels` does, the bulk parse where it accepts
+    and else the line parse, to the line parse's bits or its exact error.
+    """
+    report = SuiteReport("parse", True, params={"corpora": corpora, "seed": seed})
+    rng = substream(seed, 127)
+    bulk_differs, differs = {}, {}
+    for c in range(corpora):
+        planted = _PLANTED[c % len(_PLANTED)]
+        clean, dirty = _corpus(rng), _corpus(rng, planted)
+        bulk = _bulk(clean, mutant)
+        if not bulk_differs and (bulk is None or _bits(bulk) != _bits(_parse_lines(clean))):
+            bulk_differs = {"corpus": c, "bulk": "refused" if bulk is None else "differs"}
+        want = _outcome(_parse_lines, dirty)
+        if not differs and _outcome(lambda text: _bulk(text, mutant) or _parse_lines(text), dirty) != want:
+            differs = {"corpus": c, "planted": planted, "lines": want[1] if len(want) == 2 else "parsed"}
+    _check(report, "bulk-agreement", not bulk_differs, corpora=corpora, **bulk_differs)
+    _check(report, "refusal-agreement", not differs, corpora=corpora, **differs)
+    return report
+
+
 @dataclass(frozen=True)
 class Suite:
     """A suite's function and the parameters one trial count sets."""
@@ -531,6 +628,7 @@ SUITES = {
     "bounds": Suite(suite_bounds, ("trials",)),
     "regret": Suite(suite_regret, ()),
     "tracker": Suite(suite_tracker, ("trials",)),
+    "parse": Suite(suite_parse, ("corpora",)),
 }
 
 

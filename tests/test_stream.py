@@ -127,6 +127,29 @@ MALFORMED = [  # (file, exception type, its exact message)
 ]
 
 
+_DOUBLES = np.random.default_rng(11).standard_normal(6) * 10.0 ** np.array([-300, -20, 0, 5, 150, 307])
+LITERALS = [  # (field, literal, whether the bulk path reads it): the line checker decides each outcome
+    *(("value", repr(float(v)), True) for v in _DOUBLES),
+    ("value", "5e-324", True),                   # the least subnormal
+    ("value", repr(2.2250738585072014e-308 / 3), True),
+    ("value", "-0.0", True),
+    ("value", "+.5", True),
+    ("value", "5.", True),
+    ("value", "1e-400", True),                   # underflows to 0.0
+    ("value", "1234567890123456789012345678901234567890", True),
+    ("value", "0.1234567890123456789012345678901234567891e-310", True),
+    ("value", "9007199254740993", True),         # halfway between two doubles
+    ("value", "1_0", False),                     # float() reads 10.0; the reader refuses it
+    ("value", "1e400", False),                   # non-finite: the line checker names it
+    ("index", "3.0:", False),                    # bad feature tokens
+    ("index", "3.:", False),
+    ("index", "1e1:", False),
+    ("index", "+3:", False),                     # int() reads 3
+    ("index", "03:", True),
+    ("index", "-0:", False),                     # int() reads 0: a duplicate of 0:1
+]
+
+
 def random_corpus(seed, n=60):
     """Random instances in the native format: some rows without labels or features, any finite value."""
     rng = np.random.default_rng(seed)
@@ -177,7 +200,8 @@ class TestBulkParse:
         assert_same_parse(bulk, stream._parse_lines(text))
         assert_same_parse(bulk, (instances, d, k))
 
-    @pytest.mark.parametrize("block", [1, 7, 100])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [1, 7, 100, 512, 1024, 2048, 4096, 6144, 8192, 10240, 12288, 16384, 65536])
     def test_any_block_of_entries_converts_alike(self, block, monkeypatch):
         monkeypatch.setattr(stream, "_BLOCK", block)
         for seed in range(3):
@@ -221,6 +245,41 @@ class TestBulkParse:
         with pytest.raises(ParseError):
             parse_sparse_labels(text.replace(":0.", ":nan", 1))
         assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [1, 1024, 4096])
+    def test_rows_without_features_stay_in_bulk(self, block, monkeypatch):
+        monkeypatch.setattr(stream, "_BLOCK", block)
+        reads = []
+        reader = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: reads.append(args) or reader(*args, **kwargs))
+        empty = "3 4 3\n0 |\n|\n1,2 | \n"
+        bulk = stream._parse_bulk(empty)
+        assert bulk is not None and reads == []  # a block with no entries never reaches the reader
+        assert_same_parse(bulk, stream._parse_lines(empty))
+        rows = grid_sparse_text(6, rows=400).splitlines()
+        rows[0] = "20 500 600"
+        rows[1:1] = ["3 |"] * 100  # rows without features first, and among the others
+        rows[300:300] = ["| "] * 100
+        mixed = "\n".join(rows) + "\n"
+        bulk = stream._parse_bulk(mixed)
+        assert bulk is not None
+        assert_same_parse(bulk, stream._parse_lines(mixed))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, literal, bulk", LITERALS)
+    def test_the_reader_reads_each_literal_as_the_line_checker_does(self, field, literal, bulk):
+        token = f"{literal}1.5" if field == "index" else f"3:{literal}"
+        text = f"2 5 3\n0 | 1:0.5\n1 | 0:1 {token}\n | 2:-1\n"
+        assert (stream._parse_bulk(text) is not None) == bulk
+        try:
+            want = stream._parse_lines(text)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                parse_sparse_labels(text)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc) and str(exc).startswith("line 3: ")
+        else:
+            assert_same_parse(parse_sparse_labels(text), want)
 
 
 def explicit_corpus(seed, negative_zero, rows=40, d=9, k=5):

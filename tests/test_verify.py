@@ -18,6 +18,7 @@ REDUCED = {
     "bounds": dict(trials=1500),
     "regret": dict(t=800),
     "tracker": dict(trials=8, steps=20),
+    "parse": dict(corpora=25),
 }
 
 # the tracker's parts that its fast-path defects make differ: the unchecked step drifts, the public update still matches
@@ -25,7 +26,7 @@ TRACKER_PARTS = {"reassociated-eta": ["unchecked-q", "unchecked-sigma"], "revers
 
 
 class TestSuitesPass:
-    @pytest.mark.parametrize("name", ["lemma1", "lemma3", "sherman", "projection", "bounds", "tracker"])
+    @pytest.mark.parametrize("name", ["lemma1", "lemma3", "sherman", "projection", "bounds", "tracker", "parse"])
     def test_clean_suite_passes(self, name):
         report = run_suite(name, **REDUCED[name])
         assert report.passed, report.to_dict()
@@ -97,6 +98,16 @@ class TestMutantsFail:
         assert not report.passed and not checks["checked-agreement"]["passed"]
         assert checks["checked-agreement"]["witness"]["parts"] == ["basis"]
         assert checks["dense-agreement"]["passed"]  # only the oracle replay sees a wrong draw
+
+    @pytest.mark.filterwarnings("error")
+    def test_float_index_breaks_refusal_agreement_alone(self):
+        clean = run_suite("parse", **REDUCED["parse"])
+        assert [(c["name"], c["passed"]) for c in clean.checks] == [("bulk-agreement", True),
+                                                                    ("refusal-agreement", True)]
+        report = run_suite("parse", mutant="float-index", **REDUCED["parse"])
+        failed = {c["name"]: c["witness"] for c in report.checks if not c["passed"]}
+        assert list(failed) == ["refusal-agreement"]  # the clean corpora write digit indices only
+        assert failed["refusal-agreement"]["lines"].endswith(".0:1'")  # the line checker names the bad token
 
     def test_swapped_walk_free_breaks_walk_agreement_under_rank_alone(self):
         report = run_suite("lemma3", random_trials=50, cost_names=["hamming", "rank"], mutant="swapped-walk-free")
