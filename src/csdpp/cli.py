@@ -7,30 +7,34 @@
 grid over one dataset; each cell writes an average-cost CSV, and each repeat
 group writes a JSON summary (mean and standard error of the final average
 cost).  Repeat r runs with seed base+r for both the stream shuffle/noise and
-the learner.  The parent parses and normalizes the dataset once, plans every
-cell repeat once into one table in grid order, and builds one stream per
-(noise, repeat), which every algorithm/cost/m-frac cell shares.  The cell
-spec handed to a play carries its row's index, and each job's outcome is
-written straight into the rows of the cells its plays served.
+the learner.  The parent parses and normalizes the dataset once into a
+compact row store (`stream.RowStore`), plans every cell repeat once into one
+table in grid order, and builds one stream per (noise, repeat), which every
+algorithm/cost/m-frac cell shares: a row order and a label matrix over the
+store (`stream.Stream`), so neither the parent nor a worker keeps a dense
+row.  The cell spec handed to a play carries its row's index, and each job's
+outcome is written straight into the rows of the cells its plays served.
 Cells whose learners predict alike share one play: a cost-blind plan (all but
 the cost-weighted cs-dpp-* ones) plays once per (algorithm, M, noise, repeat),
 o-br once per (noise, repeat), and a cs-dpp-* cell under hamming joins its
 dpp-* twin (criterion 07).  A play prices its predictions under every cost it
 serves: the cost it was played under by the learner's own call, each other one
-by one batch call over the whole play (`CostFunction.each`).  A job plays every
-trajectory of one stream in lockstep (`learners.Lockstep`): each step updates
-the ridge accumulator once for every ridge head and the uniform-weighted
-tracker once per M for dpp-pbc, dpp-pbt and dpp-naive.  When there are fewer
-streams than workers, each stream's plays are cut into at most ceil(workers /
-streams) jobs, so that the spare workers get work; the cut never splits the
-plays of one tracker.  No output byte depends on the grouping or on the cut.  A
-job carries its stream once, its plays' LearnerConfigs and their cells' CSV
-headers, so jobs may run in a worker pool (--workers or CSDPP_WORKERS).  Given
-the same spec and seed the outputs are byte-identical.  A failed cell repeat is
-named on stderr, once for every cell a failed play served: a learner that
-cannot be built or whose step fails fails its own play's cells, an unwritable
-CSV its own cell, and a crashed pool worker every cell of its job.  The CSVs of
-finished repeats stay on disk and no summaries are written.  Every other
+by one batch call over the whole play on the stream's label matrix
+(`CostFunction.each`).  A job plays every trajectory of one stream in lockstep
+(`learners.Lockstep`): each step updates the ridge accumulator once for every
+ridge head and the uniform-weighted tracker once per M for dpp-pbc, dpp-pbt
+and dpp-naive.  When there are fewer streams than workers, each stream's plays
+are cut into at most ceil(workers / streams) jobs, so that the spare workers
+get work; the cut never splits the plays of one tracker.  No output byte
+depends on the grouping or on the cut.  A job carries its stream once, as the
+CSR entries of the rows it plays, its plays' LearnerConfigs and their cells'
+CSV headers, so jobs may run in a worker pool (--workers or CSDPP_WORKERS).
+Given the same spec and seed the outputs are byte-identical.  A failed cell
+repeat is named on stderr, once for every cell a failed play served: a
+learner that cannot be built or whose step fails fails its own play's cells,
+an unwritable CSV its own cell, and a crashed pool worker every cell of its
+job.  The CSVs of finished repeats stay on disk and no summaries are
+written.  Every other
 runtime failure (an unreadable or undecodable dataset or label-name file, a bad
 CSDPP_WORKERS, a dataset that does not parse or has no instances, a feature
 whose max - min overflows float64, an output directory or a summary that cannot
@@ -235,6 +239,8 @@ def _run_repeat(payload: dict) -> list[list[tuple]]:
     own play's cells, and a CSV that cannot be written only its own cell.
     """
     instances, plays = payload["stream"], payload["plays"]
+    # a store, or a stream over one, carries its label matrix; a list of instances does not
+    truth = [inst.labels for inst in instances] if isinstance(instances, list) else instances.labels
     bundle = Lockstep()
     slots, errors = [], []  # per play: its learner's slot in the bundle, the error that kept it out
     for spec in plays:
@@ -251,17 +257,19 @@ def _run_repeat(payload: dict) -> list[list[tuple]]:
             continue
         records = [step[slot] for step in steps]
         played = {"m": bundle.learners[slot].m, "steps": len(records)}
-        outcomes.append([_outcome(_write_cell, cell, records, instances, spec["config"].cost, played)
+        outcomes.append([_outcome(_write_cell, cell, records, truth, spec["config"].cost, played)
                          for cell in spec["cells"]])
     return outcomes
 
 
-def _write_cell(cell: dict, records: list, instances: list, played_cost: str, played: dict) -> float:
-    """Write one cell's CSV; the learner priced its predictions under played_cost only."""
+def _write_cell(cell: dict, records: list, truth, played_cost: str, played: dict) -> float:
+    """Write one cell's CSV; the learner priced its predictions under played_cost only.
+
+    `truth` holds the stream's label vectors, in step order.
+    """
     if cell["cost"] == played_cost:
         costs = [rec.incurred_cost for rec in records]
     else:  # every step of the play re-priced at once
-        truth = [inst.labels for inst in instances]
         costs = get_cost(cell["cost"]).each(truth, [rec.y_hat for rec in records])
     trace = evaluation.CostTrace()
     for cost in costs:

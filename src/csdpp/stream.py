@@ -12,15 +12,16 @@ All indices are 0-based.  Absent features are 0; non-finite values (nan, inf)
 are rejected with their line number.  Labels materialize as dense vectors in
 {-1,+1}.  `parse_sparse_labels` converts the file in bulk into a
 `RowStore`: the stored entries as CSR arrays and one (N, K) label matrix, a
-read-only sequence whose instances are built, one dense row each, when they
-are indexed.  The bulk path reads the numbers with NumPy's C text reader,
-which gives the bits `float` gives; it takes only digit indices and no
-literal that `int` or `float` alone accepts (``1_0``, ``+3:``).  A file that
-fails a bulk check is parsed again line by line with `int` and `float`, so
-it parses to the same bits, and an error names the first bad line.
+read-only sequence that builds an instance's dense row each time it is
+indexed and keeps none.  The bulk path reads the numbers with NumPy's C text
+reader, which gives the bits `float` gives; it takes only digit indices and
+no literal that `int` or `float` alone accepts (``1_0``, ``+3:``).  A file
+that fails a bulk check is parsed again line by line with `int` and `float`,
+so it parses to the same bits, and an error names the first bad line.
 ``parse_dataset`` also reads a small ARFF subset (numeric attributes, dense
 or sparse data rows) with labels named by a companion list, which is how
-Mulan-style corpora are distributed; it gives a list of dense instances.
+Mulan-style corpora are distributed, one line at a time into the same kind of
+`RowStore`.
 
 Dataset-level feature normalization (min-max to [0,1], then division by
 sqrt(d), so ||x|| <= 1) is `normalize_features`, applied once to the parsed
@@ -30,9 +31,12 @@ returns a store that scales each row as it is built, bit for bit the row the
 dense path gives.  Stream construction (`build_stream`) then applies, in
 order: seeded permutation, truncation to a step budget, and seeded one-sided
 label noise (each positive flips to negative independently with probability
-p); the permutation is truncated before it is applied, so only the rows a
-stream plays are ever built, and a store keeps each row it builds, so
-streams that play a row share it.
+p).  Of a store it gives a `Stream`, a view that keeps only its row order
+over the store and its own label matrix, the noise drawn into it; a row is
+built each time the stream is indexed, and a pickled stream is a compact
+`RowStore` of just its rows.  The list paths of `normalize_features`,
+`build_stream` and `inject_noise` are the references the store paths match
+bit for bit.
 
 All randomness in the package flows through `substream(seed, purpose)`:
 independent named substreams of a single seed, so components never share or
@@ -52,6 +56,7 @@ import numpy as np
 __all__ = [
     "Instance",
     "RowStore",
+    "Stream",
     "StreamConfig",
     "ParseError",
     "SchemaError",
@@ -111,23 +116,14 @@ class StreamConfig:
     limit: int | None = None
 
 
-class RowStore(Sequence[Instance]):
-    """Parsed instances kept compact: CSR feature rows and an (n, K) int8 label matrix.
+class _Rows(Sequence[Instance]):
+    """A read-only sequence of `Instance` that builds row i's dense features each time it is indexed.
 
-    A read-only sequence of `Instance`.  Indexing builds that one dense
-    feature row the first time, and keeps it: a row indexed again, by any
-    stream, shares that feature array, as it would in a list, and gets its
-    own copy of its labels.  A store `normalize_features` returned scales
-    each row as it builds it.  Row i's features are
-    ``values[indptr[i]:indptr[i + 1]]`` at ``idx[indptr[i]:indptr[i + 1]]``,
-    no index twice in a row.
+    A subclass gives `_build(i)` and an (n, K) int8 `labels` matrix; an
+    instance gets its own copy of its labels, and no built row is kept.
     """
 
-    def __init__(self, indptr: np.ndarray, idx: np.ndarray, values: np.ndarray, labels: np.ndarray, d: int,
-                 scale: tuple[np.ndarray, np.ndarray] | None = None):
-        self.indptr, self.idx, self.values, self.labels, self.d = indptr, idx, values, labels, d
-        self.scale = scale  # (min, span) per feature, from normalize_features
-        self._rows: dict[int, np.ndarray] = {}  # the rows built so far
+    labels: np.ndarray
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -136,10 +132,21 @@ class RowStore(Sequence[Instance]):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]  # an int or NumPy integer; negative counts from the end
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows[i] = self._build(i)
-        return Instance(row, self.labels[i].copy())
+        return Instance(self._build(i), self.labels[i].copy())
+
+
+class RowStore(_Rows):
+    """Parsed instances kept compact: CSR feature rows and an (n, K) int8 label matrix.
+
+    A store `normalize_features` returned scales each row as it builds it.
+    Row i's features are ``values[indptr[i]:indptr[i + 1]]`` at
+    ``idx[indptr[i]:indptr[i + 1]]``, no index twice in a row.
+    """
+
+    def __init__(self, indptr: np.ndarray, idx: np.ndarray, values: np.ndarray, labels: np.ndarray, d: int,
+                 scale: tuple[np.ndarray, np.ndarray] | None = None):
+        self.indptr, self.idx, self.values, self.labels, self.d = indptr, idx, values, labels, d
+        self.scale = scale  # (min, span) per feature, from normalize_features
 
     def _build(self, i: int) -> np.ndarray:
         """Row i's dense features."""
@@ -155,6 +162,35 @@ class RowStore(Sequence[Instance]):
         x = np.zeros((len(self), self.d))
         x.reshape(-1)[np.repeat(np.arange(len(self)) * self.d, np.diff(self.indptr)) + self.idx] = self.values
         return x
+
+    def _take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR entries (indptr, idx, values) of `rows`, in that order."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        at = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return indptr, self.idx[at], self.values[at]
+
+
+class Stream(_Rows):
+    """A stream over a `RowStore`: its row order and its own (n, K) label matrix, noise drawn in.
+
+    Step i plays the store's row ``order[i]``, built when it is indexed, with
+    ``labels[i]``.  Pickled, a stream becomes a compact `RowStore` of just its
+    rows' entries, its labels and the store's scale, so a pool job carries no
+    dense row and the parent copies no entry.
+    """
+
+    def __init__(self, store: RowStore, order: np.ndarray, labels: np.ndarray):
+        self.store, self.order, self.labels = store, order, labels
+
+    def _build(self, i: int) -> np.ndarray:
+        return self.store._build(self.order[i])
+
+    def __reduce__(self):
+        store = self.store
+        return RowStore, (*store._take(self.order), self.labels, store.d, store.scale)
 
 
 def parse_sparse_labels(text: str) -> tuple[RowStore, int, int]:
@@ -350,22 +386,24 @@ def _arff_split_row(row: str) -> list[str]:
     return [tok.strip().strip("'\"") for tok in row.split(",")]
 
 
-def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, int]:
+def parse_arff(text: str, label_names: list[str]) -> tuple[RowStore, int, int]:
     """Minimal ARFF reader: numeric attributes, labels named in label_names.
 
     Supports dense rows and Mulan-style sparse rows ``{idx val, idx val}``.
     Label attribute values > 0 map to +1, otherwise -1.  Attribute names may
     be quoted.  An attribute declared twice, or a sparse index given twice in
-    one row, is rejected.
+    one row, is rejected.  The features go into a `RowStore`, which keeps
+    every value that is nonzero or -0.0: its rows build to the dense rows bit
+    for bit, and a -0.0 reaches `normalize_features` as written.
     """
     attr_names: dict[str, None] = {}  # in declaration order
-    instances: list[Instance] = []
+    indptr, feature_idx, feature_values, label_rows = [0], [], [], []
     label_set = {name.strip() for name in label_names if name.strip()}
     if not label_set:
         raise SchemaError("label name list is empty")
     in_data = False
-    label_pos: list[int] = []
-    feat_pos: list[int] = []
+    d = k = 0
+    feature_of = label_of = every = np.zeros(0, dtype=np.int64)  # per attribute: its column, or -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -388,16 +426,18 @@ def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, 
                 missing = label_set - set(attr_names)
                 if missing:
                     raise SchemaError(f"labels not present as attributes: {sorted(missing)}")
-                label_pos = [i for i, n in enumerate(attr_names) if n in label_set]
-                feat_pos = [i for i, n in enumerate(attr_names) if n not in label_set]
+                is_label = np.array([n in label_set for n in attr_names], dtype=bool)
+                k, d = len(label_set), len(attr_names) - len(label_set)
+                every = np.arange(len(attr_names))
+                feature_of, label_of = np.full(every.size, -1), np.full(every.size, -1)
+                feature_of[~is_label], label_of[is_label] = np.arange(d), np.arange(k)
                 continue
             raise ParseError(line_no, f"unexpected line before @data: {line!r}")
-        values = np.zeros(len(attr_names), dtype=np.float64)
         if line.startswith("{"):
             if not line.endswith("}"):
                 raise ParseError(line_no, "unterminated sparse row")
             body = line[1:-1].strip()
-            seen: set[int] = set()
+            entries: dict[int, float] = {}
             if body:
                 for tok in body.split(","):
                     pair = tok.split()
@@ -408,12 +448,13 @@ def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, 
                         val = float(pair[1])
                     except ValueError:
                         raise ParseError(line_no, f"bad sparse entry {tok!r}") from None
-                    if not 0 <= idx < values.size:
-                        raise ParseError(line_no, f"sparse index {idx} outside [0, {values.size})")
-                    if idx in seen:
+                    if not 0 <= idx < len(attr_names):
+                        raise ParseError(line_no, f"sparse index {idx} outside [0, {len(attr_names)})")
+                    if idx in entries:
                         raise ParseError(line_no, f"duplicate sparse index {idx}")
-                    seen.add(idx)
-                    values[idx] = val
+                    entries[idx] = val
+            at = np.fromiter(entries, np.int64, len(entries))
+            values = np.fromiter(entries.values(), np.float64, len(entries))
         else:
             toks = _arff_split_row(line)
             if len(toks) != len(attr_names):
@@ -421,21 +462,28 @@ def parse_arff(text: str, label_names: list[str]) -> tuple[list[Instance], int, 
                     f"line {line_no}: row has {len(toks)} values, schema has {len(attr_names)}"
                 )
             try:
-                values[:] = [float(t) for t in toks]
+                values = np.array([float(t) for t in toks])
             except ValueError:
                 raise ParseError(line_no, "non-numeric value in data row") from None
+            at = every
         if not np.all(np.isfinite(values)):
             raise ParseError(line_no, "non-finite value in data row")
-        labels = np.where(values[label_pos] > 0, 1, -1).astype(np.int8)
-        instances.append(Instance(values[feat_pos].copy(), labels))
+        label_col, feature_col = label_of[at], feature_of[at]
+        labels = np.full(k, -1, dtype=np.int8)
+        labels[label_col[(label_col >= 0) & (values > 0)]] = 1
+        kept = (feature_col >= 0) & ((values != 0.0) | np.signbit(values))
+        feature_idx += feature_col[kept].tolist()
+        feature_values += values[kept].tolist()
+        indptr.append(len(feature_idx))
+        label_rows.append(labels)
     if not in_data:
         raise SchemaError("no @data section found")
-    return instances, len(feat_pos), len(label_pos)
+    return _store(indptr, feature_idx, feature_values, label_rows, d, k), d, k
 
 
 def parse_dataset(
     text: str, fmt: str = "sparse-labels", label_names: list[str] | None = None
-) -> tuple[list[Instance], int, int]:
+) -> tuple[RowStore, int, int]:
     if fmt == "sparse-labels":
         return parse_sparse_labels(text)
     if fmt == "arff":
@@ -447,9 +495,7 @@ def parse_dataset(
 
 def inject_noise(instances: list[Instance], p: float, seed: int) -> list[Instance]:
     """Flip each positive label to negative independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise probability must be in [0,1], got {p}")
-    rng = substream(seed, PURPOSE_NOISE)
+    rng = _noise_generator(p, seed)
     out = []
     for inst in instances:
         draws = rng.random(inst.labels.size)
@@ -457,6 +503,12 @@ def inject_noise(instances: list[Instance], p: float, seed: int) -> list[Instanc
         labels[(labels == 1) & (draws < p)] = -1
         out.append(Instance(inst.features, labels))
     return out
+
+
+def _noise_generator(p: float, seed: int) -> np.random.Generator:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"noise probability must be in [0,1], got {p}")
+    return substream(seed, PURPOSE_NOISE)
 
 
 def normalize_features(instances: Sequence[Instance]) -> Sequence[Instance]:
@@ -502,19 +554,34 @@ def _scale(x: np.ndarray, lo: np.ndarray, span: np.ndarray) -> None:
     x /= np.sqrt(x.shape[-1])
 
 
-def build_stream(instances: Sequence[Instance], config: StreamConfig) -> list[Instance]:
+# label noise is drawn for this many labels at a time; rows of K draws read in one block give the bits
+# that one draw per row gives, and the temporary stays small however long the stream
+_NOISE_BLOCK = 1 << 16
+
+
+def build_stream(instances: Sequence[Instance], config: StreamConfig) -> Sequence[Instance]:
     """permute -> truncate -> label noise, each step seeded.
 
-    The permutation is truncated before it is applied, so a `RowStore`
-    builds only the rows the stream plays.
+    A list gives a list.  A `RowStore` gives a `Stream` over it: the
+    truncated permutation and the played rows' label matrix, into which the
+    noise is drawn in blocks of rows, the draws that `inject_noise` makes row
+    by row; no row is built until the stream is indexed.
     """
     if config.limit is not None and config.limit < 0:
         raise ValueError("limit must be non-negative")
-    order = substream(config.seed, PURPOSE_PERMUTE).permutation(len(instances))
-    out = [instances[i] for i in order[: config.limit]]
+    order = substream(config.seed, PURPOSE_PERMUTE).permutation(len(instances))[: config.limit]
+    if not isinstance(instances, RowStore):
+        out = [instances[i] for i in order]
+        return inject_noise(out, config.noise_p, config.seed) if config.noise_p > 0.0 else out
+    order = order.copy()  # not a view that keeps the whole permutation
+    labels = instances.labels[order]
     if config.noise_p > 0.0:
-        out = inject_noise(out, config.noise_p, config.seed)
-    return out
+        rng = _noise_generator(config.noise_p, config.seed)
+        rows = max(1, _NOISE_BLOCK // max(1, labels.shape[1]))
+        for start in range(0, len(labels), rows):
+            block = labels[start:start + rows]
+            block[(block == 1) & (rng.random(block.shape) < config.noise_p)] = -1
+    return Stream(instances, order, labels)
 
 
 def _distinct_sign_rows(rng: np.random.Generator, rows: int, k: int, full_rank: bool) -> np.ndarray:

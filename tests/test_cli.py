@@ -324,7 +324,7 @@ class TestRunCommand:
         build = csdpp.stream.RowStore._build
 
         def counting(store, i):
-            built.append(i)
+            built.append(int(i))
             return build(store, i)
 
         monkeypatch.setattr(csdpp.stream.RowStore, "_build", counting)
@@ -333,37 +333,86 @@ class TestRunCommand:
         assert run_cli("run", "--dataset", str(data), "--algo", "o-br", "--algo", "cs-dpp-pbc",
                        "--limit", "20", "--repeats", "2", "--output", str(out)) == 0
         assert len(os.listdir(out)) == 6
-        assert 0 < len(built) <= 2 * 20
-        assert len(set(built)) == len(built)  # no row is built twice
+        # each stream's one lockstep play builds each of its 20 rows once; re-pricing reads only labels
+        assert len(built) == 2 * 20
+        assert len(set(built[:20])) == len(set(built[20:])) == 20
 
-    def test_a_run_without_a_limit_keeps_one_dense_copy(self, tmp_path, monkeypatch):
-        # every stream plays every row; they share one built row each, as they shared the parsed list's
-        rng = np.random.default_rng(4)
-        n, d, nnz = 1000, 1000, 20
-        lines = [f"5 {d} {n}"]
-        for _ in range(n):
-            columns = np.sort(rng.choice(d, nnz, replace=False))
-            feats = " ".join(f"{i}:{v:.4f}" for i, v in zip(columns, rng.random(nnz)))
-            lines.append(f"{rng.integers(5)} | {feats}")
-        data = tmp_path / "data.txt"
-        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        dense_copy = n * d * 8
-        held = []
+    def test_a_run_keeps_no_dense_copy(self, tmp_path, monkeypatch):
+        # every stream plays every row, and neither the parent nor an in-process run keeps a built row
+        def write(name, n, d, nnz):
+            rng = np.random.default_rng(4)
+            lines = [f"5 {d} {n}"]
+            for _ in range(n):
+                columns = np.sort(rng.choice(d, nnz, replace=False))
+                feats = " ".join(f"{i}:{v:.4f}" for i, v in zip(columns, rng.random(nnz)))
+                lines.append(f"{rng.integers(5)} | {feats}")
+            path = tmp_path / name
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return str(path)
 
-        def measured(jobs, workers):  # every stream is built when the jobs start
-            held.append(tracemalloc.get_traced_memory()[0])
-            raise KeyboardInterrupt
+        def held(data, *grid):  # traced bytes held when the jobs start, and the streams' own arrays
+            seen = []
 
-        monkeypatch.setattr(cli, "_execute", measured)
+            def measured(jobs, workers):
+                streams = {id(job["stream"]): job["stream"] for job in jobs}.values()
+                seen.append((tracemalloc.get_traced_memory()[0],
+                             sorted(s.order.nbytes + s.labels.nbytes for s in streams)))
+                raise KeyboardInterrupt
+
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "_execute", measured)
+                tracemalloc.start()
+                try:
+                    with pytest.raises(KeyboardInterrupt):
+                        run_cli("run", "--dataset", data, "--algo", "o-br", *grid, "--output", str(tmp_path / "res"))
+                finally:
+                    tracemalloc.stop()
+            return seen[0]
+
+        six = ("--repeats", "3", "--noise-p", "0", "--noise-p", "0.25")
+        sparse, dense_copy = write("sparse.txt", 1000, 1000, 20), 1000 * 1000 * 8
+        # the half copy covers the file's text, its entries and each stream's order and labels
+        assert held(sparse, *six)[0] <= dense_copy / 2
         tracemalloc.start()
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                run_cli("run", "--dataset", str(data), "--algo", "o-br", "--repeats", "3",
-                        "--noise-p", "0", "--noise-p", "0.25", "--output", str(tmp_path / "res"))
+        try:  # the SGD head keeps the learner small; a ridge head's d x d inverse alone is a dense copy here
+            assert run_cli("run", "--dataset", sparse, "--algo", "o-br", "--engine", "sgd", "--workers", "1",
+                           *six, "--output", str(tmp_path / "in-process")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the half copy covers the file's text, its entries and each stream's instances and labels
-        assert dense_copy < held[0] <= 1.5 * dense_copy
+        assert peak < dense_copy
+        # a fully dense corpus: the extra streams add their orders and labels, and copy no entry
+        dense = write("dense.txt", 2000, 100, 100)
+        (one, [own]), (many, streams) = held(dense), held(dense, *six)
+        assert len(streams) == 6 and many <= one + sum(streams) - own
+
+    def test_store_streams_write_the_bytes_of_the_list_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        d, k = 40, 8
+        insts = []
+        for _ in range(120):
+            x = np.zeros(d)
+            nz = rng.choice(d, size=6, replace=False)
+            x[nz] = rng.standard_normal(nz.size)
+            insts.append(Instance(x, np.where(rng.random(k) < 0.3, 1, -1).astype(np.int8)))
+        data = tmp_path / "sparse.txt"
+        data.write_text(serialize_sparse_labels(insts, d, k), encoding="utf-8")
+        grid = ["run", "--dataset", str(data), "--algo", "cs-dpp-pbc", "--algo", "dpp-pbt", "--algo", "o-br",
+                "--cost", "f1", "--cost", "hamming", "--noise-p", "0", "--noise-p", "0.3", "--repeats", "2",
+                "--workers", "2"]
+        assert run_cli(*grid, "--output", str(tmp_path / "store")) == 0
+        listed = []
+
+        def list_path(rows, config):  # the reference: the parsed rows as a list of instances
+            listed.append(config)
+            return csdpp.stream.build_stream(list(rows), config)
+
+        monkeypatch.setattr(cli, "build_stream", list_path)
+        assert run_cli(*grid, "--output", str(tmp_path / "list")) == 0
+        assert len(listed) == 4
+        expected = read_all(tmp_path / "list")
+        assert len(expected) == 3 * 2 * 2 * 3
+        assert read_all(tmp_path / "store") == expected
 
     def test_worker_env_variable(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setenv("CSDPP_WORKERS", "2")

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 import warnings
 
@@ -323,10 +324,14 @@ class TestRowStore:
             assert stream_bytes(store) == stream_bytes(dense)
             scaled, reference = normalize_features(store), normalize_features(dense)
             assert isinstance(scaled, RowStore)
-            for config in (StreamConfig(seed=1), StreamConfig(seed=2, limit=7), StreamConfig(seed=3, noise_p=0.5)):
+            for config in (StreamConfig(seed=1), StreamConfig(seed=2, limit=7), StreamConfig(seed=3, noise_p=0.5),
+                           StreamConfig(seed=4, noise_p=1.0), StreamConfig(seed=5, limit=9, noise_p=0.3)):
                 # with normalization, and as --no-normalize plays the parsed rows
-                assert stream_bytes(build_stream(scaled, config)) == stream_bytes(build_stream(reference, config))
-                assert stream_bytes(build_stream(store, config)) == stream_bytes(build_stream(dense, config))
+                for rows, listed in ((scaled, reference), (store, dense)):
+                    played, expected = build_stream(rows, config), stream_bytes(build_stream(listed, config))
+                    assert isinstance(played, stream.Stream) and stream_bytes(played) == expected
+                    shipped = pickle.loads(pickle.dumps(played))  # as a pool job carries it
+                    assert type(shipped) is RowStore and stream_bytes(shipped) == expected
         columns = np.stack([inst.features for inst in scaled])
         assert np.all(columns[:, 1:3] == 0.0)  # the constant and the absent feature map to 0
 
@@ -362,18 +367,26 @@ class TestRowStore:
         with pytest.raises(IndexError):
             store[6]
         store[0].labels[:] = 1  # an instance's labels are a copy
-        assert stream_bytes([store[0]]) == stream_bytes([dense[0]])
-        assert store[3].features is store[-3].features  # a row is built once and shared
+        store[3].features[:] = 7.0  # and its features are built for it alone
+        assert stream_bytes([store[0], store[-3]]) == stream_bytes([dense[0], dense[3]])
 
-    def test_streams_share_the_rows_they_play(self):
-        text, dense = explicit_corpus(6, False, rows=30)
+    def test_streams_build_their_rows_on_every_access(self, monkeypatch):
+        text, _ = explicit_corpus(6, False, rows=30)
         store = normalize_features(parse_sparse_labels(text)[0])
-        streams = [build_stream(store, StreamConfig(seed=seed, noise_p=0.5)) for seed in range(3)]
-        assert len(store._rows) == 30
-        rows = {id(row) for row in store._rows.values()}
-        assert all(id(inst.features) in rows for played in streams for inst in played)
-        assert stream_bytes(streams[2]) == stream_bytes(build_stream(normalize_features(dense),
-                                                                     StreamConfig(seed=2, noise_p=0.5)))
+        fields = set(vars(store))
+        built = []
+        build = RowStore._build
+        monkeypatch.setattr(RowStore, "_build", lambda self, i: built.append(int(i)) or build(self, i))
+        streams = [build_stream(store, StreamConfig(seed=seed, noise_p=0.5, limit=25)) for seed in range(3)]
+        assert built == []  # a stream is its row order and its labels; it builds no row until indexed
+        for played in streams:
+            assert set(vars(played)) == {"store", "order", "labels"} and played.store is store
+            first, second = list(played), list(played)
+            assert built == played.order.tolist() * 2  # every access builds its row again
+            assert not any(a.features is b.features for a, b in zip(first, second))
+            assert stream_bytes(first) == stream_bytes(second)
+            built.clear()
+        assert set(vars(store)) == fields  # and the store keeps no built row either
 
     def test_parse_keeps_no_dense_copy(self):
         # grid-sparse's shape: 4,000 rows, d = 500, 25 entries a row
@@ -403,7 +416,76 @@ ARFF = """\
 """
 
 
+def arff_corpus(seed, rows=60, d=7, k=4):
+    """An ARFF corpus, its dense instances and its label names, and the same data in sparse-labels form.
+
+    Label attributes sit among the features; rows come dense or sparse, with
+    explicit zeros (``0``, ``0.0``, ``-0.0``) in both forms and one -0.0 feature.
+    """
+    rng = np.random.default_rng(seed)
+    names = [f"f{i}" for i in range(d)] + [f"lab {j}" for j in range(k)]
+    order = rng.permutation(len(names))
+    names = [names[i] for i in order]
+    is_label = np.array([name.startswith("lab") for name in names])
+    header = ["@relation mixed"] + [f"@attribute '{name}' numeric" for name in names] + ["@data"]
+    lines, dense = [], []
+    sparse = [f"{k} {d} {rows}"]
+    for r in range(rows):
+        tokens = {}  # attribute -> its value as written
+        for i in rng.choice(len(names), size=int(rng.integers(0, len(names))), replace=False):
+            tokens[int(i)] = (rng.choice(["0", "0.0", "-0.0", "1"]) if is_label[i]
+                              else rng.choice(["0", "-0.0", "-2.5", repr(float(rng.standard_normal()))]))
+        if r == rows // 2:
+            tokens[int(np.flatnonzero(~is_label)[0])] = "-0.0"
+        values = np.zeros(len(names))
+        for i, text in tokens.items():
+            values[i] = float(text)
+        if rng.random() < 0.5:
+            lines.append("{" + ", ".join(f"{i} {tokens[i]}" for i in rng.permutation(list(tokens))) + "}")
+        else:
+            lines.append(",".join(tokens.get(i, "0") for i in range(len(names))))
+        labels = np.where(values[is_label] > 0, 1, -1).astype(np.int8)
+        dense.append(Instance(values[~is_label], labels))
+        column = np.cumsum(~is_label) - 1
+        sparse.append(",".join(map(str, np.flatnonzero(labels == 1))) + " | " + " ".join(
+            f"{column[i]}:{tokens[i]}" for i in np.flatnonzero(~is_label) if i in tokens))
+    text = "\n".join(header + lines) + "\n"
+    return text, dense, [name for name in names if name.startswith("lab")], "\n".join(sparse) + "\n"
+
+
 class TestArff:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_store_rows_equal_the_dense_path_bit_for_bit(self, seed):
+        text, dense, label_names, _ = arff_corpus(seed)
+        store, d, k = parse_arff(text, label_names)
+        assert isinstance(store, RowStore) and (len(store), d, k) == (60, 7, 4)
+        assert stream_bytes(store) == stream_bytes(dense)
+        zero = store.values == 0.0
+        assert np.any(zero) and np.all(np.signbit(store.values[zero]))  # a -0.0 is kept, a +0.0 is not
+        scaled, reference = normalize_features(store), normalize_features(dense)
+        for config in (StreamConfig(seed=1), StreamConfig(seed=2, limit=9, noise_p=0.3),
+                       StreamConfig(seed=3, noise_p=1.0)):
+            expected = stream_bytes(build_stream(reference, config))
+            assert stream_bytes(build_stream(scaled, config)) == expected
+            assert stream_bytes(pickle.loads(pickle.dumps(build_stream(scaled, config)))) == expected
+
+    def test_a_run_writes_the_bytes_of_the_same_data_in_sparse_labels_form(self, tmp_path):
+        from csdpp.cli import main
+
+        text, _, label_names, sparse = arff_corpus(7)
+        (tmp_path / "data.arff").write_text(text, encoding="utf-8")
+        (tmp_path / "labels.txt").write_text("\n".join(label_names) + "\n", encoding="utf-8")
+        (tmp_path / "data.txt").write_text(sparse, encoding="utf-8")
+        grid = ["--algo", "cs-dpp-pbc", "--algo", "o-br", "--cost", "f1", "--cost", "hamming",
+                "--noise-p", "0", "--noise-p", "0.3", "--repeats", "2", "--workers", "1"]
+        assert main(["run", "--dataset", str(tmp_path / "data.arff"), "--format", "arff", "--label-names",
+                     str(tmp_path / "labels.txt"), *grid, "--output", str(tmp_path / "arff")]) == 0
+        assert main(["run", "--dataset", str(tmp_path / "data.txt"), *grid,
+                     "--output", str(tmp_path / "sparse")]) == 0
+        written = {path.name: path.read_bytes() for path in sorted((tmp_path / "arff").iterdir())}
+        assert len(written) == 2 * 2 * 2 * 3
+        assert written == {path.name: path.read_bytes() for path in sorted((tmp_path / "sparse").iterdir())}
+
     def test_dense_and_sparse_rows(self):
         instances, d, k = parse_arff(ARFF, ["lab_a", "lab_b"])
         assert (d, k) == (2, 2)
